@@ -23,10 +23,11 @@ containment failure rate stays below the bound.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -149,6 +150,18 @@ def full_domain_adversary(domain: FiniteDomain) -> SetAdversary:
     return stationary_set_adversary(domain, tuple(range(1, domain.n + 1)))
 
 
+@functools.lru_cache(maxsize=4096)
+def _wrapped_window(domain: FiniteDomain, start: int, size: int) -> UniformOnSet:
+    """Uniform set on the ``size`` elements from 0-based ``start``, wrapping past n.
+
+    Adversaries that play windows revisit at most n distinct sets, so each is
+    built and validated once; the set is immutable and safe to share.
+    """
+    n = domain.n
+    members = tuple(sorted(((start + j) % n) + 1 for j in range(size)))
+    return UniformOnSet(domain, members)
+
+
 def window_set_adversary(domain: FiniteDomain, sigma: float) -> SetAdversary:
     """Oblivious moving window: the set of size ceil(sigma*n) rotating with the round.
 
@@ -159,9 +172,7 @@ def window_set_adversary(domain: FiniteDomain, sigma: float) -> SetAdversary:
     size = min_support_size(sigma, n)
 
     def rule(hist: History) -> UniformOnSet:
-        start = ((hist.round - 1) * size) % n
-        members = tuple(sorted(((start + j) % n) + 1 for j in range(size)))
-        return UniformOnSet(domain, members)
+        return _wrapped_window(domain, ((hist.round - 1) * size) % n, size)
 
     return SetAdversary(domain, sigma, rule, name="window")
 
@@ -178,8 +189,7 @@ def last_value_adversary(domain: FiniteDomain, sigma: float) -> SetAdversary:
 
     def rule(hist: History) -> UniformOnSet:
         start = hist.values[-1] if hist.values else 1
-        members = tuple(sorted(((start - 1 + j) % n) + 1 for j in range(size)))
-        return UniformOnSet(domain, members)
+        return _wrapped_window(domain, int(start - 1) % n, size)
 
     return SetAdversary(domain, sigma, rule, name="last-value")
 
@@ -212,6 +222,11 @@ class CouplingTrace:
         return bool(self.contained_rounds.all())
 
 
+def _contained(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Per-round flags: X_t is among Z_t,1..Z_t,k."""
+    return (Z == X[:, None]).any(axis=1)
+
+
 def couple_single_round(
     S: UniformOnSet, k: int, rng: "RngStream | np.random.Generator"
 ) -> tuple[int, np.ndarray]:
@@ -221,16 +236,20 @@ def couple_single_round(
     uniformly inside S to form Z, and X is a uniform pick among those
     resampled values.  If no replica hits, X is a fresh uniform draw from S
     (and necessarily lands outside {Z}).
+
+    The generator calls are fixed, and every run's bytes rest on them: first
+    ``integers(1, n + 1, size=k)`` for the replicas, then, when h >= 1
+    replicas hit, ``integers(S.size, size=h)`` for their resampled values
+    followed by ``integers(h)`` for the pick; when none hits, the single call
+    ``integers(S.size)``.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     gen = as_generator(rng)
-    n = S.domain.n
-    members = np.asarray(S.members)
-    y = gen.integers(1, n + 1, size=k)
-    z = y.copy()
-    hit = np.isin(y, members)
-    n_hits = int(hit.sum())
+    members = S.members_array
+    z = gen.integers(1, S.domain.n + 1, size=k)
+    hit = S.member_mask[z]
+    n_hits = int(np.count_nonzero(hit))
     if n_hits > 0:
         w = members[gen.integers(S.size, size=n_hits)]
         z[hit] = w
@@ -250,7 +269,6 @@ def couple_adaptive(
     hist = History()
     X = np.empty(cfg.T, dtype=np.int64)
     Z = np.empty((cfg.T, cfg.k), dtype=np.int64)
-    flags = np.empty(cfg.T, dtype=bool)
     for t in range(cfg.T):
         S = adv.rule(hist)
         if S.domain != adv.domain:
@@ -262,9 +280,8 @@ def couple_adaptive(
         x, z = couple_single_round(S, cfg.k, gen)
         X[t] = x
         Z[t] = z
-        flags[t] = x in set(int(v) for v in z)
         hist.values.append(x)
-    return CouplingTrace(n=n, X=X, Z=Z, contained_rounds=flags, sigma=adv.sigma)
+    return CouplingTrace(n=n, X=X, Z=Z, contained_rounds=_contained(X, Z), sigma=adv.sigma)
 
 
 def couple_general(
@@ -282,7 +299,6 @@ def couple_general(
     hist = History()
     X = np.empty(cfg.T, dtype=np.int64)
     Z = np.empty((cfg.T, cfg.k), dtype=np.int64)
-    flags = np.empty(cfg.T, dtype=bool)
     # Stationary rules return the same pmf object every round; reuse its
     # decomposition instead of re-peeling.
     memo: dict[int, tuple[np.ndarray, tuple]] = {}
@@ -303,9 +319,8 @@ def couple_general(
         x, z = couple_single_round(comp, cfg.k, gen)
         X[t] = x
         Z[t] = z
-        flags[t] = x in set(int(v) for v in z)
         hist.values.append(x)
-    return CouplingTrace(n=n, X=X, Z=Z, contained_rounds=flags, sigma=adv.sigma)
+    return CouplingTrace(n=n, X=X, Z=Z, contained_rounds=_contained(X, Z), sigma=adv.sigma)
 
 
 def enumerate_containment_probability(adv: SetAdversary, cfg: CouplingConfig) -> float:
@@ -460,17 +475,10 @@ def verify_marginals(
 
 def traces_to_jsonl(traces: list[CouplingTrace]) -> str:
     """Serialize traces, one JSON object per line: {"X", "Z", "contained"}."""
-    lines = []
-    for tr in traces:
-        lines.append(
-            json.dumps(
-                {
-                    "X": [int(v) for v in tr.X],
-                    "Z": [[int(v) for v in row] for row in tr.Z],
-                    "contained": tr.contained,
-                }
-            )
-        )
+    lines = [
+        json.dumps({"X": tr.X.tolist(), "Z": tr.Z.tolist(), "contained": tr.contained})
+        for tr in traces
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -483,8 +491,7 @@ def traces_from_jsonl(text: str, n: int, sigma: float) -> list[CouplingTrace]:
         obj = json.loads(line)
         X = np.asarray(obj["X"], dtype=np.int64)
         Z = np.asarray(obj["Z"], dtype=np.int64)
-        flags = np.array([x in set(int(v) for v in row) for x, row in zip(X, Z)])
-        tr = CouplingTrace(n=n, X=X, Z=Z, contained_rounds=flags, sigma=sigma)
+        tr = CouplingTrace(n=n, X=X, Z=Z, contained_rounds=_contained(X, Z), sigma=sigma)
         if tr.contained != bool(obj["contained"]):
             raise ValidationError("containment flag mismatch in serialized trace")
         traces.append(tr)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -44,7 +44,6 @@ __all__ = [
     "PotentialConfig",
     "SelfBalancingConfig",
     "ProbePool",
-    "DiscrepancyState",
     "DiscrepancyTrace",
     "VectorAdversary",
     "default_balance_k",
@@ -246,27 +245,7 @@ def potential(d: np.ndarray, cfg: PotentialConfig, pool: ProbePool) -> float:
     return potential_value(d, cfg.lam, pool)
 
 
-@dataclass
-class DiscrepancyState:
-    """Running state of a balancing run: the signed sum and its history."""
-
-    d: np.ndarray
-    t: int = 1
-    signs: list = field(default_factory=list)
-    max_inf_curve: list = field(default_factory=list)
-
-    def update(self, x: np.ndarray, sign: int) -> None:
-        self.d = self.d + sign * np.asarray(x, dtype=float)
-        inf = float(np.abs(self.d).max())
-        prev = self.max_inf_curve[-1] if self.max_inf_curve else 0.0
-        self.max_inf_curve.append(max(prev, inf))
-        self.signs.append(int(sign))
-        self.t += 1
-
-
 def _state_d(state) -> np.ndarray:
-    if isinstance(state, DiscrepancyState):
-        return np.asarray(state.d, dtype=float)
     return np.asarray(state, dtype=float)
 
 

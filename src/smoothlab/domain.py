@@ -14,6 +14,7 @@ experiments are reproducible independently of scheduling.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -152,9 +153,24 @@ class UniformOnSet:
     def size(self) -> int:
         return len(self.members)
 
+    @functools.cached_property
+    def members_array(self) -> np.ndarray:
+        """The members as a read-only int64 array, built once per set."""
+        arr = np.array(self.members, dtype=np.int64)
+        arr.flags.writeable = False
+        return arr
+
+    @functools.cached_property
+    def member_mask(self) -> np.ndarray:
+        """Read-only bool array of length n+1; ``member_mask[v]`` is True iff v is a member."""
+        mask = np.zeros(self.domain.n + 1, dtype=bool)
+        mask[self.members_array] = True
+        mask.flags.writeable = False
+        return mask
+
     def mass_vector(self) -> np.ndarray:
         mass = np.zeros(self.domain.n)
-        mass[np.asarray(self.members) - 1] = 1.0 / len(self.members)
+        mass[self.members_array - 1] = 1.0 / len(self.members)
         return mass
 
 
@@ -334,8 +350,7 @@ def sample_many(dist, rng: "RngStream | np.random.Generator", size: int) -> np.n
     """Vector of ``size`` i.i.d. draws (1-based) from the distribution."""
     gen = as_generator(rng)
     if isinstance(dist, UniformOnSet):
-        members = np.asarray(dist.members)
-        return members[gen.integers(dist.size, size=size)]
+        return dist.members_array[gen.integers(dist.size, size=size)]
     if isinstance(dist, SmoothPmf):
         return gen.choice(dist.domain.n, p=dist.mass, size=size) + 1
     if isinstance(dist, MixtureOfUniforms):

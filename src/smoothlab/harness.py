@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -539,6 +540,22 @@ def _merge_parts(name: str, parts: list[str]) -> str:
     return "".join(parts)
 
 
+# Every file run_experiment writes.  A reused run directory is cleared of
+# these first, so no raw file of an earlier config reaches summarize(); any
+# other file in the directory is left alone.
+_OWNED_FILE = re.compile(
+    r"config\.json|metrics\.jsonl|summary\.json|traces\.jsonl|reports\.csv"
+    r"|trace_\d{4,}\.csv|run_\d{4,}\.json|ledger_\d{4,}\.csv|game_\d{4,}\.json"
+    r"|points_\d{4,}\.jsonl"
+)
+
+
+def _clear_owned_files(run_dir: Path) -> None:
+    for path in run_dir.iterdir():
+        if _OWNED_FILE.fullmatch(path.name) and path.is_file():
+            path.unlink()
+
+
 @dataclass(frozen=True)
 class RunResult:
     """Everything a finished run produced, plus where it lives on disk."""
@@ -559,13 +576,15 @@ def run_experiment(
 
     Trial i draws from RngStream(cfg.seed, i), so the persisted bytes are
     identical for any parallelism degree.  Files are always written by the
-    parent process in trial order.
+    parent process in trial order.  When ``out_dir`` is reused, the files an
+    earlier run wrote there are removed first; other files are kept.
     """
     if parallelism < 1:
         raise ValidationError(f"parallelism must be >= 1, got {parallelism}")
     params = _resolve_params(cfg.kind, cfg.params)
     run_dir = Path(out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
+    _clear_owned_files(run_dir)
     (run_dir / "config.json").write_text(
         ExperimentConfig(cfg.kind, params, cfg.trials, cfg.seed).to_json()
     )

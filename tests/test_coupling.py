@@ -13,10 +13,13 @@ Frozen oracle values:
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothlab.coupling import (
     CouplingConfig,
@@ -40,10 +43,16 @@ from smoothlab.coupling import (
 )
 from smoothlab.domain import (
     FiniteDomain,
+    History,
     RngStream,
     SmoothPmf,
     UniformOnSet,
     ValidationError,
+    as_generator,
+    decompose_smooth,
+    min_support_size,
+    random_smooth_pmf,
+    validate_smooth,
 )
 from smoothlab.stats import binomial_stderr, chi_square_fit, chi_square_uniform
 
@@ -274,3 +283,266 @@ def test_trace_jsonl_round_trip():
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.Z, b.Z)
         assert a.contained == b.contained
+
+
+# ---------------------------------------------------------------------------
+# Stream equivalence.  The functions below are the reference implementation
+# the coupling path must reproduce draw for draw: np.isin membership, a fresh
+# UniformOnSet per round, and a Python set per containment flag.  Every
+# comparison also checks that the generator ends in the same state, so the
+# fast path consumes exactly the same draws.
+
+
+def _oracle_single_round(S, k, rng):
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    gen = as_generator(rng)
+    n = S.domain.n
+    members = np.asarray(S.members)
+    y = gen.integers(1, n + 1, size=k)
+    z = y.copy()
+    hit = np.isin(y, members)
+    n_hits = int(hit.sum())
+    if n_hits > 0:
+        w = members[gen.integers(S.size, size=n_hits)]
+        z[hit] = w
+        x = int(w[gen.integers(n_hits)])
+    else:
+        x = int(members[gen.integers(S.size)])
+    return x, z
+
+
+def _oracle_window_rule(domain, sigma):
+    n = domain.n
+    size = min_support_size(sigma, n)
+
+    def rule(hist):
+        start = ((hist.round - 1) * size) % n
+        members = tuple(sorted(((start + j) % n) + 1 for j in range(size)))
+        return UniformOnSet(domain, members)
+
+    return rule
+
+
+def _oracle_last_value_rule(domain, sigma):
+    n = domain.n
+    size = min_support_size(sigma, n)
+
+    def rule(hist):
+        start = hist.values[-1] if hist.values else 1
+        members = tuple(sorted(((start - 1 + j) % n) + 1 for j in range(size)))
+        return UniformOnSet(domain, members)
+
+    return rule
+
+
+def _oracle_adaptive(rule, domain, sigma, cfg, rng):
+    gen = as_generator(rng)
+    n = domain.n
+    floor = min_support_size(sigma, n)
+    hist = History()
+    X = np.empty(cfg.T, dtype=np.int64)
+    Z = np.empty((cfg.T, cfg.k), dtype=np.int64)
+    flags = np.empty(cfg.T, dtype=bool)
+    for t in range(cfg.T):
+        S = rule(hist)
+        if S.domain != domain:
+            raise ValidationError("adversary emitted a set on the wrong domain")
+        if S.size < floor:
+            raise UndersizedSetError(
+                f"round {t + 1}: set size {S.size} below floor {floor} for sigma={sigma}"
+            )
+        x, z = _oracle_single_round(S, cfg.k, gen)
+        X[t] = x
+        Z[t] = z
+        flags[t] = x in set(int(v) for v in z)
+        hist.values.append(x)
+    return X, Z, flags
+
+
+def _oracle_general(adv, cfg, rng):
+    gen = as_generator(rng)
+    hist = History()
+    X = np.empty(cfg.T, dtype=np.int64)
+    Z = np.empty((cfg.T, cfg.k), dtype=np.int64)
+    flags = np.empty(cfg.T, dtype=bool)
+    memo = {}
+    for t in range(cfg.T):
+        pmf = adv.rule(hist)
+        if pmf.domain != adv.domain:
+            raise ValidationError("adversary emitted a pmf on the wrong domain")
+        cached = memo.get(id(pmf))
+        if cached is None:
+            if not validate_smooth(pmf.mass, adv.sigma):
+                raise ValidationError(f"round {t + 1}: emitted pmf is not {adv.sigma}-smooth")
+            mix = decompose_smooth(pmf)
+            cumweights = np.cumsum([w for w, _ in mix.components])
+            cached = (cumweights, tuple(comp for _, comp in mix.components))
+            memo[id(pmf)] = cached
+        cumweights, comps = cached
+        comp = comps[int(np.searchsorted(cumweights, gen.random() * cumweights[-1], side="right"))]
+        x, z = _oracle_single_round(comp, cfg.k, gen)
+        X[t] = x
+        Z[t] = z
+        flags[t] = x in set(int(v) for v in z)
+        hist.values.append(x)
+    return X, Z, flags
+
+
+def _oracle_traces_to_jsonl(traces):
+    lines = []
+    for tr in traces:
+        lines.append(
+            json.dumps(
+                {
+                    "X": [int(v) for v in tr.X],
+                    "Z": [[int(v) for v in row] for row in tr.Z],
+                    "contained": tr.contained,
+                }
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _assert_same_run(trace, oracle, gen_a, gen_b):
+    X, Z, flags = oracle
+    assert np.array_equal(trace.X, X)
+    assert np.array_equal(trace.Z, Z)
+    assert trace.contained_rounds.dtype == bool
+    assert np.array_equal(trace.contained_rounds, flags)
+    assert gen_a.bit_generator.state == gen_b.bit_generator.state
+
+
+# (n, sigma, k, T); the set sizes ceil(sigma*n) range from 1 to n.
+_GRID = [
+    (2, 0.5, 1, 3),
+    (4, 0.5, 2, 5),
+    (5, 0.2, 3, 6),
+    (7, 0.3, 4, 7),
+    (8, 0.25, 6, 4),
+    (16, 0.25, 16, 8),
+    (9, 1.0, 2, 3),
+]
+
+_SET_ADVERSARIES = {
+    "last-value": (last_value_adversary, _oracle_last_value_rule),
+    "window": (window_set_adversary, _oracle_window_rule),
+}
+
+
+@pytest.mark.parametrize("n,sigma,k,T", _GRID)
+@pytest.mark.parametrize("name", ["last-value", "window", "stationary", "full-domain"])
+def test_adaptive_matches_reference_draw_for_draw(name, n, sigma, k, T):
+    dom = FiniteDomain(n)
+    if name in _SET_ADVERSARIES:
+        factory, oracle_factory = _SET_ADVERSARIES[name]
+        adv = factory(dom, sigma)
+        oracle_rule = oracle_factory(dom, sigma)
+    else:
+        # These rules play one set built up front, so the reference loop can call them as is.
+        if name == "stationary":
+            adv = stationary_set_adversary(dom, tuple(range(1, min_support_size(sigma, n) + 1)))
+        else:
+            adv = full_domain_adversary(dom)
+        oracle_rule = adv.rule
+    cfg = CouplingConfig(T=T, k=k)
+    for stream in range(6):
+        gen_a = RngStream(seed=2300 + n, stream_id=stream).generator()
+        gen_b = RngStream(seed=2300 + n, stream_id=stream).generator()
+        trace = couple_adaptive(adv, cfg, gen_a)
+        oracle = _oracle_adaptive(oracle_rule, dom, adv.sigma, cfg, gen_b)
+        _assert_same_run(trace, oracle, gen_a, gen_b)
+
+
+@pytest.mark.parametrize("n,sigma,k,T", _GRID)
+def test_general_matches_reference_draw_for_draw(n, sigma, k, T):
+    dom = FiniteDomain(n)
+    cfg = CouplingConfig(T=T, k=k)
+    for method in ("mixture", "capped"):
+        pmfs = [
+            random_smooth_pmf(dom, sigma, RngStream(seed=2400 + n, stream_id=j), method=method)
+            for j in range(3)
+        ]
+        # Stationary, and adaptive: the pmf played depends on the last realized value.
+        adversaries = [
+            stationary_pmf_adversary(pmfs[0]),
+            PmfAdversary(
+                dom, sigma, lambda hist: pmfs[hist.values[-1] % 3 if hist.values else 0], "chase"
+            ),
+        ]
+        for adv in adversaries:
+            for stream in range(4):
+                gen_a = RngStream(seed=2500 + n, stream_id=stream).generator()
+                gen_b = RngStream(seed=2500 + n, stream_id=stream).generator()
+                trace = couple_general(adv, cfg, gen_a)
+                _assert_same_run(trace, _oracle_general(adv, cfg, gen_b), gen_a, gen_b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    data=st.data(),
+    k=st.integers(1, 50),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_single_round_matches_reference(n, data, k, seed):
+    members = tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=1))))
+    S = UniformOnSet(FiniteDomain(n), members)
+    gen_a = RngStream(seed=seed).generator()
+    gen_b = RngStream(seed=seed).generator()
+    for _ in range(3):
+        x, z = couple_single_round(S, k, gen_a)
+        x_ref, z_ref = _oracle_single_round(S, k, gen_b)
+        assert x == x_ref
+        assert np.array_equal(z, z_ref)
+        assert z.dtype == z_ref.dtype
+    assert gen_a.bit_generator.state == gen_b.bit_generator.state
+
+
+def test_window_adversaries_emit_reference_sets():
+    for n, sigma in ((1, 1.0), (2, 0.5), (7, 0.3), (16, 0.25), (10, 0.95)):
+        dom = FiniteDomain(n)
+        for name, (factory, oracle_factory) in _SET_ADVERSARIES.items():
+            rule = factory(dom, sigma).rule
+            oracle_rule = oracle_factory(dom, sigma)
+            hists = [History()] + [History(values=[v] * r) for v in range(1, n + 1) for r in (1, 3)]
+            for hist in hists:
+                assert rule(hist) == oracle_rule(hist), (name, n, sigma, hist)
+
+
+def test_trace_jsonl_bytes_match_reference():
+    dom = FiniteDomain(8)
+    adv = last_value_adversary(dom, 0.25)
+    traces = [couple_adaptive(adv, CouplingConfig(T=4, k=6), RngStream(215, i)) for i in range(40)]
+    assert not all(tr.contained for tr in traces)
+    text = traces_to_jsonl(traces)
+    assert text == _oracle_traces_to_jsonl(traces)
+    restored = traces_from_jsonl(text, n=8, sigma=0.25)
+    assert traces_to_jsonl(restored) == text
+    for tr, back in zip(traces, restored):
+        expected = [x in set(int(v) for v in row) for x, row in zip(back.X, back.Z)]
+        assert back.contained_rounds.tolist() == expected
+        assert np.array_equal(back.contained_rounds, tr.contained_rounds)
+
+
+def test_trace_jsonl_rejects_flag_mismatch():
+    dom = FiniteDomain(4)
+    tr = couple_adaptive(full_domain_adversary(dom), CouplingConfig(T=2, k=2), RngStream(216))
+    obj = json.loads(traces_to_jsonl([tr]))
+    obj["contained"] = not obj["contained"]
+    with pytest.raises(ValidationError, match="mismatch"):
+        traces_from_jsonl(json.dumps(obj) + "\n", n=4, sigma=1.0)
+
+
+def test_cached_member_arrays_are_read_only():
+    S = UniformOnSet(FiniteDomain(6), (2, 5))
+    assert S.member_mask.tolist() == [False, False, True, False, False, True, False]
+    assert S.members_array.tolist() == [2, 5]
+    assert S.member_mask is S.member_mask
+    with pytest.raises(ValueError):
+        S.member_mask[1] = True
+    with pytest.raises(ValueError):
+        S.members_array[0] = 1
+    # The cached arrays do not take part in equality or hashing.
+    fresh = UniformOnSet(FiniteDomain(6), (2, 5))
+    assert fresh == S and hash(fresh) == hash(S)

@@ -38,7 +38,11 @@ CASES: dict[str, tuple[str, dict, int]] = {
         {"n": 8, "sigma": 0.25, "T": 4, "k": 6, "adversary": "stationary", "set_size": 3},
         20,
     ),
-    "coupling-window": ("coupling", {"n": 8, "sigma": 0.25, "T": 4, "k": 6, "adversary": "window"}, 20),
+    "coupling-window": (
+        "coupling",
+        {"n": 8, "sigma": 0.25, "T": 4, "k": 6, "adversary": "window"},
+        20,
+    ),
     "coupling-last-value": (
         "coupling",
         {"n": 8, "sigma": 0.25, "T": 4, "k": 6, "adversary": "last-value"},
@@ -56,7 +60,14 @@ CASES: dict[str, tuple[str, dict, int]] = {
     ),
     "discrepancy-potential-adaptive-shell": (
         "discrepancy",
-        {"algorithm": "potential", "n": 3, "T": 40, "adversary": "adaptive-shell", "sigma": 0.25, "M": 64},
+        {
+            "algorithm": "potential",
+            "n": 3,
+            "T": 40,
+            "adversary": "adaptive-shell",
+            "sigma": 0.25,
+            "M": 64,
+        },
         3,
     ),
     "discrepancy-selfbalancing-uniform-ball": (
@@ -66,7 +77,14 @@ CASES: dict[str, tuple[str, dict, int]] = {
     ),
     "discrepancy-random-sign-shell": (
         "discrepancy",
-        {"algorithm": "random-sign", "n": 3, "T": 40, "adversary": "shell", "sigma": 0.5, "inner": 0.5},
+        {
+            "algorithm": "random-sign",
+            "n": 3,
+            "T": 40,
+            "adversary": "shell",
+            "sigma": 0.5,
+            "inner": 0.5,
+        },
         3,
     ),
     "lowerbound-potential": (

@@ -168,6 +168,30 @@ def test_no_traces_skips_raw_files(tmp_path):
     assert names == {"config.json", "metrics.jsonl", "summary.json"}
 
 
+def test_reused_run_dir_drops_stale_raw_files(tmp_path):
+    run = tmp_path / "run"
+    params = {"algorithm": "random-sign", "n": 4, "T": 30}
+    run_experiment(make_config("discrepancy", params, trials=3, seed=2), run)
+    assert (run / "trace_0001.csv").is_file()
+    (run / "notes.txt").write_text("kept")
+    (run / "run_notes.json").write_text("{}")
+    run_experiment(make_config("discrepancy", params, trials=1, seed=2), run)
+    assert not (run / "trace_0001.csv").exists()
+    assert not (run / "run_0002.json").exists()
+    assert (run / "notes.txt").read_text() == "kept"
+    assert (run / "run_notes.json").is_file()
+    fresh = tmp_path / "fresh"
+    run_experiment(make_config("discrepancy", params, trials=1, seed=2), fresh)
+    owned = {k: v for k, v in _dir_bytes(run).items() if k not in ("notes.txt", "run_notes.json")}
+    assert owned == _dir_bytes(fresh)
+
+    # A coupling rerun without traces must not leave an old traces.jsonl for summarize().
+    cfg = make_config("coupling", {"n": 4, "sigma": 0.5, "T": 2}, trials=4, seed=0)
+    run_experiment(cfg, tmp_path / "coupling")
+    run_experiment(cfg, tmp_path / "coupling", write_traces=False)
+    assert not (tmp_path / "coupling" / "traces.jsonl").exists()
+
+
 def test_dispersion_reports_csv_merges_one_header(tmp_path):
     cfg = make_config("dispersion", {"T": 10, "ell": 2, "sigma": 0.2}, trials=4, seed=1)
     run_experiment(cfg, tmp_path / "run", parallelism=1)
