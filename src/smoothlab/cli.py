@@ -1,10 +1,10 @@
 """Command-line front end for the experiment harness.
 
-Subcommands: coupling, discrepancy, discrepancy-lb, learning, dispersion,
-and compare.  Run subcommands read an optional JSON config file and accept
-flag overrides; compare reads two finished run directories.  Exit codes:
-0 success, 1 configuration error, 2 failed acceptance check (--assert, or a
-ratio limit on compare).
+One subcommand per experiment kind (``harness.KINDS`` names each kind's
+command), plus compare.  Run subcommands read an optional JSON config file
+and accept flag overrides; compare reads two finished run directories.
+Exit codes: 0 success, 1 configuration error, 2 failed acceptance check
+(--assert, or a ratio limit on compare).
 """
 
 from __future__ import annotations
@@ -16,20 +16,13 @@ from pathlib import Path
 
 from .domain import ValidationError
 from .harness import (
+    KINDS,
     assert_report,
     compare_runs,
     default_run_dir,
     make_config,
     run_experiment,
 )
-
-RUN_KINDS = {
-    "coupling": "coupling",
-    "discrepancy": "discrepancy",
-    "discrepancy-lb": "discrepancy-lowerbound",
-    "learning": "learning",
-    "dispersion": "dispersion",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,8 +58,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="smoothlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    for command, kind in RUN_KINDS.items():
-        sp = sub.add_parser(command, help=f"run a {kind} experiment")
+    for kind, spec in KINDS.items():
+        sp = sub.add_parser(spec.command, help=f"run a {kind} experiment")
         _add_run_options(sp)
         sp.set_defaults(func=_cmd_run, kind=kind)
 

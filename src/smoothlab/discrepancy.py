@@ -51,7 +51,6 @@ __all__ = [
     "default_threshold",
     "build_probe_pool",
     "potential_value",
-    "potential",
     "choose_sign_potential",
     "choose_sign_selfbalancing",
     "run_discrepancy",
@@ -215,6 +214,23 @@ def build_probe_pool(n: int, M: int, rng: "RngStream | np.random.Generator") -> 
     return ProbePool(n=n, ball=ball, descriptor=descriptor)
 
 
+def _cosh_mixture(basis_args: np.ndarray, ball_args: np.ndarray) -> float:
+    """Half the mean cosh over the basis arguments, half over the ball ones.
+
+    With no ball arguments (M = 0) the basis mean carries full weight, and
+    with no basis arguments (n = 0) it is 1.  Any argument beyond
+    ``COSH_ARG_LIMIT`` raises PotentialOverflowError.
+    """
+    if float(np.abs(basis_args).max(initial=0.0)) > COSH_ARG_LIMIT:
+        raise PotentialOverflowError("basis probe argument exceeded the cosh overflow limit")
+    basis_mean = float(np.cosh(basis_args).mean()) if basis_args.size else 1.0
+    if not ball_args.size:
+        return basis_mean
+    if float(np.abs(ball_args).max(initial=0.0)) > COSH_ARG_LIMIT:
+        raise PotentialOverflowError("ball probe argument exceeded the cosh overflow limit")
+    return 0.5 * basis_mean + 0.5 * float(np.cosh(ball_args).mean())
+
+
 def potential_value(d: np.ndarray, lam: float, pool: ProbePool) -> float:
     """Phi(d) = mean of cosh(lam <d, W>) under the probe mixture.
 
@@ -227,22 +243,7 @@ def potential_value(d: np.ndarray, lam: float, pool: ProbePool) -> float:
     if lam < 0.0:
         raise ValidationError(f"lam must be >= 0, got {lam!r}")
     d = np.asarray(d, dtype=float)
-    basis_args = lam * d
-    if float(np.abs(basis_args).max(initial=0.0)) > COSH_ARG_LIMIT:
-        raise PotentialOverflowError("basis probe argument exceeded the cosh overflow limit")
-    basis_mean = float(np.cosh(basis_args).mean()) if d.size else 1.0
-    if pool.M == 0:
-        return basis_mean
-    ball_args = lam * (pool.ball @ d)
-    if float(np.abs(ball_args).max(initial=0.0)) > COSH_ARG_LIMIT:
-        raise PotentialOverflowError("ball probe argument exceeded the cosh overflow limit")
-    ball_mean = float(np.cosh(ball_args).mean())
-    return 0.5 * basis_mean + 0.5 * ball_mean
-
-
-def potential(d: np.ndarray, cfg: PotentialConfig, pool: ProbePool) -> float:
-    """Potential at d under a validated configuration."""
-    return potential_value(d, cfg.lam, pool)
+    return _cosh_mixture(lam * d, lam * (pool.ball @ d))
 
 
 def _state_d(state) -> np.ndarray:
@@ -580,31 +581,16 @@ def run_discrepancy(
         ips[t - 1] = float(d @ x)
 
         if algorithm == "potential":
+            # Incremental projections bd = ball @ d: a fresh matvec of
+            # ball @ (d +- x) is not bitwise equal and could flip near-ties.
             bx = ball @ x
-            basis_plus = lam * (d + x)
-            basis_minus = lam * (d - x)
-            ball_plus = lam * (bd + bx)
-            ball_minus = lam * (bd - bx)
-            peak = max(
-                float(np.abs(basis_plus).max(initial=0.0)),
-                float(np.abs(basis_minus).max(initial=0.0)),
-                float(np.abs(ball_plus).max(initial=0.0)) if pool.M else 0.0,
-                float(np.abs(ball_minus).max(initial=0.0)) if pool.M else 0.0,
-            )
-            if peak > COSH_ARG_LIMIT:
+            try:
+                phi_plus = _cosh_mixture(lam * (d + x), lam * (bd + bx))
+                phi_minus = _cosh_mixture(lam * (d - x), lam * (bd - bx))
+            except PotentialOverflowError:
                 blown_up = True
                 phi_cross_round = t if phi_cross_round == -1 else phi_cross_round
                 break
-            if pool.M:
-                phi_plus = 0.5 * float(np.cosh(basis_plus).mean()) + 0.5 * float(
-                    np.cosh(ball_plus).mean()
-                )
-                phi_minus = 0.5 * float(np.cosh(basis_minus).mean()) + 0.5 * float(
-                    np.cosh(ball_minus).mean()
-                )
-            else:
-                phi_plus = float(np.cosh(basis_plus).mean())
-                phi_minus = float(np.cosh(basis_minus).mean())
             sign = -1 if phi_minus < phi_plus - 1e-12 else +1
             phi_t = phi_minus if sign == -1 else phi_plus
             phis[t] = phi_t

@@ -39,7 +39,6 @@ __all__ = [
     "iid_uniform_adversary",
     "max_interval_count",
     "max_interval_count_brute",
-    "piecewise_constant_value",
     "report_csv",
     "sample_from_jsonl",
     "sample_to_jsonl",
@@ -378,21 +377,3 @@ def report_csv(report: DispersionReport) -> str:
         f"{report.w!r},{report.total},{report.split},{report.bound!r},"
         f"{int(report.passed)}\n"
     )
-
-
-def piecewise_constant_value(cuts, x: float, values=None) -> float:
-    """Demo evaluator: the piece index of x among sorted cuts, or a supplied value.
-
-    Dispersion itself never needs function values; this exists so example
-    scripts can draw a piecewise-constant curve from a sample row.
-    """
-    cuts = np.sort(np.asarray(cuts, dtype=float))
-    idx = int(np.searchsorted(cuts, x, side="right"))
-    if values is None:
-        return float(idx)
-    values = np.asarray(values, dtype=float)
-    if values.size != cuts.size + 1:
-        raise ValidationError(
-            f"need {cuts.size + 1} piece values for {cuts.size} cuts, got {values.size}"
-        )
-    return float(values[idx])

@@ -8,22 +8,10 @@ same bytes as running inline.  Each run directory holds
     config.json     the fully resolved configuration
     metrics.jsonl   one JSON object per trial, in trial order
     summary.json    aggregate statistics, recomputable via summarize()
-    raw files       per-kind traces (see the kind sections below)
+    raw files       per-kind traces
 
-Kinds and their per-trial metrics and raw files:
-
-    coupling                 contained, failed_round, n_contained_rounds
-                             traces.jsonl (one line per completed trial)
-    discrepancy              max_inf, final_inf, final_d2_sq, failed,
-                             failed_round, blown_up, phi_cross_round, t_done
-                             trace_NNNN.csv + run_NNNN.json
-    discrepancy-lowerbound   the discrepancy metrics plus ok, which flags
-                             final_d2_sq >= T/20 against the slab opponent
-                             trace_NNNN.csv + run_NNNN.json
-    learning                 regret, cum_loss, best_loss
-                             ledger_NNNN.csv + game_NNNN.json
-    dispersion               total, split, bound, w, within_bound, passed
-                             points_NNNN.jsonl + combined reports.csv
+``KINDS`` is the registry of experiment kinds: each KindSpec names the
+kind's parameters, choices, trial function, raw files and acceptance check.
 
 A trial that raises is recorded as {"trial": i, "error": "..."} in
 metrics.jsonl (with no raw files) and the run continues; summary.json counts
@@ -40,6 +28,7 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -89,20 +78,39 @@ from .learning import (
 )
 from .stats import bootstrap_ratio_ci, one_sided_bound_check, wilson_interval
 
-EXPERIMENT_KINDS = (
-    "coupling",
-    "discrepancy",
-    "discrepancy-lowerbound",
-    "learning",
-    "dispersion",
-)
-
 ENV_OUT_DIR = "SMOOTHLAB_OUT_DIR"
 
 # summarize() adds chi-square marginal diagnostics to coupling summaries only
 # when at least this many traces were persisted; below that the per-cell
 # counts are too thin for stable p-values.
 MARGINAL_MIN_TRACES = 10_000
+
+
+@dataclass(frozen=True)
+class KindSpec:
+    """Everything the harness knows about one experiment kind.
+
+    ``resolve(kind, params)`` validates the parameters and returns them with
+    every default filled in; unknown parameter names are rejected against
+    ``params`` before it runs.  ``options`` maps each choice parameter to its
+    table of accepted values.  ``trial(params, seed, index, keep_raw)``
+    returns the trial's metrics and, when ``keep_raw``, the contents of
+    ``raw_files`` in order, where NNNN in a name stands for the trial index.
+    ``summary_hook(run_dir, config, completed_rows)`` returns extra summary
+    blocks, and ``check(params, summary)`` the kind's ``--assert`` failures.
+
+    Option factories and trial functions look module names up when called,
+    so rebinding a name on this module reaches every trial.
+    """
+
+    command: str
+    params: tuple[str, ...]
+    resolve: Callable[[str, dict], dict]
+    options: dict[str, dict[str, Callable]]
+    trial: Callable[[dict, int, int, bool], tuple[dict, tuple[str, ...]]]
+    raw_files: tuple[str, ...]
+    check: Callable[[dict, dict], list[str]]
+    summary_hook: Callable[[Path, dict, list[dict]], dict] | None = None
 
 
 @dataclass(frozen=True)
@@ -154,153 +162,253 @@ def _require(params: dict, key: str, caster, kind: str):
         raise ValidationError(f"bad value for {key!r}: {params[key]!r} ({exc})") from exc
 
 
-def _check_keys(params: dict, allowed: set[str], kind: str) -> None:
-    unknown = sorted(set(params) - allowed)
+def _check_keys(params: dict, allowed, kind: str) -> None:
+    unknown = sorted(set(params) - set(allowed))
     if unknown:
         raise ValidationError(
             f"unknown parameter(s) for {kind}: {unknown}; allowed: {sorted(allowed)}"
         )
 
 
-def _choice(params: dict, key: str, default: str, options: tuple[str, ...]) -> str:
+def _choice(params: dict, key: str, default: str, table: dict) -> str:
     value = params.get(key, default)
-    if value not in options:
-        raise ValidationError(f"{key} must be one of {options}, got {value!r}")
+    if value not in table:
+        raise ValidationError(f"{key} must be one of {tuple(table)}, got {value!r}")
     return value
+
+
+def _applies(params: dict, out: dict, key: str, field: str, value: str) -> bool:
+    """Whether ``key`` belongs to the resolved choice out[field] == value.
+
+    A ``key`` given alongside any other choice is rejected.
+    """
+    if out[field] == value:
+        return True
+    if key in params:
+        raise ValidationError(f"{key} only applies to the {value} {field}")
+    return False
 
 
 def _resolve_params(kind: str, params: dict) -> dict:
     if not isinstance(params, dict):
         raise ValidationError(f"params must be a dict, got {type(params).__name__}")
-    if kind == "coupling":
-        return _resolve_coupling(params)
-    if kind == "discrepancy":
-        return _resolve_discrepancy(params)
-    if kind == "discrepancy-lowerbound":
-        return _resolve_lowerbound(params)
-    if kind == "learning":
-        return _resolve_learning(params)
-    if kind == "dispersion":
-        return _resolve_dispersion(params)
-    raise ValidationError(f"unknown experiment kind {kind!r}")
+    spec = KINDS.get(kind)
+    if spec is None:
+        raise ValidationError(f"unknown experiment kind {kind!r}")
+    _check_keys(params, spec.params, kind)
+    return spec.resolve(kind, params)
 
 
-COUPLING_ADVERSARIES = ("stationary", "window", "last-value", "full-domain")
+# adversary -> factory(params, domain)
+_COUPLING_ADVERSARIES = {
+    "stationary": lambda p, domain: stationary_set_adversary(
+        domain, tuple(range(1, p["set_size"] + 1))
+    ),
+    "window": lambda p, domain: window_set_adversary(domain, p["sigma"]),
+    "last-value": lambda p, domain: last_value_adversary(domain, p["sigma"]),
+    "full-domain": lambda p, domain: full_domain_adversary(domain),
+}
 
 
-def _resolve_coupling(params: dict) -> dict:
-    _check_keys(params, {"n", "sigma", "T", "k", "adversary", "set_size"}, "coupling")
-    n = _require(params, "n", int, "coupling")
-    sigma = _require(params, "sigma", float, "coupling")
-    T = _require(params, "T", int, "coupling")
-    adversary = _choice(params, "adversary", "window", COUPLING_ADVERSARIES)
+def _resolve_coupling(kind: str, params: dict) -> dict:
+    n = _require(params, "n", int, kind)
+    sigma = _require(params, "sigma", float, kind)
+    T = _require(params, "T", int, kind)
+    adversary = _choice(params, "adversary", "window", _COUPLING_ADVERSARIES)
     k = int(params.get("k", default_k(T, sigma)))
     CouplingConfig(T=T, k=k)
     domain = FiniteDomain(n)
     floor = min_support_size(sigma, n)
     out = {"n": n, "sigma": sigma, "T": T, "k": k, "adversary": adversary}
-    if adversary == "stationary":
+    if _applies(params, out, "set_size", "adversary", "stationary"):
         set_size = int(params.get("set_size", floor))
         if not (floor <= set_size <= n):
             raise ValidationError(
                 f"set_size must lie in [{floor}, {n}] for sigma={sigma}, got {set_size}"
             )
         out["set_size"] = set_size
-    elif "set_size" in params:
-        raise ValidationError("set_size only applies to the stationary adversary")
-    _coupling_adversary(out, domain)
+    _COUPLING_ADVERSARIES[adversary](out, domain)
     return out
 
 
-def _coupling_adversary(params: dict, domain: FiniteDomain):
-    name = params["adversary"]
-    if name == "stationary":
-        return stationary_set_adversary(domain, tuple(range(1, params["set_size"] + 1)))
-    if name == "window":
-        return window_set_adversary(domain, params["sigma"])
-    if name == "last-value":
-        return last_value_adversary(domain, params["sigma"])
-    return full_domain_adversary(domain)
+def _trial_coupling(params: dict, seed: int, index: int, keep_raw: bool):
+    adv = _COUPLING_ADVERSARIES[params["adversary"]](params, FiniteDomain(params["n"]))
+    cfg = CouplingConfig(T=params["T"], k=params["k"])
+    trace = couple_adaptive(adv, cfg, RngStream(seed=seed, stream_id=index))
+    missed = np.flatnonzero(~trace.contained_rounds)
+    metrics = {
+        "contained": bool(trace.contained),
+        "failed_round": int(missed[0]) + 1 if missed.size else -1,
+        "n_contained_rounds": int(trace.contained_rounds.sum()),
+    }
+    return metrics, (traces_to_jsonl([trace]),) if keep_raw else ()
 
 
-DISCREPANCY_ALGORITHMS = ("potential", "selfbalancing", "random-sign")
-DISCREPANCY_ADVERSARIES = ("uniform-ball", "shell", "adaptive-shell")
+def _summarize_coupling(run_dir: Path, cfg: dict, good: list[dict]) -> dict:
+    """The containment-failure rate, plus chi-square marginal diagnostics
+    when at least MARGINAL_MIN_TRACES traces were persisted."""
+    failures = sum(0 if r["contained"] else 1 for r in good)
+    lo, hi = wilson_interval(failures, len(good), z=3.0)
+    extra = {
+        "containment_failure": {
+            "count": failures,
+            "n": len(good),
+            "rate": failures / len(good),
+            "ci_low": lo,
+            "ci_high": hi,
+        }
+    }
+    traces_path = run_dir / "traces.jsonl"
+    if traces_path.is_file():
+        text = traces_path.read_text()
+        n_lines = sum(1 for line in text.splitlines() if line.strip())
+        if n_lines >= MARGINAL_MIN_TRACES:
+            traces = traces_from_jsonl(text, cfg["params"]["n"], cfg["params"]["sigma"])
+            report = verify_marginals(traces, n_pairs=20, pair_seed=0)
+            extra["marginals"] = {
+                "n_traces": report.n_traces,
+                "min_cell_pvalue": float(report.cell_pvalues.min()),
+                "min_pair_pvalue": min(report.pair_pvalues),
+                "min_homogeneity_pvalue": (
+                    min(report.homogeneity_pvalues) if report.homogeneity_pvalues else None
+                ),
+                "passed": report.passed(),
+            }
+    return extra
 
 
-def _resolve_discrepancy(params: dict) -> dict:
-    _check_keys(
-        params,
-        {"algorithm", "n", "T", "adversary", "sigma", "inner", "delta", "M"},
-        "discrepancy",
+def _check_coupling(params: dict, summary: dict) -> list[str]:
+    """Containment-failure rate at most T(1-sigma)^k plus three binomial stderrs."""
+    fail = summary["containment_failure"]
+    bound = containment_bound(params["T"], params["sigma"], params["k"])
+    check = one_sided_bound_check(fail["count"], fail["n"], min(bound, 1.0), z=3.0)
+    if check.passed:
+        return []
+    return [
+        f"containment failure rate {check.rate:.6g} exceeds "
+        f"{check.bound:.6g} + 3 stderr ({check.threshold:.6g})"
+    ]
+
+
+# algorithm -> factory(params, adversary sigma) of run_discrepancy's config kwargs
+_ALGORITHMS = {
+    "potential": lambda p, sigma: {
+        "potential_cfg": PotentialConfig.default(p["n"], p["T"], sigma, M=p["M"])
+    },
+    "selfbalancing": lambda p, sigma: {
+        "selfbal_cfg": SelfBalancingConfig.default(p["n"], p["T"], sigma, delta=p["delta"])
+    },
+    "random-sign": lambda p, sigma: {},
+}
+
+# adversary -> factory(params)
+_VECTOR_ADVERSARIES = {
+    "uniform-ball": lambda p: uniform_ball_adversary(p["n"]),
+    "shell": lambda p: shell_adversary(p["n"], p["sigma"], p.get("inner")),
+    "adaptive-shell": lambda p: adaptive_shell_adversary(p["n"], p["sigma"]),
+}
+
+
+def _vector_adversary(params: dict):
+    return _VECTOR_ADVERSARIES[params["adversary"]](params)
+
+
+def _slab_adversary(params: dict):
+    return slab_lowerbound_adversary(params["n"], params["T"])
+
+
+def _resolve_balancing(kind: str, params: dict, algorithm: str, resolve_adversary) -> dict:
+    """Resolve a discrepancy kind: sign rule, n, T, adversary, then M or delta.
+
+    ``resolve_adversary(params, out)`` adds the adversary's own parameters to
+    ``out`` and returns the adversary, whose sigma sizes the rule.
+    """
+    out = {
+        "algorithm": _choice(params, "algorithm", algorithm, _ALGORITHMS),
+        "n": _require(params, "n", int, kind),
+        "T": _require(params, "T", int, kind),
+    }
+    sigma = resolve_adversary(params, out).sigma
+    for key, owner, default, cast in (
+        ("M", "potential", 1024, int),
+        ("delta", "selfbalancing", 0.1, float),
+    ):
+        if _applies(params, out, key, "algorithm", owner):
+            out[key] = cast(params.get(key, default))
+            _ALGORITHMS[owner](out, sigma)
+    return out
+
+
+def _resolve_vector_adversary(params: dict, out: dict):
+    out["adversary"] = _choice(params, "adversary", "uniform-ball", _VECTOR_ADVERSARIES)
+    out["sigma"] = float(params.get("sigma", 1.0))
+    if _applies(params, out, "inner", "adversary", "shell") and params.get("inner") is not None:
+        out["inner"] = float(params["inner"])
+    return _vector_adversary(out)
+
+
+def _trial_balancing(
+    params: dict, seed: int, index: int, keep_raw: bool, make_adversary, ok_floor=None
+):
+    """One balancing game against ``make_adversary(params)``.
+
+    ``ok_floor`` adds the ok metric, final_d2_sq >= ok_floor.
+    """
+    adv = make_adversary(params)
+    trace = run_discrepancy(
+        params["algorithm"],
+        adv,
+        params["T"],
+        RngStream(seed=seed, stream_id=index),
+        **_ALGORITHMS[params["algorithm"]](params, adv.sigma),
     )
-    algorithm = _choice(params, "algorithm", "potential", DISCREPANCY_ALGORITHMS)
-    n = _require(params, "n", int, "discrepancy")
-    T = _require(params, "T", int, "discrepancy")
-    adversary = _choice(params, "adversary", "uniform-ball", DISCREPANCY_ADVERSARIES)
-    sigma = float(params.get("sigma", 1.0))
-    out = {"algorithm": algorithm, "n": n, "T": T, "adversary": adversary, "sigma": sigma}
-    if adversary == "shell":
-        inner = params.get("inner")
-        if inner is not None:
-            out["inner"] = float(inner)
-    elif "inner" in params:
-        raise ValidationError("inner only applies to the shell adversary")
-    adv = _discrepancy_adversary(out)
-    if algorithm == "potential":
-        out["M"] = int(params.get("M", 1024))
-        PotentialConfig.default(n, T, adv.sigma, M=out["M"])
-    elif "M" in params:
-        raise ValidationError("M only applies to the potential algorithm")
-    if algorithm == "selfbalancing":
-        out["delta"] = float(params.get("delta", 0.1))
-        SelfBalancingConfig.default(n, T, adv.sigma, delta=out["delta"])
-    elif "delta" in params:
-        raise ValidationError("delta only applies to the selfbalancing algorithm")
-    return out
+    metrics = {
+        "max_inf": float(trace.max_inf),
+        "final_inf": float(np.abs(trace.d_final).max()),
+        "final_d2_sq": float(trace.final_two_norm_sq),
+        "failed": bool(trace.failed),
+        "failed_round": int(trace.failed_round),
+        "blown_up": bool(trace.blown_up),
+        "phi_cross_round": int(trace.phi_cross_round),
+        "t_done": int(trace.t_done),
+    }
+    if ok_floor is not None:
+        metrics["ok"] = bool(metrics["final_d2_sq"] >= ok_floor)
+    return metrics, (trace_to_csv(trace), trace_header_json(trace) + "\n") if keep_raw else ()
 
 
-def _discrepancy_adversary(params: dict):
-    name = params["adversary"]
-    n = params["n"]
-    if name == "uniform-ball":
-        return uniform_ball_adversary(n)
-    if name == "shell":
-        return shell_adversary(n, params["sigma"], params.get("inner"))
-    return adaptive_shell_adversary(n, params["sigma"])
+def _check_discrepancy(params: dict, summary: dict) -> list[str]:
+    """No trial declared Failure or blew up the potential."""
+    metrics = summary["metrics"]
+    failures = []
+    if metrics["failed"]["count"]:
+        failures.append(f"{metrics['failed']['count']} run(s) declared Failure")
+    if metrics["blown_up"]["count"]:
+        failures.append(f"{metrics['blown_up']['count']} run(s) blew up the potential")
+    return failures
 
 
-def _resolve_lowerbound(params: dict) -> dict:
-    _check_keys(params, {"algorithm", "n", "T", "delta", "M"}, "discrepancy-lowerbound")
-    algorithm = _choice(params, "algorithm", "random-sign", DISCREPANCY_ALGORITHMS)
-    n = _require(params, "n", int, "discrepancy-lowerbound")
-    T = _require(params, "T", int, "discrepancy-lowerbound")
-    out = {"algorithm": algorithm, "n": n, "T": T}
-    adv = slab_lowerbound_adversary(n, T)
-    if algorithm == "potential":
-        out["M"] = int(params.get("M", 1024))
-        PotentialConfig.default(n, T, adv.sigma, M=out["M"])
-    elif "M" in params:
-        raise ValidationError("M only applies to the potential algorithm")
-    if algorithm == "selfbalancing":
-        out["delta"] = float(params.get("delta", 0.1))
-        SelfBalancingConfig.default(n, T, adv.sigma, delta=out["delta"])
-    elif "delta" in params:
-        raise ValidationError("delta only applies to the selfbalancing algorithm")
-    return out
+# learner -> play(adversary, cover, T, rng) -> RegretLedger
+_LEARNERS = {
+    "hedge-on-cover": lambda adv, cover, T, rng: run_learning_game(
+        "hedge-on-cover", adv, cover, T, rng
+    ),
+    "ftl-on-cover": lambda adv, cover, T, rng: run_learning_game(
+        "ftl-on-cover", adv, cover, T, rng
+    ),
+}
+
+# adversary -> factory(params, hypothesis class)
+_LEARNING_ADVERSARIES = {
+    "stationary-smooth": lambda p, cls: stationary_smooth_adversary(cls, flip=p["flip"]),
+    "mistake-tree": lambda p, cls: mistake_tree_adversary(cls),
+    "realizable": lambda p, cls: constant_label_adversary(cls),
+}
 
 
-LEARNERS = ("hedge-on-cover", "ftl-on-cover")
-LEARNING_ADVERSARIES = ("stationary-smooth", "mistake-tree", "realizable")
-
-
-def _resolve_learning(params: dict) -> dict:
-    _check_keys(
-        params,
-        {"m", "sigma", "d", "T", "beta", "learner", "adversary", "flip"},
-        "learning",
-    )
-    d = _require(params, "d", int, "learning")
-    T = _require(params, "T", int, "learning")
+def _resolve_learning(kind: str, params: dict) -> dict:
+    d = _require(params, "d", int, kind)
+    T = _require(params, "T", int, kind)
     if T < 1:
         raise ValidationError(f"T must be >= 1, got {T}")
     if "m" in params:
@@ -308,10 +416,10 @@ def _resolve_learning(params: dict) -> dict:
     elif "sigma" in params:
         m = int(round(1.0 / float(params["sigma"])))
     else:
-        raise ValidationError("learning experiment requires m or sigma")
+        raise ValidationError(f"{kind} experiment requires m or sigma")
     cls = ThresholdUnionClass(m, d)
-    learner = _choice(params, "learner", "hedge-on-cover", LEARNERS)
-    adversary = _choice(params, "adversary", "stationary-smooth", LEARNING_ADVERSARIES)
+    learner = _choice(params, "learner", "hedge-on-cover", _LEARNERS)
+    adversary = _choice(params, "adversary", "stationary-smooth", _LEARNING_ADVERSARIES)
     beta = float(params.get("beta", cls.sigma * math.sqrt(d) / math.sqrt(T)))
     build_cover(cls, beta)
     out = {
@@ -323,38 +431,58 @@ def _resolve_learning(params: dict) -> dict:
         "learner": learner,
         "adversary": adversary,
     }
-    if adversary == "stationary-smooth":
+    if _applies(params, out, "flip", "adversary", "stationary-smooth"):
         flip = float(params.get("flip", 0.25))
         if not (0.0 <= flip <= 0.5):
             raise ValidationError(f"flip must lie in [0, 0.5], got {flip!r}")
         out["flip"] = flip
-    elif "flip" in params:
-        raise ValidationError("flip only applies to the stationary-smooth adversary")
     return out
 
 
-def _learning_adversary(params: dict, cls: ThresholdUnionClass):
-    name = params["adversary"]
-    if name == "stationary-smooth":
-        return stationary_smooth_adversary(cls, flip=params["flip"])
-    if name == "mistake-tree":
-        return mistake_tree_adversary(cls)
-    return constant_label_adversary(cls)
-
-
-DISPERSION_ADVERSARIES = ("iid-uniform", "fixed-interval", "densest-window")
-
-
-def _resolve_dispersion(params: dict) -> dict:
-    _check_keys(
-        params,
-        {"T", "ell", "sigma", "adversary", "alpha", "delta", "w", "k", "lo"},
-        "dispersion",
+def _trial_learning(params: dict, seed: int, index: int, keep_raw: bool):
+    cls = ThresholdUnionClass(params["m"], params["d"])
+    cover = build_cover(cls, params["beta"])
+    adv = _LEARNING_ADVERSARIES[params["adversary"]](params, cls)
+    ledger = _LEARNERS[params["learner"]](
+        adv, cover, params["T"], RngStream(seed=seed, stream_id=index)
     )
-    T = _require(params, "T", int, "dispersion")
-    ell = _require(params, "ell", int, "dispersion")
-    sigma = _require(params, "sigma", float, "dispersion")
-    adversary = _choice(params, "adversary", "iid-uniform", DISPERSION_ADVERSARIES)
+    metrics = {
+        "regret": int(ledger.regret),
+        "cum_loss": int(ledger.cum_loss),
+        "best_loss": int(ledger.best_loss),
+    }
+    return metrics, (ledger.to_csv(), ledger.config_json() + "\n") if keep_raw else ()
+
+
+def _check_learning(params: dict, summary: dict) -> list[str]:
+    """Mean regret below the smoothed-regret ceiling, or above the
+    mistake-tree floor when that adversary is playing."""
+    mean_regret = summary["metrics"]["regret"]["mean"]
+    T, d, sigma = params["T"], params["d"], params["sigma"]
+    if params["adversary"] == "mistake-tree":
+        floor = 0.1 * math.sqrt(d * T * math.log2(1.0 / (sigma * d)))
+        if mean_regret < floor:
+            return [f"mean regret {mean_regret:.3f} below floor {floor:.3f}"]
+    else:
+        ceiling = 5.0 * math.sqrt(T * d * math.log(T / (d * sigma)))
+        if mean_regret > ceiling:
+            return [f"mean regret {mean_regret:.3f} above ceiling {ceiling:.3f}"]
+    return []
+
+
+# adversary -> factory(params)
+_INTERVAL_ADVERSARIES = {
+    "iid-uniform": lambda p: iid_uniform_adversary(),
+    "fixed-interval": lambda p: fixed_interval_adversary(p["sigma"], lo=p["lo"]),
+    "densest-window": lambda p: densest_window_adversary(p["sigma"]),
+}
+
+
+def _resolve_dispersion(kind: str, params: dict) -> dict:
+    T = _require(params, "T", int, kind)
+    ell = _require(params, "ell", int, kind)
+    sigma = _require(params, "sigma", float, kind)
+    adversary = _choice(params, "adversary", "iid-uniform", _INTERVAL_ADVERSARIES)
     alpha = float(params.get("alpha", 0.5))
     delta = float(params.get("delta", 0.05))
     w = float(params.get("w", default_window_width(T, ell, sigma, alpha)))
@@ -370,114 +498,14 @@ def _resolve_dispersion(params: dict) -> dict:
     }
     if "k" in params:
         out["k"] = float(params["k"])
-    if adversary == "fixed-interval":
+    if _applies(params, out, "lo", "adversary", "fixed-interval"):
         out["lo"] = float(params.get("lo", 0.0))
-    elif "lo" in params:
-        raise ValidationError("lo only applies to the fixed-interval adversary")
-    _dispersion_adversary(out)
+    _INTERVAL_ADVERSARIES[adversary](out)
     return out
 
 
-def _dispersion_adversary(params: dict):
-    name = params["adversary"]
-    if name == "iid-uniform":
-        return iid_uniform_adversary()
-    if name == "fixed-interval":
-        return fixed_interval_adversary(params["sigma"], lo=params["lo"])
-    return densest_window_adversary(params["sigma"])
-
-
-def _trial_coupling(params: dict, seed: int, index: int, keep_raw: bool):
-    domain = FiniteDomain(params["n"])
-    adv = _coupling_adversary(params, domain)
-    cfg = CouplingConfig(T=params["T"], k=params["k"])
-    trace = couple_adaptive(adv, cfg, RngStream(seed=seed, stream_id=index))
-    missed = np.flatnonzero(~trace.contained_rounds)
-    metrics = {
-        "contained": bool(trace.contained),
-        "failed_round": int(missed[0]) + 1 if missed.size else -1,
-        "n_contained_rounds": int(trace.contained_rounds.sum()),
-    }
-    raw = {"traces.jsonl": traces_to_jsonl([trace])} if keep_raw else {}
-    return metrics, raw
-
-
-def _discrepancy_metrics(trace) -> dict:
-    return {
-        "max_inf": float(trace.max_inf),
-        "final_inf": float(np.abs(trace.d_final).max()),
-        "final_d2_sq": float(trace.final_two_norm_sq),
-        "failed": bool(trace.failed),
-        "failed_round": int(trace.failed_round),
-        "blown_up": bool(trace.blown_up),
-        "phi_cross_round": int(trace.phi_cross_round),
-        "t_done": int(trace.t_done),
-    }
-
-
-def _run_balancing(params: dict, adv, seed: int, index: int):
-    n, T = params["n"], params["T"]
-    algorithm = params["algorithm"]
-    potential_cfg = None
-    selfbal_cfg = None
-    if algorithm == "potential":
-        potential_cfg = PotentialConfig.default(n, T, adv.sigma, M=params["M"])
-    elif algorithm == "selfbalancing":
-        selfbal_cfg = SelfBalancingConfig.default(n, T, adv.sigma, delta=params["delta"])
-    return run_discrepancy(
-        algorithm,
-        adv,
-        T,
-        RngStream(seed=seed, stream_id=index),
-        potential_cfg=potential_cfg,
-        selfbal_cfg=selfbal_cfg,
-    )
-
-
-def _trial_discrepancy(params: dict, seed: int, index: int, keep_raw: bool):
-    adv = _discrepancy_adversary(params)
-    trace = _run_balancing(params, adv, seed, index)
-    metrics = _discrepancy_metrics(trace)
-    raw = {}
-    if keep_raw:
-        raw[f"trace_{index:04d}.csv"] = trace_to_csv(trace)
-        raw[f"run_{index:04d}.json"] = trace_header_json(trace) + "\n"
-    return metrics, raw
-
-
-def _trial_lowerbound(params: dict, seed: int, index: int, keep_raw: bool):
-    adv = slab_lowerbound_adversary(params["n"], params["T"])
-    trace = _run_balancing(params, adv, seed, index)
-    metrics = _discrepancy_metrics(trace)
-    metrics["ok"] = bool(metrics["final_d2_sq"] >= params["T"] / 20.0)
-    raw = {}
-    if keep_raw:
-        raw[f"trace_{index:04d}.csv"] = trace_to_csv(trace)
-        raw[f"run_{index:04d}.json"] = trace_header_json(trace) + "\n"
-    return metrics, raw
-
-
-def _trial_learning(params: dict, seed: int, index: int, keep_raw: bool):
-    cls = ThresholdUnionClass(params["m"], params["d"])
-    cover = build_cover(cls, params["beta"])
-    adv = _learning_adversary(params, cls)
-    ledger = run_learning_game(
-        params["learner"], adv, cover, params["T"], RngStream(seed=seed, stream_id=index)
-    )
-    metrics = {
-        "regret": int(ledger.regret),
-        "cum_loss": int(ledger.cum_loss),
-        "best_loss": int(ledger.best_loss),
-    }
-    raw = {}
-    if keep_raw:
-        raw[f"ledger_{index:04d}.csv"] = ledger.to_csv()
-        raw[f"game_{index:04d}.json"] = ledger.config_json() + "\n"
-    return metrics, raw
-
-
 def _trial_dispersion(params: dict, seed: int, index: int, keep_raw: bool):
-    adv = _dispersion_adversary(params)
+    adv = _INTERVAL_ADVERSARIES[params["adversary"]](params)
     sample = generate_discontinuities(
         adv, params["T"], params["ell"], params["sigma"], RngStream(seed=seed, stream_id=index)
     )
@@ -496,20 +524,82 @@ def _trial_dispersion(params: dict, seed: int, index: int, keep_raw: bool):
         "within_bound": bool(report.total <= report.bound),
         "passed": bool(passed),
     }
-    raw = {}
-    if keep_raw:
-        raw[f"points_{index:04d}.jsonl"] = sample_to_jsonl(sample)
-        raw["reports.csv"] = report_csv(report)
-    return metrics, raw
+    return metrics, (sample_to_jsonl(sample), report_csv(report)) if keep_raw else ()
 
 
-_TRIAL_FNS = {
-    "coupling": _trial_coupling,
-    "discrepancy": _trial_discrepancy,
-    "discrepancy-lowerbound": _trial_lowerbound,
-    "learning": _trial_learning,
-    "dispersion": _trial_dispersion,
+def _min_rate(metric: str, floor: float, label: str):
+    """A check that the boolean ``metric`` holds in at least ``floor`` of trials."""
+
+    def check(params: dict, summary: dict) -> list[str]:
+        rate = summary["metrics"][metric]["rate"]
+        return [f"{label} rate {rate:.4f} below {floor}"] if rate < floor else []
+
+    return check
+
+
+_BALANCING_PARAMS = ("algorithm", "n", "T", "delta", "M")
+
+KINDS: dict[str, KindSpec] = {
+    "coupling": KindSpec(
+        command="coupling",
+        params=("n", "sigma", "T", "k", "adversary", "set_size"),
+        resolve=_resolve_coupling,
+        options={"adversary": _COUPLING_ADVERSARIES},
+        trial=_trial_coupling,
+        raw_files=("traces.jsonl",),
+        check=_check_coupling,
+        summary_hook=_summarize_coupling,
+    ),
+    "discrepancy": KindSpec(
+        command="discrepancy",
+        params=(*_BALANCING_PARAMS, "adversary", "sigma", "inner"),
+        resolve=lambda kind, params: _resolve_balancing(
+            kind, params, "potential", _resolve_vector_adversary
+        ),
+        options={"algorithm": _ALGORITHMS, "adversary": _VECTOR_ADVERSARIES},
+        trial=lambda params, seed, index, keep_raw: _trial_balancing(
+            params, seed, index, keep_raw, _vector_adversary
+        ),
+        raw_files=("trace_NNNN.csv", "run_NNNN.json"),
+        check=_check_discrepancy,
+    ),
+    # The thin-slab opponent is fixed: no adversary choice.
+    "discrepancy-lowerbound": KindSpec(
+        command="discrepancy-lb",
+        params=_BALANCING_PARAMS,
+        resolve=lambda kind, params: _resolve_balancing(
+            kind, params, "random-sign", lambda _, out: _slab_adversary(out)
+        ),
+        options={"algorithm": _ALGORITHMS},
+        trial=lambda params, seed, index, keep_raw: _trial_balancing(
+            params, seed, index, keep_raw, _slab_adversary, ok_floor=params["T"] / 20.0
+        ),
+        raw_files=("trace_NNNN.csv", "run_NNNN.json"),
+        # Final squared length at least T/20 in at least 99 percent of trials.
+        check=_min_rate("ok", 0.99, "squared-length growth"),
+    ),
+    "learning": KindSpec(
+        command="learning",
+        params=("m", "sigma", "d", "T", "beta", "learner", "adversary", "flip"),
+        resolve=_resolve_learning,
+        options={"learner": _LEARNERS, "adversary": _LEARNING_ADVERSARIES},
+        trial=_trial_learning,
+        raw_files=("ledger_NNNN.csv", "game_NNNN.json"),
+        check=_check_learning,
+    ),
+    "dispersion": KindSpec(
+        command="dispersion",
+        params=("T", "ell", "sigma", "adversary", "alpha", "delta", "w", "k", "lo"),
+        resolve=_resolve_dispersion,
+        options={"adversary": _INTERVAL_ADVERSARIES},
+        trial=_trial_dispersion,
+        raw_files=("points_NNNN.jsonl", "reports.csv"),
+        # Total window count within the bound in at least 95 percent of trials.
+        check=_min_rate("within_bound", 0.95, "within-bound"),
+    ),
 }
+
+EXPERIMENT_KINDS = tuple(KINDS)
 
 
 def _run_single_trial(job: tuple) -> tuple[dict, dict]:
@@ -519,10 +609,13 @@ def _run_single_trial(job: tuple) -> tuple[dict, dict]:
     plain values for the same reason.
     """
     kind, params, seed, index, keep_raw = job
+    spec = KINDS[kind]
     try:
-        return _TRIAL_FNS[kind](params, seed, index, keep_raw)
+        metrics, contents = spec.trial(params, seed, index, keep_raw)
     except Exception as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}, {}
+    names = (name.replace("NNNN", f"{index:04d}") for name in spec.raw_files)
+    return metrics, dict(zip(names, contents))
 
 
 def _merge_parts(name: str, parts: list[str]) -> str:
@@ -544,9 +637,14 @@ def _merge_parts(name: str, parts: list[str]) -> str:
 # these first, so no raw file of an earlier config reaches summarize(); any
 # other file in the directory is left alone.
 _OWNED_FILE = re.compile(
-    r"config\.json|metrics\.jsonl|summary\.json|traces\.jsonl|reports\.csv"
-    r"|trace_\d{4,}\.csv|run_\d{4,}\.json|ledger_\d{4,}\.csv|game_\d{4,}\.json"
-    r"|points_\d{4,}\.jsonl"
+    "|".join(
+        re.escape(name).replace("NNNN", r"\d{4,}")
+        for name in sorted(
+            {"config.json", "metrics.jsonl", "summary.json"}.union(
+                *(spec.raw_files for spec in KINDS.values())
+            )
+        )
+    )
 )
 
 
@@ -593,8 +691,10 @@ def run_experiment(
     if parallelism == 1 or cfg.trials == 1:
         results = [_run_single_trial(job) for job in jobs]
     else:
+        # A forked pool starts every worker up front, so cap it at the trials.
+        workers = min(parallelism, cfg.trials)
         chunk = max(1, cfg.trials // (parallelism * 4))
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_single_trial, jobs, chunksize=chunk))
 
     rows = []
@@ -639,9 +739,8 @@ def summarize(run_dir: str | Path) -> dict:
 
     Numeric metrics get mean, standard deviation (ddof=1, zero for a single
     trial), median, min, and max; boolean metrics get a count, rate, and
-    Wilson interval at three standard errors.  Coupling runs additionally
-    report the containment-failure rate, and chi-square marginal diagnostics
-    when at least MARGINAL_MIN_TRACES traces were persisted.
+    Wilson interval at three standard errors.  When any trial completed,
+    the kind's ``summary_hook`` adds its own blocks.
     """
     run_dir = Path(run_dir)
     cfg_path = run_dir / "config.json"
@@ -685,33 +784,9 @@ def summarize(run_dir: str | Path) -> dict:
         "error_trials": [r["trial"] for r in rows if "error" in r],
         "metrics": metrics,
     }
-
-    if cfg["kind"] == "coupling" and good:
-        failures = sum(0 if r["contained"] else 1 for r in good)
-        lo, hi = wilson_interval(failures, len(good), z=3.0)
-        summary["containment_failure"] = {
-            "count": failures,
-            "n": len(good),
-            "rate": failures / len(good),
-            "ci_low": lo,
-            "ci_high": hi,
-        }
-        traces_path = run_dir / "traces.jsonl"
-        if traces_path.is_file():
-            text = traces_path.read_text()
-            n_lines = sum(1 for line in text.splitlines() if line.strip())
-            if n_lines >= MARGINAL_MIN_TRACES:
-                traces = traces_from_jsonl(text, cfg["params"]["n"], cfg["params"]["sigma"])
-                report = verify_marginals(traces, n_pairs=20, pair_seed=0)
-                summary["marginals"] = {
-                    "n_traces": report.n_traces,
-                    "min_cell_pvalue": float(report.cell_pvalues.min()),
-                    "min_pair_pvalue": min(report.pair_pvalues),
-                    "min_homogeneity_pvalue": (
-                        min(report.homogeneity_pvalues) if report.homogeneity_pvalues else None
-                    ),
-                    "passed": report.passed(),
-                }
+    spec = KINDS.get(cfg["kind"])
+    if good and spec is not None and spec.summary_hook is not None:
+        summary.update(spec.summary_hook(run_dir, cfg, good))
     return summary
 
 
@@ -763,13 +838,8 @@ def compare_runs(
 def assert_report(kind: str, params: dict, summary: dict) -> list[str]:
     """Acceptance-style checks for a finished run; returns failure messages.
 
-    coupling: containment-failure rate at most T(1-sigma)^k plus three
-    binomial standard errors.  discrepancy: no trial failed or blew up.
-    discrepancy-lowerbound: final squared length at least T/20 in at least
-    99 percent of trials.  learning: mean regret below the smoothed-regret
-    ceiling, or above the mistake-tree floor when that adversary is playing.
-    dispersion: total window count within the bound in at least 95 percent
-    of trials.  Any errored trial fails every kind.
+    Any errored trial, or a run with no completed trial, fails every kind;
+    otherwise the kind's own check applies (see each KindSpec's ``check``).
     """
     failures: list[str] = []
     if summary["errors"]:
@@ -777,41 +847,7 @@ def assert_report(kind: str, params: dict, summary: dict) -> list[str]:
     if not summary["completed"]:
         failures.append("no completed trials")
         return failures
-    metrics = summary["metrics"]
-    if kind == "coupling":
-        fail = summary["containment_failure"]
-        bound = containment_bound(params["T"], params["sigma"], params["k"])
-        check = one_sided_bound_check(fail["count"], fail["n"], min(bound, 1.0), z=3.0)
-        if not check.passed:
-            failures.append(
-                f"containment failure rate {check.rate:.6g} exceeds "
-                f"{check.bound:.6g} + 3 stderr ({check.threshold:.6g})"
-            )
-    elif kind == "discrepancy":
-        if metrics["failed"]["count"]:
-            failures.append(f"{metrics['failed']['count']} run(s) declared Failure")
-        if metrics["blown_up"]["count"]:
-            failures.append(f"{metrics['blown_up']['count']} run(s) blew up the potential")
-    elif kind == "discrepancy-lowerbound":
-        rate = metrics["ok"]["rate"]
-        if rate < 0.99:
-            failures.append(f"squared-length growth rate {rate:.4f} below 0.99")
-    elif kind == "learning":
-        mean_regret = metrics["regret"]["mean"]
-        T, d, sigma = params["T"], params["d"], params["sigma"]
-        if params["adversary"] == "mistake-tree":
-            floor = 0.1 * math.sqrt(d * T * math.log2(1.0 / (sigma * d)))
-            if mean_regret < floor:
-                failures.append(f"mean regret {mean_regret:.3f} below floor {floor:.3f}")
-        else:
-            ceiling = 5.0 * math.sqrt(T * d * math.log(T / (d * sigma)))
-            if mean_regret > ceiling:
-                failures.append(f"mean regret {mean_regret:.3f} above ceiling {ceiling:.3f}")
-    elif kind == "dispersion":
-        rate = metrics["within_bound"]["rate"]
-        if rate < 0.95:
-            failures.append(f"within-bound rate {rate:.4f} below 0.95")
-    return failures
+    return failures + KINDS[kind].check(params, summary)
 
 
 def default_run_dir(kind: str, seed: int, base: str | None = None) -> str:

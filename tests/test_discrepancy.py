@@ -37,7 +37,6 @@ from smoothlab.discrepancy import (
     default_lambda,
     default_threshold,
     make_potential_tail_threshold,
-    potential,
     potential_value,
     run_discrepancy,
     shell_adversary,

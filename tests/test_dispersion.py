@@ -32,7 +32,6 @@ from smoothlab.dispersion import (
     iid_uniform_adversary,
     max_interval_count,
     max_interval_count_brute,
-    piecewise_constant_value,
     report_csv,
     sample_from_jsonl,
     sample_to_jsonl,
@@ -323,14 +322,3 @@ def test_report_csv_format():
     assert int(split) == report.split
     assert float(bound) == report.bound
     assert passed in ("0", "1")
-
-
-def test_piecewise_constant_evaluator():
-    cuts = [0.5, 0.2]
-    assert piecewise_constant_value(cuts, 0.1) == 0.0
-    assert piecewise_constant_value(cuts, 0.3) == 1.0
-    assert piecewise_constant_value(cuts, 0.9) == 2.0
-    assert piecewise_constant_value(cuts, 0.2) == 1.0  # right-continuous pieces
-    assert piecewise_constant_value(cuts, 0.9, values=[5.0, 6.0, 7.0]) == 7.0
-    with pytest.raises(ValidationError):
-        piecewise_constant_value(cuts, 0.9, values=[5.0, 6.0])

@@ -157,14 +157,15 @@ def test_cases_cover_every_harness_option():
         for key in ("adversary", "algorithm", "learner"):
             if key in params:
                 seen.setdefault(f"{kind}.{key}", set()).add(params[key])
-    assert {kind for kind, _, _ in CASES.values()} == set(harness.EXPERIMENT_KINDS)
-    assert seen["coupling.adversary"] == set(harness.COUPLING_ADVERSARIES)
-    assert seen["discrepancy.algorithm"] == set(harness.DISCREPANCY_ALGORITHMS)
-    assert seen["discrepancy.adversary"] == set(harness.DISCREPANCY_ADVERSARIES)
-    assert seen["discrepancy-lowerbound.algorithm"] == set(harness.DISCREPANCY_ALGORITHMS)
-    assert seen["learning.learner"] == set(harness.LEARNERS)
-    assert seen["learning.adversary"] == set(harness.LEARNING_ADVERSARIES)
-    assert seen["dispersion.adversary"] == set(harness.DISPERSION_ADVERSARIES)
+    assert {kind for kind, _, _ in CASES.values()} == set(harness.KINDS)
+    options = {
+        f"{kind}.{key}": set(table)
+        for kind, spec in harness.KINDS.items()
+        for key, table in spec.options.items()
+    }
+    assert set(seen) == set(options)
+    for name, values in options.items():
+        assert seen[name] == values, name
     assert set(_load_frozen()) == set(CASES)
 
 

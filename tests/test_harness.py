@@ -8,13 +8,15 @@ persisted files must reproduce summary.json exactly.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
-from smoothlab.cli import main as cli_main
+from smoothlab.cli import build_parser, main as cli_main
 from smoothlab.domain import ValidationError
 from smoothlab.harness import (
     ExperimentConfig,
@@ -109,14 +111,14 @@ def test_summary_recompute_matches_emitted(tmp_path):
 
 
 def test_trial_error_is_recorded_and_run_continues(tmp_path, monkeypatch):
-    real = harness._TRIAL_FNS["coupling"]
+    real = harness.couple_adaptive
 
-    def flaky(params, seed, index, keep_raw):
-        if index == 2:
+    def flaky(adv, cfg, rng):
+        if rng.stream_id == 2:
             raise RuntimeError("injected trial fault")
-        return real(params, seed, index, keep_raw)
+        return real(adv, cfg, rng)
 
-    monkeypatch.setitem(harness._TRIAL_FNS, "coupling", flaky)
+    monkeypatch.setattr(harness, "couple_adaptive", flaky)
     cfg = make_config("coupling", {"n": 4, "sigma": 0.5, "T": 2}, trials=5, seed=0)
     result = run_experiment(cfg, tmp_path / "run", parallelism=1)
     assert result.summary["completed"] == 4
@@ -132,6 +134,30 @@ def test_trial_error_is_recorded_and_run_continues(tmp_path, monkeypatch):
     # Any errored trial fails the acceptance check.
     failures = assert_report(cfg.kind, cfg.params, result.summary)
     assert any("errored" in msg for msg in failures)
+
+
+def test_pool_starts_no_more_workers_than_trials(tmp_path, monkeypatch):
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    cfg = make_config("coupling", {"n": 4, "sigma": 0.5, "T": 2}, trials=2, seed=0)
+    run_experiment(cfg, tmp_path / "p8", parallelism=8)
+    run_experiment(cfg, tmp_path / "p1", parallelism=1)
+    assert started == [2]
+    assert _dir_bytes(tmp_path / "p8") == _dir_bytes(tmp_path / "p1")
 
 
 def test_coupling_summary_has_failure_rate_with_ci(tmp_path):
@@ -335,3 +361,63 @@ def test_cli_env_var_default_out_dir(tmp_path, monkeypatch):
     assert code == 0
     assert (tmp_path / "base" / "dispersion-seed4" / "summary.json").is_file()
     assert default_run_dir("coupling", 9, base="elsewhere") == "elsewhere/coupling-seed9"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# A value for every parameter the README lists as required, except m (the
+# learning row takes m or sigma; sigma stands in for both).
+REQUIRED_VALUES = {"n": 4, "sigma": 0.25, "T": 8, "d": 2, "ell": 2}
+
+
+def _readme_kinds_table() -> dict:
+    """kind -> (subcommand, required params, optional params, choices) from README.md."""
+
+    def ticked(text):
+        return re.findall(r"`([^`]+)`", text)
+
+    def unbracket(text):
+        while re.search(r"\([^()]*\)", text):
+            text = re.sub(r"\([^()]*\)", "", text)
+        return text
+
+    table = {}
+    for line in README.read_text().splitlines():
+        if not line.startswith("| `"):
+            continue
+        kind_cell, required, optional, _ = (c.strip() for c in line.strip("|").split("|"))
+        names = ticked(kind_cell)
+        choices = {
+            key: [default, *ticked(others)]
+            for key, default, others in re.findall(
+                r"`([\w-]+)` \(`([\w-]+)`; also ([^)]*)\)", optional
+            )
+        }
+        table[names[0]] = (names[-1], ticked(unbracket(required)), ticked(unbracket(optional)), choices)
+    return table
+
+
+def test_readme_kinds_table_matches_registry():
+    table = _readme_kinds_table()
+    assert list(table) == list(harness.KINDS)
+    for kind, (command, required, optional, choices) in table.items():
+        spec = harness.KINDS[kind]
+        assert command == spec.command, kind
+        assert set(required) | set(optional) == set(spec.params), kind
+        assert {key: set(values) for key, values in choices.items()} == {
+            key: set(options) for key, options in spec.options.items()
+        }, kind
+        # The required params suffice, each one is needed, and the listed defaults hold.
+        given = {name: REQUIRED_VALUES[name] for name in required if name in REQUIRED_VALUES}
+        resolved = make_config(kind, given, 1, 0).params
+        for key, values in choices.items():
+            assert resolved[key] == values[0], (kind, key)
+        for name in given:
+            with pytest.raises(ValidationError):
+                make_config(kind, {k: v for k, v in given.items() if k != name}, 1, 0)
+
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    commands = {spec.command for spec in harness.KINDS.values()}
+    assert set(subparsers.choices) == commands | {"compare"}
