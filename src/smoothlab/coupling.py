@@ -1,9 +1,11 @@
 """Adaptive-to-oblivious coupling for smooth sequences.
 
-Each round, an adaptive adversary picks a smooth distribution (a uniform set,
-or any smooth pmf) that may depend on everything realized so far.  The
-coupling draws k independent uniform replicas Y_1..Y_k from the whole domain
-and produces:
+Each round, an adaptive ``SmoothAdversary`` emits a smooth distribution that
+may depend on everything realized so far: a uniform set of at least
+ceil(sigma*n) elements, or any sigma-smooth pmf.  A pmf is a mixture of such
+uniform sets, so the coupling first picks one component by its weight and
+then treats it like an emitted set.  The coupling draws k independent uniform
+replicas Y_1..Y_k from the whole domain and produces:
 
 - Z_1..Z_k: the replicas with every in-set hit resampled uniformly inside the
   adversary's set (so each Z_i is again uniform on the domain, i.i.d.), and
@@ -50,8 +52,7 @@ __all__ = [
     "UndersizedSetError",
     "CouplingConfig",
     "CouplingTrace",
-    "SetAdversary",
-    "PmfAdversary",
+    "SmoothAdversary",
     "stationary_set_adversary",
     "full_domain_adversary",
     "window_set_adversary",
@@ -61,7 +62,6 @@ __all__ = [
     "containment_bound",
     "couple_single_round",
     "couple_adaptive",
-    "couple_general",
     "enumerate_containment_probability",
     "MarginalReport",
     "verify_marginals",
@@ -101,22 +101,20 @@ class CouplingConfig:
         if self.k < 1:
             raise ValidationError(f"k must be >= 1, got {self.k}")
 
-    @staticmethod
-    def with_default_k(T: int, sigma: float) -> "CouplingConfig":
-        return CouplingConfig(T=T, k=default_k(T, sigma))
-
 
 @dataclass(frozen=True)
-class SetAdversary:
-    """Adaptive adversary emitting uniform sets of density at least sigma.
+class SmoothAdversary:
+    """Adaptive sigma-smooth adversary.
 
-    ``rule`` maps the history of realized elements to the next round's set;
-    it must return sets of at least ceil(sigma*n) elements.
+    ``rule`` maps the history of realized elements to the next round's
+    distribution: a ``UniformOnSet`` of at least ceil(sigma*n) elements, or a
+    sigma-smooth ``SmoothPmf``; it may switch between the two from round to
+    round.
     """
 
     domain: FiniteDomain
     sigma: float
-    rule: Callable[[History], UniformOnSet]
+    rule: Callable[[History], UniformOnSet | SmoothPmf]
     name: str = "custom"
 
     def __post_init__(self) -> None:
@@ -124,28 +122,14 @@ class SetAdversary:
             raise ValidationError(f"sigma must lie in (0, 1], got {self.sigma!r}")
 
 
-@dataclass(frozen=True)
-class PmfAdversary:
-    """Adaptive adversary emitting sigma-smooth pmfs."""
-
-    domain: FiniteDomain
-    sigma: float
-    rule: Callable[[History], SmoothPmf]
-    name: str = "custom"
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.sigma <= 1.0):
-            raise ValidationError(f"sigma must lie in (0, 1], got {self.sigma!r}")
-
-
-def stationary_set_adversary(domain: FiniteDomain, members: tuple[int, ...]) -> SetAdversary:
+def stationary_set_adversary(domain: FiniteDomain, members: tuple[int, ...]) -> SmoothAdversary:
     """Plays the same set every round."""
     target = UniformOnSet(domain, members)
     sigma = target.size / domain.n
-    return SetAdversary(domain, sigma, lambda hist: target, name="stationary-set")
+    return SmoothAdversary(domain, sigma, lambda hist: target, name="stationary-set")
 
 
-def full_domain_adversary(domain: FiniteDomain) -> SetAdversary:
+def full_domain_adversary(domain: FiniteDomain) -> SmoothAdversary:
     """Plays the whole domain (sigma = 1); containment can never fail."""
     return stationary_set_adversary(domain, tuple(range(1, domain.n + 1)))
 
@@ -162,7 +146,7 @@ def _wrapped_window(domain: FiniteDomain, start: int, size: int) -> UniformOnSet
     return UniformOnSet(domain, members)
 
 
-def window_set_adversary(domain: FiniteDomain, sigma: float) -> SetAdversary:
+def window_set_adversary(domain: FiniteDomain, sigma: float) -> SmoothAdversary:
     """Oblivious moving window: the set of size ceil(sigma*n) rotating with the round.
 
     The window wraps around the domain; its location depends only on the
@@ -174,10 +158,10 @@ def window_set_adversary(domain: FiniteDomain, sigma: float) -> SetAdversary:
     def rule(hist: History) -> UniformOnSet:
         return _wrapped_window(domain, ((hist.round - 1) * size) % n, size)
 
-    return SetAdversary(domain, sigma, rule, name="window")
+    return SmoothAdversary(domain, sigma, rule, name="window")
 
 
-def last_value_adversary(domain: FiniteDomain, sigma: float) -> SetAdversary:
+def last_value_adversary(domain: FiniteDomain, sigma: float) -> SmoothAdversary:
     """Micro-case adversary: round 1 plays {1, .., s}, later rounds chase the last value.
 
     The set is {X_{t-1}, X_{t-1}+1, .., X_{t-1}+s-1} with wraparound, where
@@ -191,12 +175,12 @@ def last_value_adversary(domain: FiniteDomain, sigma: float) -> SetAdversary:
         start = hist.values[-1] if hist.values else 1
         return _wrapped_window(domain, int(start - 1) % n, size)
 
-    return SetAdversary(domain, sigma, rule, name="last-value")
+    return SmoothAdversary(domain, sigma, rule, name="last-value")
 
 
-def stationary_pmf_adversary(pmf: SmoothPmf) -> PmfAdversary:
+def stationary_pmf_adversary(pmf: SmoothPmf) -> SmoothAdversary:
     """Plays the same smooth pmf every round."""
-    return PmfAdversary(pmf.domain, pmf.sigma, lambda hist: pmf, name="stationary-pmf")
+    return SmoothAdversary(pmf.domain, pmf.sigma, lambda hist: pmf, name="stationary-pmf")
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,7 +191,6 @@ class CouplingTrace:
     X: np.ndarray  # shape (T,), realized elements, 1-based
     Z: np.ndarray  # shape (T, k), oblivious replicas, 1-based
     contained_rounds: np.ndarray  # shape (T,), bool, X_t in {Z_t,1..Z_t,k}
-    sigma: float
 
     @property
     def T(self) -> int:
@@ -260,76 +243,70 @@ def couple_single_round(
 
 
 def couple_adaptive(
-    adv: SetAdversary, cfg: CouplingConfig, rng: "RngStream | np.random.Generator"
+    adv: SmoothAdversary, cfg: CouplingConfig, rng: "RngStream | np.random.Generator"
 ) -> CouplingTrace:
-    """Run the coupling for T rounds against an adaptive set adversary."""
+    """Run the coupling for T rounds against an adaptive smooth adversary.
+
+    An emitted set must hold at least ceil(sigma*n) elements and is coupled
+    as is.  An emitted pmf must be sigma-smooth; it is decomposed into a
+    mixture of uniform sets, one ``gen.random()`` call picks a component by
+    its weight, and the component is coupled.  The realized X then has the
+    emitted distribution as its marginal while the Z grid stays i.i.d.
+    uniform.  The path follows the emitted type alone, so a set round never
+    spends the component draw, and a pmf round always does.
+    """
     gen = as_generator(rng)
     n = adv.domain.n
     floor = min_support_size(adv.sigma, n)
     hist = History()
     X = np.empty(cfg.T, dtype=np.int64)
     Z = np.empty((cfg.T, cfg.k), dtype=np.int64)
+    # Stationary rules return the same pmf object every round; validate and
+    # decompose it once.  Each entry holds its pmf, so no later pmf can be
+    # allocated at a freed one's address and inherit its decomposition by id.
+    memo: dict[int, tuple[SmoothPmf, np.ndarray, tuple]] = {}
     for t in range(cfg.T):
-        S = adv.rule(hist)
-        if S.domain != adv.domain:
-            raise ValidationError("adversary emitted a set on the wrong domain")
-        if S.size < floor:
-            raise UndersizedSetError(
-                f"round {t + 1}: set size {S.size} below floor {floor} for sigma={adv.sigma}"
+        dist = adv.rule(hist)
+        if isinstance(dist, UniformOnSet):
+            if dist.domain != adv.domain:
+                raise ValidationError("adversary emitted a set on the wrong domain")
+            if dist.size < floor:
+                raise UndersizedSetError(
+                    f"round {t + 1}: set size {dist.size} below floor {floor} for sigma={adv.sigma}"
+                )
+            S = dist
+        elif isinstance(dist, SmoothPmf):
+            if dist.domain != adv.domain:
+                raise ValidationError("adversary emitted a pmf on the wrong domain")
+            cached = memo.get(id(dist))
+            if cached is None:
+                if not validate_smooth(dist.mass, adv.sigma):
+                    raise ValidationError(f"round {t + 1}: emitted pmf is not {adv.sigma}-smooth")
+                mix = decompose_smooth(dist)
+                cumweights = np.cumsum([w for w, _ in mix.components])
+                cached = (dist, cumweights, tuple(comp for _, comp in mix.components))
+                memo[id(dist)] = cached
+            _, cumweights, comps = cached
+            S = comps[int(np.searchsorted(cumweights, gen.random() * cumweights[-1], side="right"))]
+        else:
+            raise ValidationError(
+                f"round {t + 1}: adversary emitted {type(dist).__name__}, "
+                "not a UniformOnSet or SmoothPmf"
             )
         x, z = couple_single_round(S, cfg.k, gen)
         X[t] = x
         Z[t] = z
         hist.values.append(x)
-    return CouplingTrace(n=n, X=X, Z=Z, contained_rounds=_contained(X, Z), sigma=adv.sigma)
+    return CouplingTrace(n=n, X=X, Z=Z, contained_rounds=_contained(X, Z))
 
 
-def couple_general(
-    adv: PmfAdversary, cfg: CouplingConfig, rng: "RngStream | np.random.Generator"
-) -> CouplingTrace:
-    """Run the coupling against an adaptive smooth-pmf adversary.
-
-    Each round the emitted pmf is decomposed into a mixture of uniform sets,
-    one component set is sampled by its weight, and the single-round coupling
-    runs against that set.  The realized X then has the emitted pmf as its
-    marginal while the Z grid stays i.i.d. uniform.
-    """
-    gen = as_generator(rng)
-    n = adv.domain.n
-    hist = History()
-    X = np.empty(cfg.T, dtype=np.int64)
-    Z = np.empty((cfg.T, cfg.k), dtype=np.int64)
-    # Stationary rules return the same pmf object every round; reuse its
-    # decomposition instead of re-peeling.
-    memo: dict[int, tuple[np.ndarray, tuple]] = {}
-    for t in range(cfg.T):
-        pmf = adv.rule(hist)
-        if pmf.domain != adv.domain:
-            raise ValidationError("adversary emitted a pmf on the wrong domain")
-        cached = memo.get(id(pmf))
-        if cached is None:
-            if not validate_smooth(pmf.mass, adv.sigma):
-                raise ValidationError(f"round {t + 1}: emitted pmf is not {adv.sigma}-smooth")
-            mix = decompose_smooth(pmf)
-            cumweights = np.cumsum([w for w, _ in mix.components])
-            cached = (cumweights, tuple(comp for _, comp in mix.components))
-            memo[id(pmf)] = cached
-        cumweights, comps = cached
-        comp = comps[int(np.searchsorted(cumweights, gen.random() * cumweights[-1], side="right"))]
-        x, z = couple_single_round(comp, cfg.k, gen)
-        X[t] = x
-        Z[t] = z
-        hist.values.append(x)
-    return CouplingTrace(n=n, X=X, Z=Z, contained_rounds=_contained(X, Z), sigma=adv.sigma)
-
-
-def enumerate_containment_probability(adv: SetAdversary, cfg: CouplingConfig) -> float:
+def enumerate_containment_probability(adv: SmoothAdversary, cfg: CouplingConfig) -> float:
     """Exact probability that every round's X lands in its Z set.
 
     Sweeps the full outcome tree (replica draws, resampled values, and the
     uniform pick), so it is only feasible for tiny n, k, and T; the work is
     bounded before starting.  Serves as the independent oracle for the Monte
-    Carlo containment estimates.
+    Carlo containment estimates.  The rule must emit sets, not pmfs.
     """
     n = adv.domain.n
     work = (n**cfg.k * (n**cfg.k) * cfg.k) ** cfg.T
@@ -342,6 +319,8 @@ def enumerate_containment_probability(adv: SetAdversary, cfg: CouplingConfig) ->
         if rounds_left == 0:
             return 1.0
         S = adv.rule(History(values=list(past)))
+        if not isinstance(S, UniformOnSet):
+            raise ValidationError("enumeration needs an adversary that emits sets")
         members = list(S.members)
         member_set = set(members)
         size = len(members)
@@ -482,7 +461,7 @@ def traces_to_jsonl(traces: list[CouplingTrace]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def traces_from_jsonl(text: str, n: int, sigma: float) -> list[CouplingTrace]:
+def traces_from_jsonl(text: str, n: int) -> list[CouplingTrace]:
     """Inverse of ``traces_to_jsonl``; containment flags are recomputed per round."""
     traces = []
     for line in text.splitlines():
@@ -491,7 +470,7 @@ def traces_from_jsonl(text: str, n: int, sigma: float) -> list[CouplingTrace]:
         obj = json.loads(line)
         X = np.asarray(obj["X"], dtype=np.int64)
         Z = np.asarray(obj["Z"], dtype=np.int64)
-        tr = CouplingTrace(n=n, X=X, Z=Z, contained_rounds=_contained(X, Z), sigma=sigma)
+        tr = CouplingTrace(n=n, X=X, Z=Z, contained_rounds=_contained(X, Z))
         if tr.contained != bool(obj["contained"]):
             raise ValidationError("containment flag mismatch in serialized trace")
         traces.append(tr)

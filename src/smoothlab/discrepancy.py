@@ -292,7 +292,6 @@ def choose_sign_selfbalancing(
 class VectorAdversary:
     """Adaptive vector source; emits unit-ball vectors given the run state."""
 
-    kind: str
     n: int
     sigma: float
     next_fn: Callable[[np.ndarray, int, History, np.random.Generator], np.ndarray]
@@ -307,7 +306,6 @@ class VectorAdversary:
 def uniform_ball_adversary(n: int) -> VectorAdversary:
     """Stationary uniform draws from the unit ball (smoothness 1)."""
     return VectorAdversary(
-        kind="uniform-ball",
         n=n,
         sigma=1.0,
         next_fn=lambda d, t, hist, gen: uniform_ball(n, gen),
@@ -342,7 +340,6 @@ def shell_adversary(n: int, sigma: float, inner: float | None = None) -> VectorA
     if not (0.0 <= inner < 1.0):
         raise ValidationError(f"inner radius must lie in [0, 1), got {inner!r}")
     return VectorAdversary(
-        kind="shell",
         n=n,
         sigma=sigma,
         next_fn=lambda d, t, hist, gen: _shell_draw(n, inner, gen),
@@ -364,9 +361,7 @@ def adaptive_shell_adversary(n: int, sigma: float) -> VectorAdversary:
         u = (golden * t + float(d @ d)) % 1.0
         return _shell_draw(n, r_max * u, gen)
 
-    return VectorAdversary(
-        kind="adaptive-shell", n=n, sigma=sigma, next_fn=next_fn, name="adaptive-shell"
-    )
+    return VectorAdversary(n=n, sigma=sigma, next_fn=next_fn, name="adaptive-shell")
 
 
 def slab_adversary_next(
@@ -437,7 +432,6 @@ def slab_lowerbound_adversary(n: int, T: int) -> VectorAdversary:
     """The thin-slab opponent; declared smoothness is its volume fraction bound."""
     sigma = 1.0 / (20.0 * n * n * T * T)
     return VectorAdversary(
-        kind="slab-lowerbound",
         n=n,
         sigma=sigma,
         next_fn=lambda d, t, hist, gen: slab_adversary_next(d, n, T, gen),
@@ -448,7 +442,7 @@ def slab_lowerbound_adversary(n: int, T: int) -> VectorAdversary:
 def custom_vector_adversary(
     n: int, fn: Callable, sigma: float = 1.0, name: str = "custom"
 ) -> VectorAdversary:
-    return VectorAdversary(kind="custom", n=n, sigma=sigma, next_fn=fn, name=name)
+    return VectorAdversary(n=n, sigma=sigma, next_fn=fn, name=name)
 
 
 def slab_acceptance_rate(

@@ -263,7 +263,7 @@ def _summarize_coupling(run_dir: Path, cfg: dict, good: list[dict]) -> dict:
         text = traces_path.read_text()
         n_lines = sum(1 for line in text.splitlines() if line.strip())
         if n_lines >= MARGINAL_MIN_TRACES:
-            traces = traces_from_jsonl(text, cfg["params"]["n"], cfg["params"]["sigma"])
+            traces = traces_from_jsonl(text, cfg["params"]["n"])
             report = verify_marginals(traces, n_pairs=20, pair_seed=0)
             extra["marginals"] = {
                 "n_traces": report.n_traces,

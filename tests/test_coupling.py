@@ -23,12 +23,10 @@ from hypothesis import strategies as st
 
 from smoothlab.coupling import (
     CouplingConfig,
-    SetAdversary,
-    PmfAdversary,
+    SmoothAdversary,
     UndersizedSetError,
     containment_bound,
     couple_adaptive,
-    couple_general,
     couple_single_round,
     default_k,
     enumerate_containment_probability,
@@ -197,7 +195,7 @@ def test_adaptive_failure_rate_below_union_bound():
 
 def test_adaptive_rejects_undersized_sets():
     dom = FiniteDomain(4)
-    bad = SetAdversary(dom, 0.5, lambda hist: UniformOnSet(dom, (1,)), name="bad")
+    bad = SmoothAdversary(dom, 0.5, lambda hist: UniformOnSet(dom, (1,)), name="bad")
     with pytest.raises(UndersizedSetError):
         couple_adaptive(bad, CouplingConfig(T=1, k=2), RngStream(seed=208))
 
@@ -211,7 +209,7 @@ def test_general_coupling_realized_marginal_matches_pmf():
     xs = np.empty((n_trials, cfg.T), dtype=int)
     contained = 0
     for i in range(n_trials):
-        tr = couple_general(adv, cfg, RngStream(seed=209, stream_id=i))
+        tr = couple_adaptive(adv, cfg, RngStream(seed=209, stream_id=i))
         xs[i] = tr.X
         contained += int(tr.contained)
     for t in range(cfg.T):
@@ -226,16 +224,16 @@ def test_general_coupling_uniform_pmf_never_fails():
     dom = FiniteDomain(4)
     pmf = SmoothPmf(dom, np.full(4, 0.25), sigma=1.0)
     adv = stationary_pmf_adversary(pmf)
-    tr = couple_general(adv, CouplingConfig(T=8, k=1), RngStream(seed=210))
+    tr = couple_adaptive(adv, CouplingConfig(T=8, k=1), RngStream(seed=210))
     assert tr.contained
 
 
 def test_general_coupling_rejects_rough_pmf():
     dom = FiniteDomain(4)
     rough = SmoothPmf(dom, np.array([0.6, 0.2, 0.1, 0.1]), sigma=0.25)
-    adv = PmfAdversary(dom, 0.5, lambda hist: rough, name="rough")
+    adv = SmoothAdversary(dom, 0.5, lambda hist: rough, name="rough")
     with pytest.raises(ValidationError):
-        couple_general(adv, CouplingConfig(T=1, k=1), RngStream(seed=211))
+        couple_adaptive(adv, CouplingConfig(T=1, k=1), RngStream(seed=211))
 
 
 def test_verify_marginals_requires_enough_traces():
@@ -277,7 +275,7 @@ def test_trace_jsonl_round_trip():
         couple_adaptive(adv, cfg, RngStream(seed=214, stream_id=i)) for i in range(5)
     ]
     text = traces_to_jsonl(traces)
-    restored = traces_from_jsonl(text, n=4, sigma=0.5)
+    restored = traces_from_jsonl(text, n=4)
     assert len(restored) == len(traces)
     for a, b in zip(traces, restored):
         assert np.array_equal(a.X, b.X)
@@ -466,7 +464,7 @@ def test_general_matches_reference_draw_for_draw(n, sigma, k, T):
         # Stationary, and adaptive: the pmf played depends on the last realized value.
         adversaries = [
             stationary_pmf_adversary(pmfs[0]),
-            PmfAdversary(
+            SmoothAdversary(
                 dom, sigma, lambda hist: pmfs[hist.values[-1] % 3 if hist.values else 0], "chase"
             ),
         ]
@@ -474,8 +472,97 @@ def test_general_matches_reference_draw_for_draw(n, sigma, k, T):
             for stream in range(4):
                 gen_a = RngStream(seed=2500 + n, stream_id=stream).generator()
                 gen_b = RngStream(seed=2500 + n, stream_id=stream).generator()
-                trace = couple_general(adv, cfg, gen_a)
+                trace = couple_adaptive(adv, cfg, gen_a)
                 _assert_same_run(trace, _oracle_general(adv, cfg, gen_b), gen_a, gen_b)
+
+
+def _oracle_mixed(adv, cfg, rng):
+    # Replays a rule that emits sets and pmfs one round at a time: a set round
+    # through _oracle_adaptive and a pmf round through _oracle_general, so only
+    # pmf rounds spend the component pick's gen.random() call.
+    gen = as_generator(rng)
+    hist = History()
+    X = np.empty(cfg.T, dtype=np.int64)
+    Z = np.empty((cfg.T, cfg.k), dtype=np.int64)
+    flags = np.empty(cfg.T, dtype=bool)
+    one_round = CouplingConfig(T=1, k=cfg.k)
+    for t in range(cfg.T):
+        emitted = adv.rule(hist)
+        if isinstance(emitted, SmoothPmf):
+            stationary = SmoothAdversary(adv.domain, adv.sigma, lambda h: emitted)
+            Xt, Zt, ft = _oracle_general(stationary, one_round, gen)
+        else:
+            Xt, Zt, ft = _oracle_adaptive(lambda h: emitted, adv.domain, adv.sigma, one_round, gen)
+        X[t], Z[t], flags[t] = Xt[0], Zt[0], ft[0]
+        hist.values.append(int(Xt[0]))
+    return X, Z, flags
+
+
+@pytest.mark.parametrize("n,sigma,k,T", _GRID)
+def test_mixed_set_and_pmf_rounds_match_reference_draw_for_draw(n, sigma, k, T):
+    dom = FiniteDomain(n)
+    cfg = CouplingConfig(T=T, k=k)
+    chase = last_value_adversary(dom, sigma).rule
+    # The uniform pmf decomposes into one component and still spends the pick.
+    pmfs = [SmoothPmf(dom, np.full(n, 1.0 / n), sigma=1.0)] + [
+        random_smooth_pmf(dom, sigma, RngStream(seed=2600 + n, stream_id=j)) for j in range(2)
+    ]
+
+    def rule(hist):
+        if hist.round % 2 == 1:
+            return chase(hist)
+        return pmfs[hist.values[-1] % 3]
+
+    adv = SmoothAdversary(dom, sigma, rule, name="mixed")
+    for stream in range(4):
+        gen_a = RngStream(seed=2700 + n, stream_id=stream).generator()
+        gen_b = RngStream(seed=2700 + n, stream_id=stream).generator()
+        trace = couple_adaptive(adv, cfg, gen_a)
+        _assert_same_run(trace, _oracle_mixed(adv, cfg, gen_b), gen_a, gen_b)
+
+
+def test_fresh_pmf_each_round_gets_its_own_decomposition():
+    # A rule that builds a new pmf every round frees the earlier ones, and
+    # CPython reuses their ids; a recycled id must not reuse a stale decomposition.
+    dom = FiniteDomain(6)
+    supports = [(1, 2, 3), (4, 5, 6), (2, 3, 4), (1, 5, 6), (3, 4, 5)]
+
+    def rule(hist):
+        mass = np.zeros(6)
+        mass[np.array(supports[len(hist.values) % 5]) - 1] = 1 / 3
+        return SmoothPmf(dom, mass, sigma=0.5)
+
+    adv = SmoothAdversary(dom, 0.5, rule, name="fresh")
+    for stream in range(4):
+        tr = couple_adaptive(adv, CouplingConfig(T=300, k=2), RngStream(221, stream))
+        assert all(x in supports[t % 5] for t, x in enumerate(tr.X.tolist()))
+
+
+@pytest.mark.parametrize(
+    "emitted",
+    [
+        UniformOnSet(FiniteDomain(5), (1, 2, 3)),
+        SmoothPmf(FiniteDomain(5), np.full(5, 0.2), sigma=1.0),
+    ],
+    ids=["set", "pmf"],
+)
+def test_adaptive_rejects_wrong_domain(emitted):
+    adv = SmoothAdversary(FiniteDomain(4), 0.5, lambda hist: emitted, name="elsewhere")
+    with pytest.raises(ValidationError, match="wrong domain"):
+        couple_adaptive(adv, CouplingConfig(T=1, k=2), RngStream(seed=219))
+
+
+def test_adaptive_rejects_other_emitted_types():
+    dom = FiniteDomain(4)
+    adv = SmoothAdversary(dom, 0.5, lambda hist: (1, 2), name="tuple")
+    with pytest.raises(ValidationError, match="not a UniformOnSet or SmoothPmf"):
+        couple_adaptive(adv, CouplingConfig(T=1, k=2), RngStream(seed=220))
+
+
+def test_enumeration_rejects_pmf_rules():
+    pmf = SmoothPmf(FiniteDomain(2), np.full(2, 0.5), sigma=1.0)
+    with pytest.raises(ValidationError, match="emits sets"):
+        enumerate_containment_probability(stationary_pmf_adversary(pmf), CouplingConfig(T=1, k=1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -517,7 +604,7 @@ def test_trace_jsonl_bytes_match_reference():
     assert not all(tr.contained for tr in traces)
     text = traces_to_jsonl(traces)
     assert text == _oracle_traces_to_jsonl(traces)
-    restored = traces_from_jsonl(text, n=8, sigma=0.25)
+    restored = traces_from_jsonl(text, n=8)
     assert traces_to_jsonl(restored) == text
     for tr, back in zip(traces, restored):
         expected = [x in set(int(v) for v in row) for x, row in zip(back.X, back.Z)]
@@ -531,7 +618,7 @@ def test_trace_jsonl_rejects_flag_mismatch():
     obj = json.loads(traces_to_jsonl([tr]))
     obj["contained"] = not obj["contained"]
     with pytest.raises(ValidationError, match="mismatch"):
-        traces_from_jsonl(json.dumps(obj) + "\n", n=4, sigma=1.0)
+        traces_from_jsonl(json.dumps(obj) + "\n", n=4)
 
 
 def test_cached_member_arrays_are_read_only():
