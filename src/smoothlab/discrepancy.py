@@ -5,14 +5,17 @@ a smooth distribution that may depend on the realized prefix; the algorithm
 picks a sign eps_t in {-1, +1} and the running sum d_t = d_{t-1} + eps_t x_t
 should stay small in infinity norm.
 
-Two algorithms are implemented alongside a random-sign baseline:
+``run_discrepancy`` plays one of three sign rules, each a frozen object
+whose ``name`` goes into the run header:
 
-- ``potential``: greedy minimization of Phi(d) = E_W[cosh(lam * <d, W>)] over
-  a frozen probe pool W (half uniform ball, half signed basis vectors), with
-  lam = 1/(1000 * ln(k n T)).
-- ``selfbalancing``: the self-balancing walk, eps = +1 with probability
-  1/2 - <d, x>/(2c) for a threshold c = 8*pi*ln(20 k n T / delta), declaring
-  Failure when |<d, x>| > c or when ||d||_inf already reached c.
+- ``PotentialConfig`` ("potential"): greedy minimization of
+  Phi(d) = E_W[cosh(lam * <d, W>)] over a frozen probe pool W (half uniform
+  ball, half signed basis vectors), with lam = 1/(1000 * ln(k n T)).
+- ``SelfBalancingConfig`` ("selfbalancing"): the self-balancing walk,
+  eps = +1 with probability 1/2 - <d, x>/(2c) for a threshold
+  c = 8*pi*ln(20 k n T / delta), declaring Failure when |<d, x>| > c or when
+  ||d||_inf already reached c.
+- ``RandomSign`` ("random-sign"): the fair-coin baseline.
 
 Lower-bound opposition comes from ``slab_lowerbound_adversary``: a vector
 drawn uniformly from the thin slab {||x||_2 <= 1, |<x, d>| <= n^-2 T^-2
@@ -43,6 +46,7 @@ __all__ = [
     "Failure",
     "PotentialConfig",
     "SelfBalancingConfig",
+    "RandomSign",
     "ProbePool",
     "DiscrepancyTrace",
     "VectorAdversary",
@@ -130,6 +134,7 @@ def default_threshold(k: int, n: int, T: int, delta: float) -> float:
 class PotentialConfig:
     """Potential-rule parameters: scale lam, ball-probe count M, replica count k."""
 
+    name = "potential"
     lam: float
     M: int
     k: int
@@ -152,6 +157,7 @@ class PotentialConfig:
 class SelfBalancingConfig:
     """Self-balancing walk parameters: threshold c and failure budget delta."""
 
+    name = "selfbalancing"
     c: float
     delta: float
 
@@ -165,6 +171,13 @@ class SelfBalancingConfig:
     def default(n: int, T: int, sigma: float, delta: float = 0.1) -> "SelfBalancingConfig":
         k = default_balance_k(sigma, T)
         return SelfBalancingConfig(c=default_threshold(k, n, T, delta), delta=delta)
+
+
+@dataclass(frozen=True)
+class RandomSign:
+    """The baseline rule: each sign is +1 exactly when gen.random() < 0.5."""
+
+    name = "random-sign"
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,13 +271,20 @@ def _check_input_vector(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _greedy_sign(lam: float, plus, minus, ball_plus, ball_minus) -> tuple[int, float]:
+    """The sign of the lower of Phi(``plus`` = d + x) and Phi(``minus`` = d - x),
+    ties within 1e-12 to +1, and that Phi; ``ball_*`` are their ball projections."""
+    phi_plus = _cosh_mixture(lam * plus, lam * ball_plus)
+    phi_minus = _cosh_mixture(lam * minus, lam * ball_minus)
+    return (-1, phi_minus) if phi_minus < phi_plus - 1e-12 else (+1, phi_plus)
+
+
 def choose_sign_potential(state, x: np.ndarray, cfg: PotentialConfig, pool: ProbePool) -> int:
     """Greedy sign minimizing the potential; ties within 1e-12 resolve to +1."""
     d = _state_d(state)
     x = _check_input_vector(x)
-    phi_plus = potential_value(d + x, cfg.lam, pool)
-    phi_minus = potential_value(d - x, cfg.lam, pool)
-    return -1 if phi_minus < phi_plus - 1e-12 else +1
+    plus, minus = d + x, d - x
+    return _greedy_sign(cfg.lam, plus, minus, pool.ball @ plus, pool.ball @ minus)[0]
 
 
 def choose_sign_selfbalancing(
@@ -463,7 +483,6 @@ def slab_acceptance_rate(
 class DiscrepancyTrace:
     """Complete record of one balancing run."""
 
-    algorithm: str
     n: int
     T: int
     signs: np.ndarray  # length t_done
@@ -494,29 +513,29 @@ class DiscrepancyTrace:
 
 
 def run_discrepancy(
-    algorithm: str,
+    rule: PotentialConfig | SelfBalancingConfig | RandomSign,
     adv: VectorAdversary,
     T: int,
     rng: "RngStream | np.random.Generator",
-    potential_cfg: PotentialConfig | None = None,
-    selfbal_cfg: SelfBalancingConfig | None = None,
-    pool: ProbePool | None = None,
     store_vectors: bool = False,
 ) -> DiscrepancyTrace:
-    """Run one balancing game for T rounds.
+    """Run one balancing game for T rounds under the sign rule ``rule``.
 
-    ``algorithm`` is "potential", "selfbalancing", or "random-sign".  Configs
-    default from the adversary's declared smoothness.  For the potential rule
-    the probe pool is drawn once at the start (from a dedicated substream
-    when ``rng`` is an RngStream) and recorded in the trace header.
+    ``rule`` is a PotentialConfig or SelfBalancingConfig (``.default(n, T,
+    sigma)`` sizes either from the adversary's smoothness) or RandomSign();
+    the header records ``rule.name`` as "algorithm".  The potential rule draws
+    its probe pool once at the start (from a dedicated substream when ``rng``
+    is an RngStream) and records it in the header.
     """
     if T < 1:
         raise ValidationError(f"T must be >= 1, got {T}")
-    if algorithm not in ("potential", "selfbalancing", "random-sign"):
-        raise ValidationError(f"unknown algorithm {algorithm!r}")
+    if not isinstance(rule, (PotentialConfig, SelfBalancingConfig, RandomSign)):
+        raise ValidationError(f"unknown sign rule {rule!r}")
+    potential = isinstance(rule, PotentialConfig)
+    selfbalancing = isinstance(rule, SelfBalancingConfig)
     n = adv.n
     header: dict = {
-        "algorithm": algorithm,
+        "algorithm": rule.name,
         "n": n,
         "T": T,
         "adversary": adv.name,
@@ -527,27 +546,13 @@ def run_discrepancy(
         header["stream_id"] = rng.stream_id
     gen = as_generator(rng)
 
-    lam = 0.0
-    ball = None
-    bd = None
-    if algorithm == "potential":
-        if potential_cfg is None:
-            potential_cfg = PotentialConfig.default(n, T, adv.sigma)
-        if pool is None:
-            pool_rng = rng.substream(1) if isinstance(rng, RngStream) else gen
-            pool = build_probe_pool(n, potential_cfg.M, pool_rng)
-        if pool.n != n:
-            raise ValidationError("probe pool dimension mismatch")
-        lam = potential_cfg.lam
+    if potential:
+        pool = build_probe_pool(n, rule.M, rng.substream(1) if isinstance(rng, RngStream) else gen)
         ball = pool.ball
         bd = np.zeros(pool.M)
-        header.update(
-            {"lam": lam, "M": pool.M, "k": potential_cfg.k, "pool": list(pool.descriptor)}
-        )
-    elif algorithm == "selfbalancing":
-        if selfbal_cfg is None:
-            selfbal_cfg = SelfBalancingConfig.default(n, T, adv.sigma)
-        header.update({"c": selfbal_cfg.c, "delta": selfbal_cfg.delta})
+        header.update({"lam": rule.lam, "M": pool.M, "k": rule.k, "pool": list(pool.descriptor)})
+    elif selfbalancing:
+        header.update({"c": rule.c, "delta": rule.delta})
 
     phi_limit = float(T) ** 6
     d = np.zeros(n)
@@ -557,7 +562,7 @@ def run_discrepancy(
     two_norms = np.empty(T)
     max_inf_curve = np.empty(T)
     ips = np.empty(T)
-    phis = np.empty(T + 1) if algorithm == "potential" else None
+    phis = np.empty(T + 1) if potential else None
     if phis is not None:
         phis[0] = 1.0
     X = np.empty((T, n)) if store_vectors else None
@@ -574,25 +579,22 @@ def run_discrepancy(
         x = _check_input_vector(x)
         ips[t - 1] = float(d @ x)
 
-        if algorithm == "potential":
+        if potential:
             # Incremental projections bd = ball @ d: a fresh matvec of
             # ball @ (d +- x) is not bitwise equal and could flip near-ties.
             bx = ball @ x
             try:
-                phi_plus = _cosh_mixture(lam * (d + x), lam * (bd + bx))
-                phi_minus = _cosh_mixture(lam * (d - x), lam * (bd - bx))
+                sign, phi_t = _greedy_sign(rule.lam, d + x, d - x, bd + bx, bd - bx)
             except PotentialOverflowError:
                 blown_up = True
                 phi_cross_round = t if phi_cross_round == -1 else phi_cross_round
                 break
-            sign = -1 if phi_minus < phi_plus - 1e-12 else +1
-            phi_t = phi_minus if sign == -1 else phi_plus
             phis[t] = phi_t
             if phi_t > phi_limit and phi_cross_round == -1:
                 phi_cross_round = t
             bd = bd + sign * bx
-        elif algorithm == "selfbalancing":
-            outcome = choose_sign_selfbalancing(d, x, selfbal_cfg, gen)
+        elif selfbalancing:
+            outcome = choose_sign_selfbalancing(d, x, rule, gen)
             if outcome is FAILURE:
                 failed = True
                 failed_round = t
@@ -620,7 +622,6 @@ def run_discrepancy(
         )
 
     return DiscrepancyTrace(
-        algorithm=algorithm,
         n=n,
         T=T,
         signs=signs[:t_done].copy(),

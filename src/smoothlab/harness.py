@@ -47,6 +47,7 @@ from .coupling import (
 )
 from .discrepancy import (
     PotentialConfig,
+    RandomSign,
     SelfBalancingConfig,
     adaptive_shell_adversary,
     run_discrepancy,
@@ -69,6 +70,7 @@ from .dispersion import (
 )
 from .domain import FiniteDomain, RngStream, ValidationError, min_support_size
 from .learning import (
+    LEARNERS,
     ThresholdUnionClass,
     build_cover,
     constant_label_adversary,
@@ -127,9 +129,9 @@ class ExperimentConfig:
             raise ValidationError(
                 f"unknown experiment kind {self.kind!r}; expected one of {EXPERIMENT_KINDS}"
             )
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if not _is_int(self.trials) or self.trials < 1:
             raise ValidationError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.seed, int) or self.seed < 0 or self.seed >= 2**64:
+        if not _is_int(self.seed) or self.seed < 0 or self.seed >= 2**64:
             raise ValidationError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
 
     def to_json(self) -> str:
@@ -153,13 +155,27 @@ def make_config(kind: str, params: dict, trials: int, seed: int) -> ExperimentCo
     return ExperimentConfig(kind=kind, params=resolved, trials=trials, seed=seed)
 
 
-def _require(params: dict, key: str, caster, kind: str):
-    if key not in params:
+def _is_int(value) -> bool:
+    """An int that is not a bool, which would otherwise pass as 1 or 0."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_REQUIRED = object()
+
+
+def _param(params: dict, key: str, caster, kind: str, default=_REQUIRED):
+    """caster(params[key]), or caster(default) when the key is absent.
+
+    A missing required key, or a value the caster rejects, raises
+    ValidationError.
+    """
+    if key not in params and default is _REQUIRED:
         raise ValidationError(f"{kind} experiment requires parameter {key!r}")
+    value = params.get(key, default)
     try:
-        return caster(params[key])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad value for {key!r}: {params[key]!r} ({exc})") from exc
+        return caster(value)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ValidationError(f"bad value for {key!r}: {value!r} ({exc})") from exc
 
 
 def _check_keys(params: dict, allowed, kind: str) -> None:
@@ -172,7 +188,7 @@ def _check_keys(params: dict, allowed, kind: str) -> None:
 
 def _choice(params: dict, key: str, default: str, table: dict) -> str:
     value = params.get(key, default)
-    if value not in table:
+    if not isinstance(value, str) or value not in table:
         raise ValidationError(f"{key} must be one of {tuple(table)}, got {value!r}")
     return value
 
@@ -211,17 +227,17 @@ _COUPLING_ADVERSARIES = {
 
 
 def _resolve_coupling(kind: str, params: dict) -> dict:
-    n = _require(params, "n", int, kind)
-    sigma = _require(params, "sigma", float, kind)
-    T = _require(params, "T", int, kind)
+    n = _param(params, "n", int, kind)
+    sigma = _param(params, "sigma", float, kind)
+    T = _param(params, "T", int, kind)
     adversary = _choice(params, "adversary", "window", _COUPLING_ADVERSARIES)
-    k = int(params.get("k", default_k(T, sigma)))
+    k = _param(params, "k", int, kind, default_k(T, sigma))
     CouplingConfig(T=T, k=k)
     domain = FiniteDomain(n)
     floor = min_support_size(sigma, n)
     out = {"n": n, "sigma": sigma, "T": T, "k": k, "adversary": adversary}
     if _applies(params, out, "set_size", "adversary", "stationary"):
-        set_size = int(params.get("set_size", floor))
+        set_size = _param(params, "set_size", int, kind, floor)
         if not (floor <= set_size <= n):
             raise ValidationError(
                 f"set_size must lie in [{floor}, {n}] for sigma={sigma}, got {set_size}"
@@ -290,15 +306,13 @@ def _check_coupling(params: dict, summary: dict) -> list[str]:
     ]
 
 
-# algorithm -> factory(params, adversary sigma) of run_discrepancy's config kwargs
+# algorithm -> factory(params, adversary sigma) of the sign rule run_discrepancy plays
 _ALGORITHMS = {
-    "potential": lambda p, sigma: {
-        "potential_cfg": PotentialConfig.default(p["n"], p["T"], sigma, M=p["M"])
-    },
-    "selfbalancing": lambda p, sigma: {
-        "selfbal_cfg": SelfBalancingConfig.default(p["n"], p["T"], sigma, delta=p["delta"])
-    },
-    "random-sign": lambda p, sigma: {},
+    "potential": lambda p, sigma: PotentialConfig.default(p["n"], p["T"], sigma, M=p["M"]),
+    "selfbalancing": lambda p, sigma: SelfBalancingConfig.default(
+        p["n"], p["T"], sigma, delta=p["delta"]
+    ),
+    "random-sign": lambda p, sigma: RandomSign(),
 }
 
 # adversary -> factory(params)
@@ -320,30 +334,30 @@ def _slab_adversary(params: dict):
 def _resolve_balancing(kind: str, params: dict, algorithm: str, resolve_adversary) -> dict:
     """Resolve a discrepancy kind: sign rule, n, T, adversary, then M or delta.
 
-    ``resolve_adversary(params, out)`` adds the adversary's own parameters to
+    ``resolve_adversary(kind, params, out)`` adds the adversary's own parameters to
     ``out`` and returns the adversary, whose sigma sizes the rule.
     """
     out = {
         "algorithm": _choice(params, "algorithm", algorithm, _ALGORITHMS),
-        "n": _require(params, "n", int, kind),
-        "T": _require(params, "T", int, kind),
+        "n": _param(params, "n", int, kind),
+        "T": _param(params, "T", int, kind),
     }
-    sigma = resolve_adversary(params, out).sigma
+    sigma = resolve_adversary(kind, params, out).sigma
     for key, owner, default, cast in (
         ("M", "potential", 1024, int),
         ("delta", "selfbalancing", 0.1, float),
     ):
         if _applies(params, out, key, "algorithm", owner):
-            out[key] = cast(params.get(key, default))
+            out[key] = _param(params, key, cast, kind, default)
             _ALGORITHMS[owner](out, sigma)
     return out
 
 
-def _resolve_vector_adversary(params: dict, out: dict):
+def _resolve_vector_adversary(kind: str, params: dict, out: dict):
     out["adversary"] = _choice(params, "adversary", "uniform-ball", _VECTOR_ADVERSARIES)
-    out["sigma"] = float(params.get("sigma", 1.0))
-    if _applies(params, out, "inner", "adversary", "shell") and params.get("inner") is not None:
-        out["inner"] = float(params["inner"])
+    out["sigma"] = _param(params, "sigma", float, kind, 1.0)
+    if _applies(params, out, "inner", "adversary", "shell") and "inner" in params:
+        out["inner"] = _param(params, "inner", float, kind)
     return _vector_adversary(out)
 
 
@@ -355,13 +369,8 @@ def _trial_balancing(
     ``ok_floor`` adds the ok metric, final_d2_sq >= ok_floor.
     """
     adv = make_adversary(params)
-    trace = run_discrepancy(
-        params["algorithm"],
-        adv,
-        params["T"],
-        RngStream(seed=seed, stream_id=index),
-        **_ALGORITHMS[params["algorithm"]](params, adv.sigma),
-    )
+    rule = _ALGORITHMS[params["algorithm"]](params, adv.sigma)
+    trace = run_discrepancy(rule, adv, params["T"], RngStream(seed=seed, stream_id=index))
     metrics = {
         "max_inf": float(trace.max_inf),
         "final_inf": float(np.abs(trace.d_final).max()),
@@ -388,16 +397,6 @@ def _check_discrepancy(params: dict, summary: dict) -> list[str]:
     return failures
 
 
-# learner -> play(adversary, cover, T, rng) -> RegretLedger
-_LEARNERS = {
-    "hedge-on-cover": lambda adv, cover, T, rng: run_learning_game(
-        "hedge-on-cover", adv, cover, T, rng
-    ),
-    "ftl-on-cover": lambda adv, cover, T, rng: run_learning_game(
-        "ftl-on-cover", adv, cover, T, rng
-    ),
-}
-
 # adversary -> factory(params, hypothesis class)
 _LEARNING_ADVERSARIES = {
     "stationary-smooth": lambda p, cls: stationary_smooth_adversary(cls, flip=p["flip"]),
@@ -407,20 +406,25 @@ _LEARNING_ADVERSARIES = {
 
 
 def _resolve_learning(kind: str, params: dict) -> dict:
-    d = _require(params, "d", int, kind)
-    T = _require(params, "T", int, kind)
+    d = _param(params, "d", int, kind)
+    T = _param(params, "T", int, kind)
     if T < 1:
         raise ValidationError(f"T must be >= 1, got {T}")
-    if "m" in params:
-        m = int(params["m"])
-    elif "sigma" in params:
-        m = int(round(1.0 / float(params["sigma"])))
+    if "sigma" in params:
+        m = _param(params, "sigma", lambda s: round(1.0 / float(s)), kind)
+        if "m" in params and _param(params, "m", int, kind) != m:
+            raise ValidationError(
+                f"m={params['m']!r} and sigma={params['sigma']!r} disagree: "
+                f"m must equal round(1/sigma) = {m}"
+            )
+    elif "m" in params:
+        m = _param(params, "m", int, kind)
     else:
         raise ValidationError(f"{kind} experiment requires m or sigma")
     cls = ThresholdUnionClass(m, d)
-    learner = _choice(params, "learner", "hedge-on-cover", _LEARNERS)
+    learner = _choice(params, "learner", "hedge-on-cover", LEARNERS)
     adversary = _choice(params, "adversary", "stationary-smooth", _LEARNING_ADVERSARIES)
-    beta = float(params.get("beta", cls.sigma * math.sqrt(d) / math.sqrt(T)))
+    beta = _param(params, "beta", float, kind, cls.sigma * math.sqrt(d) / math.sqrt(T))
     build_cover(cls, beta)
     out = {
         "m": m,
@@ -432,7 +436,7 @@ def _resolve_learning(kind: str, params: dict) -> dict:
         "adversary": adversary,
     }
     if _applies(params, out, "flip", "adversary", "stationary-smooth"):
-        flip = float(params.get("flip", 0.25))
+        flip = _param(params, "flip", float, kind, 0.25)
         if not (0.0 <= flip <= 0.5):
             raise ValidationError(f"flip must lie in [0, 0.5], got {flip!r}")
         out["flip"] = flip
@@ -443,8 +447,8 @@ def _trial_learning(params: dict, seed: int, index: int, keep_raw: bool):
     cls = ThresholdUnionClass(params["m"], params["d"])
     cover = build_cover(cls, params["beta"])
     adv = _LEARNING_ADVERSARIES[params["adversary"]](params, cls)
-    ledger = _LEARNERS[params["learner"]](
-        adv, cover, params["T"], RngStream(seed=seed, stream_id=index)
+    ledger = run_learning_game(
+        params["learner"], adv, cover, params["T"], RngStream(seed=seed, stream_id=index)
     )
     metrics = {
         "regret": int(ledger.regret),
@@ -479,13 +483,13 @@ _INTERVAL_ADVERSARIES = {
 
 
 def _resolve_dispersion(kind: str, params: dict) -> dict:
-    T = _require(params, "T", int, kind)
-    ell = _require(params, "ell", int, kind)
-    sigma = _require(params, "sigma", float, kind)
+    T = _param(params, "T", int, kind)
+    ell = _param(params, "ell", int, kind)
+    sigma = _param(params, "sigma", float, kind)
     adversary = _choice(params, "adversary", "iid-uniform", _INTERVAL_ADVERSARIES)
-    alpha = float(params.get("alpha", 0.5))
-    delta = float(params.get("delta", 0.05))
-    w = float(params.get("w", default_window_width(T, ell, sigma, alpha)))
+    alpha = _param(params, "alpha", float, kind, 0.5)
+    delta = _param(params, "delta", float, kind, 0.05)
+    w = _param(params, "w", float, kind, default_window_width(T, ell, sigma, alpha))
     dispersion_bound(T, ell, sigma, w, delta)
     out = {
         "T": T,
@@ -497,9 +501,9 @@ def _resolve_dispersion(kind: str, params: dict) -> dict:
         "w": w,
     }
     if "k" in params:
-        out["k"] = float(params["k"])
+        out["k"] = _param(params, "k", float, kind)
     if _applies(params, out, "lo", "adversary", "fixed-interval"):
-        out["lo"] = float(params.get("lo", 0.0))
+        out["lo"] = _param(params, "lo", float, kind, 0.0)
     _INTERVAL_ADVERSARIES[adversary](out)
     return out
 
@@ -568,7 +572,7 @@ KINDS: dict[str, KindSpec] = {
         command="discrepancy-lb",
         params=_BALANCING_PARAMS,
         resolve=lambda kind, params: _resolve_balancing(
-            kind, params, "random-sign", lambda _, out: _slab_adversary(out)
+            kind, params, "random-sign", lambda _kind, _params, out: _slab_adversary(out)
         ),
         options={"algorithm": _ALGORITHMS},
         trial=lambda params, seed, index, keep_raw: _trial_balancing(
@@ -582,7 +586,7 @@ KINDS: dict[str, KindSpec] = {
         command="learning",
         params=("m", "sigma", "d", "T", "beta", "learner", "adversary", "flip"),
         resolve=_resolve_learning,
-        options={"learner": _LEARNERS, "adversary": _LEARNING_ADVERSARIES},
+        options={"learner": LEARNERS, "adversary": _LEARNING_ADVERSARIES},
         trial=_trial_learning,
         raw_files=("ledger_NNNN.csv", "game_NNNN.json"),
         check=_check_learning,

@@ -31,6 +31,7 @@ __all__ = [
     "CoverGrid",
     "HedgeState",
     "Hypothesis",
+    "LEARNERS",
     "MistakeTreeAdversary",
     "RegretLedger",
     "SmoothLabelAdversary",
@@ -563,6 +564,23 @@ class RegretLedger:
         return json.dumps(self.config, sort_keys=True)
 
 
+def _hedge_pick(state: HedgeState, losses: np.ndarray, gen: np.random.Generator):
+    """Sample an expert from the Hedge weights before this round's update."""
+    probs, state = hedge_step(state, losses)
+    return int(gen.choice(state.n_experts, p=probs)), state
+
+
+def _ftl_pick(state: HedgeState, losses: np.ndarray, gen: np.random.Generator):
+    """Follow the expert with the fewest mistakes so far (ties to the lowest index)."""
+    j = int(np.argmin(state.cum_losses))
+    _, state = hedge_step(state, losses)
+    return j, state
+
+
+# learner -> pick(state, expert losses, gen) -> (expert index, updated state)
+LEARNERS = {"hedge-on-cover": _hedge_pick, "ftl-on-cover": _ftl_pick}
+
+
 def run_learning_game(
     learner: str,
     adv,
@@ -573,14 +591,15 @@ def run_learning_game(
     """Play T rounds of online prediction over the cover.
 
     The learner sees x_t, commits a prediction, then the label is revealed and
-    every cover hypothesis is charged its 0/1 loss.  "hedge-on-cover" samples
-    a hypothesis from the current Hedge weights each round; "ftl-on-cover"
-    follows the cover hypothesis with the fewest mistakes so far (ties to the
-    lowest index).  The adversary receives the realized history, including the
-    learner's past predictions.
+    every cover hypothesis is charged its 0/1 loss.  ``learner`` names the
+    rule in ``LEARNERS`` that picks the hypothesis each round:
+    "hedge-on-cover" samples from the current Hedge weights, "ftl-on-cover"
+    follows the fewest mistakes so far.  The adversary receives the realized
+    history, including the learner's past predictions.
     """
-    if learner not in ("hedge-on-cover", "ftl-on-cover"):
-        raise ValidationError(f"unknown learner {learner!r}")
+    pick = LEARNERS.get(learner)
+    if pick is None:
+        raise ValidationError(f"unknown learner {learner!r}; expected one of {tuple(LEARNERS)}")
     if T < 1:
         raise ValidationError(f"T must be >= 1, got {T}")
     cls = cover.cls
@@ -615,12 +634,7 @@ def run_learning_game(
         block = cls.block_of(x)
         expert_preds = (x >= gamma_matrix[:, block]).astype(int)
         expert_losses = (expert_preds != y).astype(float)
-        if learner == "hedge-on-cover":
-            probs, state = hedge_step(state, expert_losses)
-            j = int(gen.choice(N, p=probs))
-        else:
-            j = int(np.argmin(state.cum_losses))
-            _, state = hedge_step(state, expert_losses)
+        j, state = pick(state, expert_losses, gen)
         pred = int(expert_preds[j])
         loss = int(pred != y)
         cum += loss

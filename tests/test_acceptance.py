@@ -30,6 +30,8 @@ from smoothlab.coupling import (
     verify_marginals,
 )
 from smoothlab.discrepancy import (
+    PotentialConfig,
+    RandomSign,
     SelfBalancingConfig,
     adaptive_shell_adversary,
     run_discrepancy,
@@ -178,17 +180,18 @@ def test_acceptance_4_discrepancy_upper_bound(acceptance_report):
     start = time.time()
     n, sigma, trials = 8, 0.25, 50
     medians: dict[tuple[str, int], float] = {}
-    for algorithm, seed, horizons in (
-        ("potential", 1004, (1024, 4096, 16384)),
-        ("random-sign", 1005, (1024, 16384)),
+    for make_rule, seed, horizons in (
+        (lambda adv, T: PotentialConfig.default(adv.n, T, adv.sigma), 1004, (1024, 4096, 16384)),
+        (lambda adv, T: RandomSign(), 1005, (1024, 16384)),
     ):
         for T in horizons:
             finals = []
             for i in range(trials):
                 adv = adaptive_shell_adversary(n, sigma)
-                trace = run_discrepancy(algorithm, adv, T, RngStream(seed=seed, stream_id=i))
+                rule = make_rule(adv, T)
+                trace = run_discrepancy(rule, adv, T, RngStream(seed=seed, stream_id=i))
                 finals.append(trace.max_inf)
-            medians[(algorithm, T)] = float(np.median(finals))
+            medians[(rule.name, T)] = float(np.median(finals))
     elapsed = time.time() - start
 
     growth = medians[("potential", 16384)] / medians[("potential", 1024)]
@@ -212,14 +215,19 @@ def test_acceptance_5_discrepancy_lower_bound(acceptance_report):
     start = time.time()
     n, T, trials = 4, 500, 200
     rates = {}
-    for algorithm in ("potential", "selfbalancing", "random-sign"):
+    for make_rule in (
+        lambda adv: PotentialConfig.default(adv.n, T, adv.sigma),
+        lambda adv: SelfBalancingConfig.default(adv.n, T, adv.sigma),
+        lambda adv: RandomSign(),
+    ):
         hits = 0
         for i in range(trials):
             adv = slab_lowerbound_adversary(n, T)
-            trace = run_discrepancy(algorithm, adv, T, RngStream(seed=1009, stream_id=i))
+            rule = make_rule(adv)
+            trace = run_discrepancy(rule, adv, T, RngStream(seed=1009, stream_id=i))
             if trace.final_two_norm_sq >= T / 20.0:
                 hits += 1
-        rates[algorithm] = hits / trials
+        rates[rule.name] = hits / trials
     elapsed = time.time() - start
 
     # Calibrated at seed 1009: 200/200 for all three algorithms.
@@ -240,8 +248,12 @@ def test_acceptance_6_selfbalancing_walk(acceptance_report):
     failures = 0
     worst = 0.0
     for i in range(100):
+        adv = uniform_ball_adversary(n)
         trace = run_discrepancy(
-            "selfbalancing", uniform_ball_adversary(n), T, RngStream(seed=1006, stream_id=i)
+            SelfBalancingConfig.default(adv.n, T, adv.sigma),
+            adv,
+            T,
+            RngStream(seed=1006, stream_id=i),
         )
         failures += int(trace.failed)
         if not trace.failed:

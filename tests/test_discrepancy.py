@@ -26,6 +26,7 @@ from smoothlab.discrepancy import (
     AdversaryViolationError,
     PotentialConfig,
     PotentialOverflowError,
+    RandomSign,
     SelfBalancingConfig,
     adaptive_shell_adversary,
     build_probe_pool,
@@ -57,6 +58,15 @@ from smoothlab.stats import binomial_stderr
 
 def _empty_pool(n: int) -> "ProbePool":
     return build_probe_pool(n, 0, RngStream(seed=0))
+
+
+def _default_rules(adv, T: int) -> tuple:
+    """The three sign rules, sized from the adversary's declared smoothness."""
+    return (
+        PotentialConfig.default(adv.n, T, adv.sigma),
+        SelfBalancingConfig.default(adv.n, T, adv.sigma),
+        RandomSign(),
+    )
 
 
 def test_defaults_formulas():
@@ -187,8 +197,9 @@ def test_selfbalancing_failure_cases():
 
 def test_run_discrepancy_single_round():
     adv = uniform_ball_adversary(4)
-    for alg in ("potential", "selfbalancing", "random-sign"):
-        tr = run_discrepancy(alg, adv, 1, RngStream(seed=311), store_vectors=True)
+    for rule in _default_rules(adv, 1):
+        tr = run_discrepancy(rule, adv, 1, RngStream(seed=311), store_vectors=True)
+        assert tr.header["algorithm"] == rule.name
         assert tr.t_done == 1
         assert np.allclose(np.abs(tr.d_final), np.abs(tr.X[0]))
         assert tr.inf_norms[0] == pytest.approx(float(np.abs(tr.X[0]).max()))
@@ -197,17 +208,40 @@ def test_run_discrepancy_single_round():
 def test_run_discrepancy_validates_inputs():
     adv = uniform_ball_adversary(4)
     with pytest.raises(ValidationError):
-        run_discrepancy("potential", adv, 0, RngStream(seed=312))
+        run_discrepancy(PotentialConfig.default(adv.n, 4, adv.sigma), adv, 0, RngStream(seed=312))
     with pytest.raises(ValidationError):
         run_discrepancy("newton", adv, 4, RngStream(seed=312))
     long_adv = custom_vector_adversary(2, lambda d, t, h, g: np.array([2.0, 0.0]))
     with pytest.raises(AdversaryViolationError):
-        run_discrepancy("random-sign", long_adv, 4, RngStream(seed=312))
+        run_discrepancy(RandomSign(), long_adv, 4, RngStream(seed=312))
+
+
+@pytest.mark.parametrize(
+    "rule",
+    ["potential", "random-sign", None, object(), RandomSign, {"lam": 0.1, "M": 0, "k": 1}],
+    ids=["name", "baseline-name", "none", "object", "class", "dict"],
+)
+def test_run_discrepancy_rejects_non_rules(rule):
+    with pytest.raises(ValidationError, match="unknown sign rule"):
+        run_discrepancy(rule, uniform_ball_adversary(4), 4, RngStream(seed=312))
+
+
+def test_choose_sign_potential_matches_run():
+    # The single-step rule and the run loop share the greedy comparison.
+    adv = uniform_ball_adversary(3)
+    rule = PotentialConfig.default(adv.n, 50, adv.sigma)
+    tr = run_discrepancy(rule, adv, 50, RngStream(seed=314), store_vectors=True)
+    pool = build_probe_pool(3, rule.M, RngStream(seed=314).substream(1))
+    d = np.zeros(3)
+    for t in range(tr.t_done):
+        assert choose_sign_potential(d, tr.X[t], rule, pool) == int(tr.signs[t])
+        d = d + int(tr.signs[t]) * tr.X[t]
 
 
 def test_run_discrepancy_signed_sum_rebuild():
     adv = adaptive_shell_adversary(4, 0.5)
-    tr = run_discrepancy("potential", adv, 200, RngStream(seed=313), store_vectors=True)
+    rule = PotentialConfig.default(adv.n, 200, adv.sigma)
+    tr = run_discrepancy(rule, adv, 200, RngStream(seed=313), store_vectors=True)
     rebuilt = (tr.signs[:, None] * tr.X).sum(axis=0)
     assert float(np.abs(rebuilt - tr.d_final).max()) <= 1e-9
     assert np.all(np.diff(tr.max_inf_curve) >= 0)
@@ -219,7 +253,8 @@ def test_run_discrepancy_greedy_choice_is_replayable():
     # every chosen sign beats the rejected one.
     adv = uniform_ball_adversary(3)
     stream = RngStream(seed=314)
-    tr = run_discrepancy("potential", adv, 50, stream, store_vectors=True)
+    rule = PotentialConfig.default(adv.n, 50, adv.sigma)
+    tr = run_discrepancy(rule, adv, 50, stream, store_vectors=True)
     kind, seed, stream_id = tr.header["pool"]
     assert kind == "stream"
     pool = build_probe_pool(3, tr.header["M"], RngStream(seed=seed, stream_id=stream_id))
@@ -243,7 +278,7 @@ def test_run_discrepancy_blowup_is_flagged():
     # round 2 would need cosh(1400) and trips the overflow guard instead.
     adv = custom_vector_adversary(1, lambda d, t, h, g: np.array([1.0]))
     cfg = PotentialConfig(lam=700.0, M=0, k=1)
-    tr = run_discrepancy("potential", adv, 10, RngStream(seed=315), potential_cfg=cfg)
+    tr = run_discrepancy(cfg, adv, 10, RngStream(seed=315))
     assert tr.blown_up
     assert tr.phi_cross_round == 1
     assert tr.t_done == 1
@@ -254,7 +289,10 @@ def test_selfbalancing_run_never_fails_at_default_threshold():
     c = None
     for i in range(20):
         tr = run_discrepancy(
-            "selfbalancing", adv, 1000, RngStream(seed=316, stream_id=i)
+            SelfBalancingConfig.default(adv.n, 1000, adv.sigma),
+            adv,
+            1000,
+            RngStream(seed=316, stream_id=i),
         )
         assert not tr.failed
         c = tr.header["c"]
@@ -271,7 +309,7 @@ def test_random_sign_grows_like_sqrt_T():
         peaks = [
             float(
                 run_discrepancy(
-                    "random-sign", adv, T, RngStream(seed=317, stream_id=i)
+                    RandomSign(), adv, T, RngStream(seed=317, stream_id=i)
                 ).two_norms.max()
             )
             for i in range(40)
@@ -283,12 +321,13 @@ def test_random_sign_grows_like_sqrt_T():
 
 def test_potential_beats_random_sign_against_adaptive_shell():
     adv = adaptive_shell_adversary(8, 0.25)
+    potential = PotentialConfig.default(adv.n, 2048, adv.sigma)
     pot = [
-        run_discrepancy("potential", adv, 2048, RngStream(seed=318, stream_id=i)).max_inf
+        run_discrepancy(potential, adv, 2048, RngStream(seed=318, stream_id=i)).max_inf
         for i in range(10)
     ]
     rnd = [
-        run_discrepancy("random-sign", adv, 2048, RngStream(seed=319, stream_id=i)).max_inf
+        run_discrepancy(RandomSign(), adv, 2048, RngStream(seed=319, stream_id=i)).max_inf
         for i in range(10)
     ]
     assert float(np.median(pot)) <= 0.35 * float(np.median(rnd))
@@ -348,10 +387,10 @@ def test_slab_acceptance_rate_above_bound():
 def test_slab_forces_energy_growth():
     n, T = 4, 200
     adv = slab_lowerbound_adversary(n, T)
-    for alg in ("potential", "selfbalancing", "random-sign"):
+    for rule in _default_rules(adv, T):
         good = 0
         for i in range(20):
-            tr = run_discrepancy(alg, adv, T, RngStream(seed=325, stream_id=i))
+            tr = run_discrepancy(rule, adv, T, RngStream(seed=325, stream_id=i))
             assert not tr.failed
             good += int(tr.final_two_norm_sq >= T / 20.0)
         assert good >= 18
@@ -382,7 +421,7 @@ def test_isotropy_requires_enough_samples():
 def test_tail_check_infinite_threshold_never_fires():
     adv = uniform_ball_adversary(4)
     traces = [
-        run_discrepancy("random-sign", adv, 8, RngStream(seed=331, stream_id=i))
+        run_discrepancy(RandomSign(), adv, 8, RngStream(seed=331, stream_id=i))
         for i in range(1000)
     ]
     rep = tail_probability_check(traces, float("inf"), bound=0.0)
@@ -393,7 +432,7 @@ def test_tail_check_infinite_threshold_never_fires():
 
 def test_tail_check_requires_enough_runs():
     adv = uniform_ball_adversary(4)
-    traces = [run_discrepancy("random-sign", adv, 4, RngStream(seed=332))]
+    traces = [run_discrepancy(RandomSign(), adv, 4, RngStream(seed=332))]
     with pytest.raises(ValidationError):
         tail_probability_check(traces, 1.0, bound=0.5)
 
@@ -404,12 +443,7 @@ def test_tail_check_potential_lemma_threshold():
     n, T, delta = 4, 32, 0.05
     adv = uniform_ball_adversary(n)
     cfg = PotentialConfig.default(n, T, adv.sigma)
-    traces = [
-        run_discrepancy(
-            "potential", adv, T, RngStream(seed=333, stream_id=i), potential_cfg=cfg
-        )
-        for i in range(1000)
-    ]
+    traces = [run_discrepancy(cfg, adv, T, RngStream(seed=333, stream_id=i)) for i in range(1000)]
     threshold = make_potential_tail_threshold(cfg, delta)
     rep = tail_probability_check(traces, threshold, bound=delta)
     assert rep.passed
@@ -417,7 +451,7 @@ def test_tail_check_potential_lemma_threshold():
 
 def test_trace_csv_and_header():
     adv = uniform_ball_adversary(3)
-    tr = run_discrepancy("potential", adv, 5, RngStream(seed=334))
+    tr = run_discrepancy(PotentialConfig.default(adv.n, 5, adv.sigma), adv, 5, RngStream(seed=334))
     csv_text = trace_to_csv(tr)
     lines = csv_text.strip().split("\n")
     assert lines[0] == "t,sign,d_inf_norm,d_2_norm,phi,failed"
@@ -431,7 +465,9 @@ def test_trace_csv_and_header():
     assert header["lam"] == tr.header["lam"]
     assert header["pool"][0] == "stream"
 
-    trs = run_discrepancy("selfbalancing", adv, 5, RngStream(seed=335))
+    trs = run_discrepancy(
+        SelfBalancingConfig.default(adv.n, 5, adv.sigma), adv, 5, RngStream(seed=335)
+    )
     csv_sb = trace_to_csv(trs)
     assert csv_sb.strip().split("\n")[1].split(",")[4] == ""
     assert "c" in json.loads(trace_header_json(trs))
@@ -444,9 +480,7 @@ def test_failed_run_truncates_trace():
     # push |d_1| past c and fail.
     tr = None
     for i in range(50):
-        tr = run_discrepancy(
-            "selfbalancing", adv, 500, RngStream(seed=336, stream_id=i), selfbal_cfg=cfg
-        )
+        tr = run_discrepancy(cfg, adv, 500, RngStream(seed=336, stream_id=i))
         if tr.failed:
             break
     assert tr is not None and tr.failed

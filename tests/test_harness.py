@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 
 from smoothlab.cli import build_parser, main as cli_main
-from smoothlab.domain import ValidationError
+from smoothlab.discrepancy import run_discrepancy, uniform_ball_adversary
+from smoothlab.domain import RngStream, ValidationError
 from smoothlab.harness import (
     ExperimentConfig,
     assert_report,
@@ -28,7 +29,7 @@ from smoothlab.harness import (
     summarize,
     summary_to_json,
 )
-from smoothlab import harness
+from smoothlab import harness, learning
 
 
 def _dir_bytes(path: Path) -> dict[str, bytes]:
@@ -71,11 +72,97 @@ def test_make_config_rejects_bad_input():
     with pytest.raises(ValidationError):
         make_config("learning", {"d": 2, "T": 8}, 1, 0)  # neither m nor sigma
     with pytest.raises(ValidationError):
+        make_config("discrepancy", {"algorithm": ["potential"], "n": 4, "T": 8}, 1, 0)
+    with pytest.raises(ValidationError):
         make_config("dispersion", {"T": 10, "ell": 2, "sigma": 0.2, "lo": 0.1}, 1, 0)
     with pytest.raises(ValidationError):
         ExperimentConfig("coupling", {}, trials=0, seed=0)
     with pytest.raises(ValidationError):
         ExperimentConfig("coupling", {}, trials=1, seed=-1)
+
+
+def test_make_config_rejects_boolean_trials_and_seed():
+    params = {"n": 8, "sigma": 0.25, "T": 4}
+    for trials, seed in ((True, 0), (1, False), (True, False)):
+        with pytest.raises(ValidationError):
+            make_config("coupling", params, trials, seed)
+
+
+def test_learning_rejects_conflicting_m_and_sigma():
+    base = {"d": 2, "T": 64}
+    with pytest.raises(ValidationError, match="disagree"):
+        make_config("learning", {**base, "m": 64, "sigma": 0.5}, 1, 0)
+    argv = ["learning", "--param", "m=64", "--param", "sigma=0.5", "--param", "d=2"]
+    assert cli_main(argv + ["--param", "T=64"]) == 1
+    # Agreeing values resolve exactly as either one alone.
+    both = make_config("learning", {**base, "m": 16, "sigma": 1 / 16}, 1, 0)
+    assert both == make_config("learning", {**base, "m": 16}, 1, 0)
+    assert both == make_config("learning", {**base, "sigma": 1 / 16}, 1, 0)
+
+
+def test_algorithm_factories_return_the_named_rule():
+    adv = uniform_ball_adversary(4)
+    for name, factory in harness._ALGORITHMS.items():
+        params = make_config("discrepancy", {"algorithm": name, "n": 4, "T": 8}, 1, 0).params
+        rule = factory(params, adv.sigma)
+        assert rule.name == name
+        trace = run_discrepancy(rule, adv, params["T"], RngStream(seed=5))
+        assert trace.t_done == 8 and trace.header["algorithm"] == name
+
+
+def test_learner_option_is_the_learning_table():
+    assert harness.KINDS["learning"].options["learner"] is learning.LEARNERS
+
+
+# kind -> (required params, {optional numeric param: the choices it needs to apply})
+OPTIONAL_NUMERIC = {
+    "coupling": (
+        {"n": 16, "sigma": 0.25, "T": 4},
+        {"k": {}, "set_size": {"adversary": "stationary"}},
+    ),
+    "discrepancy": (
+        {"n": 4, "T": 8},
+        {
+            "M": {},
+            "delta": {"algorithm": "selfbalancing"},
+            "sigma": {},
+            "inner": {"adversary": "shell"},
+        },
+    ),
+    "discrepancy-lowerbound": (
+        {"n": 4, "T": 8},
+        {"M": {"algorithm": "potential"}, "delta": {"algorithm": "selfbalancing"}},
+    ),
+    "learning": ({"d": 2, "T": 8}, {"m": {}, "sigma": {}, "beta": {"m": 16}, "flip": {"m": 16}}),
+    "dispersion": (
+        {"T": 10, "ell": 2, "sigma": 0.2},
+        {"alpha": {}, "delta": {}, "w": {}, "k": {}, "lo": {"adversary": "fixed-interval"}},
+    ),
+}
+
+
+def test_optional_numeric_table_covers_every_kind():
+    assert list(OPTIONAL_NUMERIC) == list(harness.KINDS)
+    for kind, (required, optional) in OPTIONAL_NUMERIC.items():
+        spec = harness.KINDS[kind]
+        assert set(spec.params) - set(spec.options) - set(required) == set(optional), kind
+
+
+@pytest.mark.parametrize("value", ["null", "abc"])
+@pytest.mark.parametrize(
+    "kind,key",
+    [(kind, key) for kind, (_, optional) in OPTIONAL_NUMERIC.items() for key in optional],
+)
+def test_cli_bad_optional_param_is_a_config_error(kind, key, value, tmp_path, capsys):
+    required, optional = OPTIONAL_NUMERIC[kind]
+    argv = [harness.KINDS[kind].command, "--out-dir", str(tmp_path / "run")]
+    for name, given in {**required, **optional[key]}.items():
+        argv += ["--param", f"{name}={json.dumps(given)}"]
+    code = cli_main(argv + ["--param", f"{key}={value}"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and f"{key!r}" in err
+    assert "Traceback" not in err
 
 
 def test_rerun_is_byte_identical(tmp_path):

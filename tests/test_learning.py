@@ -19,6 +19,7 @@ import math
 import numpy as np
 import pytest
 
+from smoothlab import learning
 from smoothlab.domain import History, RngStream, ValidationError
 from smoothlab.learning import (
     BlockMistakeTracker,
@@ -377,6 +378,25 @@ def test_run_learning_game_validation():
     )
     with pytest.raises(ValidationError):
         run_learning_game("hedge-on-cover", bad_y, cover, 10, RngStream(seed=415))
+
+
+def test_every_learner_takes_one_hedge_step_per_round(monkeypatch):
+    # Each pick goes through the module-level hedge_step, once per round.
+    cls = ThresholdUnionClass(m=16, d=2)
+    cover = build_cover(cls, 0.1)
+    calls = []
+
+    def counted(state, losses):
+        calls.append(1)
+        return hedge_step(state, losses)
+
+    monkeypatch.setattr(learning, "hedge_step", counted)
+    for name in learning.LEARNERS:
+        calls.clear()
+        adv = stationary_smooth_adversary(cls)
+        led = run_learning_game(name, adv, cover, 12, RngStream(seed=417))
+        assert led.config["learner"] == name
+        assert len(calls) == 12
 
 
 def test_run_learning_game_is_reproducible():
