@@ -9,6 +9,10 @@ The package is organized by process under study:
 - ``learning``: threshold-union classes, covers, Hedge, and regret accounting
 - ``dispersion``: discontinuity dispersion counting and its tail bound
 - ``harness`` / ``cli``: reproducible multi-trial experiment driver
+
+The package namespace re-exports the domain types, the smoothness check and
+the mixture decomposition.  Draws are made by the process loops themselves,
+each from its trial's ``RngStream``.
 """
 
 from smoothlab.domain import (
@@ -18,7 +22,6 @@ from smoothlab.domain import (
     SmoothPmf,
     UniformOnSet,
     decompose_smooth,
-    sample,
     validate_smooth,
 )
 
@@ -29,7 +32,6 @@ __all__ = [
     "SmoothPmf",
     "UniformOnSet",
     "decompose_smooth",
-    "sample",
     "validate_smooth",
 ]
 

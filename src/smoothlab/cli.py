@@ -105,8 +105,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if not sep or not key:
             raise ValidationError(f"--param needs KEY=VALUE, got {item!r}")
         params[key] = _parse_value(value)
-    trials = args.trials if args.trials is not None else int(file_cfg.get("trials", 1))
-    seed = args.seed if args.seed is not None else int(file_cfg.get("seed", 0))
+    trials = args.trials if args.trials is not None else file_cfg.get("trials", 1)
+    seed = args.seed if args.seed is not None else file_cfg.get("seed", 0)
     cfg = make_config(args.kind, params, trials, seed)
     out_dir = args.out_dir if args.out_dir is not None else default_run_dir(args.kind, seed)
     result = run_experiment(

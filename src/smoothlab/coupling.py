@@ -179,7 +179,8 @@ def last_value_adversary(domain: FiniteDomain, sigma: float) -> SmoothAdversary:
 
 
 def stationary_pmf_adversary(pmf: SmoothPmf) -> SmoothAdversary:
-    """Plays the same smooth pmf every round."""
+    """Plays the same smooth pmf every round; the rule that tests the pmf path of
+    ``couple_adaptive``."""
     return SmoothAdversary(pmf.domain, pmf.sigma, lambda hist: pmf, name="stationary-pmf")
 
 

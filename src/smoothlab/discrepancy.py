@@ -67,7 +67,6 @@ __all__ = [
     "slab_adversary_next_rejection",
     "slab_lowerbound_adversary",
     "slab_acceptance_rate",
-    "custom_vector_adversary",
     "IsotropyReport",
     "check_isotropy",
     "TailReport",
@@ -245,7 +244,8 @@ def _cosh_mixture(basis_args: np.ndarray, ball_args: np.ndarray) -> float:
 
 
 def potential_value(d: np.ndarray, lam: float, pool: ProbePool) -> float:
-    """Phi(d) = mean of cosh(lam <d, W>) under the probe mixture.
+    """Phi(d) = mean of cosh(lam <d, W>) under the probe mixture; the single-state
+    twin that the ``run_discrepancy`` phis are tested against.
 
     The probe law is half uniform-ball, half uniform on the 2n signed basis
     vectors; with no ball probes (M = 0) the basis half carries full weight.
@@ -280,7 +280,8 @@ def _greedy_sign(lam: float, plus, minus, ball_plus, ball_minus) -> tuple[int, f
 
 
 def choose_sign_potential(state, x: np.ndarray, cfg: PotentialConfig, pool: ProbePool) -> int:
-    """Greedy sign minimizing the potential; ties within 1e-12 resolve to +1."""
+    """Greedy sign minimizing the potential, ties within 1e-12 to +1; the single-step
+    twin of the ``run_discrepancy`` loop, tested sign for sign against it."""
     d = _state_d(state)
     x = _check_input_vector(x)
     plus, minus = d + x, d - x
@@ -459,16 +460,11 @@ def slab_lowerbound_adversary(n: int, T: int) -> VectorAdversary:
     )
 
 
-def custom_vector_adversary(
-    n: int, fn: Callable, sigma: float = 1.0, name: str = "custom"
-) -> VectorAdversary:
-    return VectorAdversary(n=n, sigma=sigma, next_fn=fn, name=name)
-
-
 def slab_acceptance_rate(
     n: int, T: int, n_samples: int, rng: "RngStream | np.random.Generator"
 ) -> float:
-    """Empirical fraction of uniform-ball draws landing inside the slab.
+    """Empirical fraction of uniform-ball draws landing inside the slab: checks the
+    slab adversary's declared sigma against its real volume fraction.
 
     Uses a fixed nonzero direction; by rotational symmetry of the ball the
     rate does not depend on it.
@@ -642,7 +638,7 @@ def run_discrepancy(
 
 @dataclass(frozen=True, eq=False)
 class IsotropyReport:
-    """Empirical covariance of adversary draws at a fixed state."""
+    """Empirical covariance of adversary draws at a fixed state (``check_isotropy``)."""
 
     covariance: np.ndarray
     c_hat: float  # trace / n
@@ -657,7 +653,8 @@ def check_isotropy(
     d: np.ndarray | None = None,
     t: int = 1,
 ) -> IsotropyReport:
-    """Estimate how far the adversary's draw law is from isotropic at a state.
+    """Estimate how far the adversary's draw law is from isotropic at a state:
+    checks the isotropy premise of the shell adversaries.
 
     Draws n_samples vectors at the fixed (d, t, empty history) state, forms
     the empirical second-moment matrix C, and reports the operator norm of
@@ -681,7 +678,7 @@ def check_isotropy(
 
 @dataclass(frozen=True)
 class TailReport:
-    """One-sided comparison of an exceedance rate against a bound."""
+    """One-sided comparison of an exceedance rate against a bound (``tail_probability_check``)."""
 
     n_events: int
     n_rounds: int
@@ -698,7 +695,8 @@ def tail_probability_check(
     z: float = 3.0,
     min_runs: int = 1000,
 ) -> TailReport:
-    """Check how often |<d_{t-1}, x_t>| exceeded a threshold across runs.
+    """Check how often |<d_{t-1}, x_t>| exceeded a threshold across runs: the
+    empirical side of the potential rule's tail lemma.
 
     ``threshold`` is a constant or a callable (trace, t) -> value evaluated
     with 1-based t; the empirical exceedance frequency over all rounds of all
@@ -727,7 +725,7 @@ def tail_probability_check(
 
 
 def make_potential_tail_threshold(cfg: PotentialConfig, delta: float):
-    """Round-t threshold 4*ln(4 k Phi_{t-1} / delta) / lam for potential traces."""
+    """Round-t threshold 4*ln(4 k Phi_{t-1} / delta) / lam of the potential rule's tail lemma."""
 
     def threshold(trace: DiscrepancyTrace, t: int) -> float:
         phi_prev = float(trace.phis[t - 1])

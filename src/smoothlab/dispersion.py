@@ -40,7 +40,6 @@ __all__ = [
     "max_interval_count",
     "max_interval_count_brute",
     "report_csv",
-    "sample_from_jsonl",
     "sample_to_jsonl",
 ]
 
@@ -345,29 +344,6 @@ def sample_to_jsonl(sample: DiscontinuitySample) -> str:
                 json.dumps({"i": i + 1, "j": j + 1, "x": float(sample.points[i, j])})
             )
     return "\n".join(lines) + "\n"
-
-
-def sample_from_jsonl(
-    text: str, sigma: float, adversary: str = "unknown", seed_info: dict | None = None
-) -> DiscontinuitySample:
-    """Rebuild a sample from its JSONL lines; indices must tile [T] x [ell]."""
-    records = [json.loads(line) for line in text.strip().split("\n") if line.strip()]
-    if not records:
-        raise ValidationError("no points in JSONL input")
-    T = max(r["i"] for r in records)
-    ell = max(r["j"] for r in records)
-    if len(records) != T * ell:
-        raise ValidationError(
-            f"expected {T}*{ell}={T * ell} points, got {len(records)} lines"
-        )
-    points = np.full((T, ell), np.nan)
-    for r in records:
-        points[r["i"] - 1, r["j"] - 1] = float(r["x"])
-    if np.isnan(points).any():
-        raise ValidationError("JSONL indices do not tile the (T, ell) grid")
-    return DiscontinuitySample(
-        points=points, sigma=sigma, adversary=adversary, seed_info=seed_info or {}
-    )
 
 
 def report_csv(report: DispersionReport) -> str:

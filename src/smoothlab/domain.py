@@ -15,7 +15,6 @@ experiments are reproducible independently of scheduling.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -34,8 +33,6 @@ __all__ = [
     "min_support_size",
     "validate_smooth",
     "decompose_smooth",
-    "sample",
-    "sample_many",
     "random_smooth_pmf",
     "as_generator",
 ]
@@ -169,6 +166,7 @@ class UniformOnSet:
         return mask
 
     def mass_vector(self) -> np.ndarray:
+        """Dense pmf; the oracle for rebuilding a ``decompose_smooth`` component."""
         mass = np.zeros(self.domain.n)
         mass[self.members_array - 1] = 1.0 / len(self.members)
         return mass
@@ -202,17 +200,6 @@ class SmoothPmf:
                 f"max mass {mass.max()!r} exceeds smoothness cap {cap!r} for sigma={self.sigma}"
             )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"n": self.domain.n, "sigma": self.sigma, "mass": [repr(float(v)) for v in self.mass]}
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "SmoothPmf":
-        obj = json.loads(text)
-        mass = np.array([float(v) for v in obj["mass"]])
-        return SmoothPmf(FiniteDomain(int(obj["n"])), mass, float(obj["sigma"]))
-
 
 @dataclass(frozen=True)
 class MixtureOfUniforms:
@@ -241,6 +228,7 @@ class MixtureOfUniforms:
             raise ValidationError(f"component weights must sum to 1 within 1e-12, got {total!r}")
 
     def mass_vector(self) -> np.ndarray:
+        """Dense pmf; the oracle that a ``decompose_smooth`` mixture rebuilds its input."""
         mass = np.zeros(self.domain.n)
         for weight, comp in self.components:
             mass[np.asarray(comp.members) - 1] += weight / comp.size
@@ -325,43 +313,6 @@ def decompose_smooth(pmf: SmoothPmf) -> MixtureOfUniforms:
     total = sum(weights)
     components = tuple((w / total, comp) for w, comp in zip(weights, sets))
     return MixtureOfUniforms(pmf.domain, components, pmf.sigma)
-
-
-def sample(dist, rng: "RngStream | np.random.Generator") -> int:
-    """Draw one element (1-based) from a UniformOnSet, SmoothPmf, or MixtureOfUniforms.
-
-    Passing an RngStream makes the draw a pure function of (dist, seed,
-    stream_id); passing a Generator advances that generator.
-    """
-    gen = as_generator(rng)
-    if isinstance(dist, UniformOnSet):
-        return int(dist.members[gen.integers(dist.size)])
-    if isinstance(dist, SmoothPmf):
-        return int(gen.choice(dist.domain.n, p=dist.mass)) + 1
-    if isinstance(dist, MixtureOfUniforms):
-        weights = np.array([w for w, _ in dist.components])
-        idx = int(gen.choice(len(dist.components), p=weights / weights.sum()))
-        comp = dist.components[idx][1]
-        return int(comp.members[gen.integers(comp.size)])
-    raise ValidationError(f"cannot sample from {type(dist).__name__}")
-
-
-def sample_many(dist, rng: "RngStream | np.random.Generator", size: int) -> np.ndarray:
-    """Vector of ``size`` i.i.d. draws (1-based) from the distribution."""
-    gen = as_generator(rng)
-    if isinstance(dist, UniformOnSet):
-        return dist.members_array[gen.integers(dist.size, size=size)]
-    if isinstance(dist, SmoothPmf):
-        return gen.choice(dist.domain.n, p=dist.mass, size=size) + 1
-    if isinstance(dist, MixtureOfUniforms):
-        weights = np.array([w for w, _ in dist.components])
-        comp_idx = gen.choice(len(dist.components), p=weights / weights.sum(), size=size)
-        out = np.empty(size, dtype=int)
-        for i, c in enumerate(comp_idx):
-            comp = dist.components[c][1]
-            out[i] = comp.members[gen.integers(comp.size)]
-        return out
-    raise ValidationError(f"cannot sample from {type(dist).__name__}")
 
 
 def random_smooth_pmf(

@@ -160,6 +160,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _integer(value) -> int:
+    """int(value) for an integral number or numeral; a bool or a fraction is refused."""
+    number = int(value)
+    if isinstance(value, bool) or (not isinstance(value, str) and number != value):
+        raise ValueError("not an integer")
+    return number
+
+
 _REQUIRED = object()
 
 
@@ -227,17 +235,17 @@ _COUPLING_ADVERSARIES = {
 
 
 def _resolve_coupling(kind: str, params: dict) -> dict:
-    n = _param(params, "n", int, kind)
+    n = _param(params, "n", _integer, kind)
     sigma = _param(params, "sigma", float, kind)
-    T = _param(params, "T", int, kind)
+    T = _param(params, "T", _integer, kind)
     adversary = _choice(params, "adversary", "window", _COUPLING_ADVERSARIES)
-    k = _param(params, "k", int, kind, default_k(T, sigma))
+    k = _param(params, "k", _integer, kind, default_k(T, sigma))
     CouplingConfig(T=T, k=k)
     domain = FiniteDomain(n)
     floor = min_support_size(sigma, n)
     out = {"n": n, "sigma": sigma, "T": T, "k": k, "adversary": adversary}
     if _applies(params, out, "set_size", "adversary", "stationary"):
-        set_size = _param(params, "set_size", int, kind, floor)
+        set_size = _param(params, "set_size", _integer, kind, floor)
         if not (floor <= set_size <= n):
             raise ValidationError(
                 f"set_size must lie in [{floor}, {n}] for sigma={sigma}, got {set_size}"
@@ -339,12 +347,12 @@ def _resolve_balancing(kind: str, params: dict, algorithm: str, resolve_adversar
     """
     out = {
         "algorithm": _choice(params, "algorithm", algorithm, _ALGORITHMS),
-        "n": _param(params, "n", int, kind),
-        "T": _param(params, "T", int, kind),
+        "n": _param(params, "n", _integer, kind),
+        "T": _param(params, "T", _integer, kind),
     }
     sigma = resolve_adversary(kind, params, out).sigma
     for key, owner, default, cast in (
-        ("M", "potential", 1024, int),
+        ("M", "potential", 1024, _integer),
         ("delta", "selfbalancing", 0.1, float),
     ):
         if _applies(params, out, key, "algorithm", owner):
@@ -406,19 +414,19 @@ _LEARNING_ADVERSARIES = {
 
 
 def _resolve_learning(kind: str, params: dict) -> dict:
-    d = _param(params, "d", int, kind)
-    T = _param(params, "T", int, kind)
+    d = _param(params, "d", _integer, kind)
+    T = _param(params, "T", _integer, kind)
     if T < 1:
         raise ValidationError(f"T must be >= 1, got {T}")
     if "sigma" in params:
         m = _param(params, "sigma", lambda s: round(1.0 / float(s)), kind)
-        if "m" in params and _param(params, "m", int, kind) != m:
+        if "m" in params and _param(params, "m", _integer, kind) != m:
             raise ValidationError(
                 f"m={params['m']!r} and sigma={params['sigma']!r} disagree: "
                 f"m must equal round(1/sigma) = {m}"
             )
     elif "m" in params:
-        m = _param(params, "m", int, kind)
+        m = _param(params, "m", _integer, kind)
     else:
         raise ValidationError(f"{kind} experiment requires m or sigma")
     cls = ThresholdUnionClass(m, d)
@@ -483,8 +491,8 @@ _INTERVAL_ADVERSARIES = {
 
 
 def _resolve_dispersion(kind: str, params: dict) -> dict:
-    T = _param(params, "T", int, kind)
-    ell = _param(params, "ell", int, kind)
+    T = _param(params, "T", _integer, kind)
+    ell = _param(params, "ell", _integer, kind)
     sigma = _param(params, "sigma", float, kind)
     adversary = _choice(params, "adversary", "iid-uniform", _INTERVAL_ADVERSARIES)
     alpha = _param(params, "alpha", float, kind, 0.5)

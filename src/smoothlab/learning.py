@@ -36,7 +36,6 @@ __all__ = [
     "RegretLedger",
     "SmoothLabelAdversary",
     "ThresholdUnionClass",
-    "adversarial_loss_table",
     "best_in_hindsight",
     "best_in_hindsight_brute",
     "build_cover",
@@ -45,7 +44,6 @@ __all__ = [
     "hedge_expected_regret",
     "hedge_step",
     "hypothesis_distance",
-    "littlestone_dim",
     "make_hedge",
     "mistake_tree_adversary",
     "net_error",
@@ -142,7 +140,8 @@ class Hypothesis:
 
 
 def hypothesis_distance(h1: Hypothesis, h2: Hypothesis) -> float:
-    """Uniform-distance sum_i |gamma_i - gamma'_i| / m.
+    """Uniform-distance sum_i |gamma_i - gamma'_i| / m; the metric of the beta-cover
+    radius that the ``build_cover`` tests check.
 
     Equals the disagreement probability under the uniform distribution on [m]
     because the per-block symmetric difference is the integer interval between
@@ -198,7 +197,8 @@ def build_cover(cls: ThresholdUnionClass, beta: float) -> CoverGrid:
 
 
 def cover_distance_profile(cover: CoverGrid) -> float:
-    """Exhaustive max over the class of min over the cover of uniform distance.
+    """Exhaustive max over the class of min over the cover of uniform distance:
+    the oracle that a ``build_cover`` grid is a beta-cover.
 
     Decomposes per block: the worst class hypothesis picks, in each block, the
     threshold farthest from that block's grid.
@@ -264,7 +264,8 @@ def hedge_step(state: HedgeState, losses: np.ndarray) -> tuple[np.ndarray, Hedge
 
 
 def hedge_expected_regret(loss_table: np.ndarray, eta: float | None = None) -> float:
-    """Expected-loss regret of Hedge run over a full (T, N) loss table."""
+    """Expected-loss regret of Hedge over a full (T, N) loss table; the oracle for
+    the sqrt(T ln N / 2) regret bound of ``hedge_step`` (ln N / eta + eta T / 8 at a given eta)."""
     loss_table = np.asarray(loss_table, dtype=float)
     if loss_table.ndim != 2:
         raise ValidationError(f"loss table must be 2-d, got shape {loss_table.shape}")
@@ -276,21 +277,6 @@ def hedge_expected_regret(loss_table: np.ndarray, eta: float | None = None) -> f
         expected += float(probs @ loss_table[t])
     best = float(state.cum_losses.min())
     return expected - best
-
-
-def adversarial_loss_table(n_experts: int, T: int, eta: float | None = None) -> np.ndarray:
-    """Greedy adversarial table: each round the heaviest expert takes loss 1.
-
-    Built by simulating Hedge itself, so the table is the feedback loop that
-    maximizes instantaneous expected loss; ties go to the lowest index.
-    """
-    state = make_hedge(n_experts, T=T, eta=eta)
-    table = np.zeros((T, n_experts))
-    for t in range(T):
-        probs = state.probs()
-        table[t, int(np.argmax(probs))] = 1.0
-        _, state = hedge_step(state, table[t])
-    return table
 
 
 def best_in_hindsight(
@@ -389,11 +375,6 @@ def net_error_brute(
         disagreements = (cover_preds != preds[None, :]).sum(axis=1)
         worst = max(worst, int(disagreements.min()))
     return worst
-
-
-def littlestone_dim(cls: ThresholdUnionClass) -> int:
-    """d * log2(m/d): one binary-search tree of depth log2(block size) per block."""
-    return cls.d * int(math.log2(cls.block_size))
 
 
 class BlockMistakeTracker:
@@ -609,8 +590,7 @@ def run_learning_game(
         )
     gen = as_generator(rng)
     N = cover.size
-    eta = math.sqrt(8.0 * math.log(N) / T) if N > 1 else 0.0
-    state = make_hedge(N, eta=eta)
+    state = make_hedge(N, T=T)
     gamma_matrix = np.array([h.gamma for h in cover.hypotheses], dtype=int)
     tracker = BlockMistakeTracker(cls)
 
@@ -655,7 +635,7 @@ def run_learning_game(
         "sigma": cls.sigma,
         "beta": cover.beta,
         "N": N,
-        "eta": eta,
+        "eta": state.eta,
         "T": T,
         "learner": learner,
         "adversary": getattr(adv, "name", "custom"),

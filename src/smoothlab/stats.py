@@ -24,9 +24,7 @@ __all__ = [
     "binomial_stderr",
     "one_sided_bound_check",
     "BoundCheck",
-    "bootstrap_ci",
     "bootstrap_ratio_ci",
-    "ks_uniform",
 ]
 
 
@@ -38,7 +36,7 @@ def chi_square_uniform(counts: np.ndarray) -> tuple[float, float]:
 
 
 def chi_square_fit(counts: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
-    """Chi-square goodness of fit to an arbitrary pmf over the categories."""
+    """Chi-square fit to a pmf; checks the pmf-round marginal of ``couple_adaptive``."""
     counts = np.asarray(counts, dtype=float)
     probs = np.asarray(probs, dtype=float)
     expected = probs * counts.sum()
@@ -100,27 +98,6 @@ def one_sided_bound_check(successes: int, trials: int, bound: float, z: float = 
     return BoundCheck(rate=rate, bound=bound, stderr=se, z=z, passed=rate <= bound + z * se)
 
 
-def bootstrap_ci(
-    values: np.ndarray,
-    rng,
-    statistic=np.median,
-    n_resamples: int = 10_000,
-    level: float = 0.95,
-) -> tuple[float, float]:
-    """Seeded percentile bootstrap interval for a statistic of one sample."""
-    gen = as_generator(rng)
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("cannot bootstrap an empty sample")
-    idx = gen.integers(values.size, size=(n_resamples, values.size))
-    stats_arr = statistic(values[idx], axis=1)
-    lo = (1.0 - level) / 2.0
-    return (
-        float(np.quantile(stats_arr, lo)),
-        float(np.quantile(stats_arr, 1.0 - lo)),
-    )
-
-
 def bootstrap_ratio_ci(
     a: np.ndarray,
     b: np.ndarray,
@@ -149,9 +126,3 @@ def bootstrap_ratio_ci(
     ratios = num[keep] / den[keep]
     lo = (1.0 - level) / 2.0
     return float(np.quantile(ratios, lo)), float(np.quantile(ratios, 1.0 - lo))
-
-
-def ks_uniform(points: np.ndarray) -> tuple[float, float]:
-    """Kolmogorov-Smirnov test of the sample against Uniform[0, 1]."""
-    stat, p = sps.kstest(np.asarray(points, dtype=float), "uniform")
-    return float(stat), float(p)

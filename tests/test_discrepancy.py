@@ -28,12 +28,12 @@ from smoothlab.discrepancy import (
     PotentialOverflowError,
     RandomSign,
     SelfBalancingConfig,
+    VectorAdversary,
     adaptive_shell_adversary,
     build_probe_pool,
     check_isotropy,
     choose_sign_potential,
     choose_sign_selfbalancing,
-    custom_vector_adversary,
     default_balance_k,
     default_lambda,
     default_threshold,
@@ -211,7 +211,9 @@ def test_run_discrepancy_validates_inputs():
         run_discrepancy(PotentialConfig.default(adv.n, 4, adv.sigma), adv, 0, RngStream(seed=312))
     with pytest.raises(ValidationError):
         run_discrepancy("newton", adv, 4, RngStream(seed=312))
-    long_adv = custom_vector_adversary(2, lambda d, t, h, g: np.array([2.0, 0.0]))
+    long_adv = VectorAdversary(
+        n=2, sigma=1.0, next_fn=lambda d, t, h, g: np.array([2.0, 0.0])
+    )
     with pytest.raises(AdversaryViolationError):
         run_discrepancy(RandomSign(), long_adv, 4, RngStream(seed=312))
 
@@ -276,7 +278,7 @@ def test_run_discrepancy_greedy_choice_is_replayable():
 def test_run_discrepancy_blowup_is_flagged():
     # Round 1 evaluates cosh(700) (huge but finite, crossing T^6 at once);
     # round 2 would need cosh(1400) and trips the overflow guard instead.
-    adv = custom_vector_adversary(1, lambda d, t, h, g: np.array([1.0]))
+    adv = VectorAdversary(n=1, sigma=1.0, next_fn=lambda d, t, h, g: np.array([1.0]))
     cfg = PotentialConfig(lam=700.0, M=0, k=1)
     tr = run_discrepancy(cfg, adv, 10, RngStream(seed=315))
     assert tr.blown_up
@@ -474,7 +476,7 @@ def test_trace_csv_and_header():
 
 
 def test_failed_run_truncates_trace():
-    adv = custom_vector_adversary(2, lambda d, t, h, g: np.array([1.0, 0.0]))
+    adv = VectorAdversary(n=2, sigma=1.0, next_fn=lambda d, t, h, g: np.array([1.0, 0.0]))
     cfg = SelfBalancingConfig(c=2.5, delta=0.5)
     # Deterministic drift: with x = e1 every round, the walk must eventually
     # push |d_1| past c and fail.

@@ -33,7 +33,6 @@ from smoothlab.dispersion import (
     max_interval_count,
     max_interval_count_brute,
     report_csv,
-    sample_from_jsonl,
     sample_to_jsonl,
 )
 
@@ -301,14 +300,11 @@ def test_jsonl_round_trip():
     first = json.loads(text.split("\n")[0])
     assert first["i"] == 1
     assert first["j"] == 1
-    back = sample_from_jsonl(text, sigma=1.0, adversary=sample.adversary)
-    assert np.array_equal(back.points, sample.points)
-    assert back.T == 6
-    assert back.ell == 3
-    with pytest.raises(ValidationError):
-        sample_from_jsonl(text.split("\n", 1)[1], sigma=1.0)
-    with pytest.raises(ValidationError):
-        sample_from_jsonl("", sigma=1.0)
+    records = [json.loads(line) for line in text.splitlines()]
+    # One line per point in row order, so the indices tile [6] x [3].
+    assert [(r["i"], r["j"]) for r in records] == [(i, j) for i in range(1, 7) for j in range(1, 4)]
+    points = np.array([r["x"] for r in records]).reshape(6, 3)
+    assert np.array_equal(points, sample.points)
 
 
 def test_report_csv_format():

@@ -1,8 +1,6 @@
-"""Tests for smooth pmfs, mixture decomposition, sampling, and RNG streams."""
+"""Tests for smooth pmfs, mixture decomposition, and RNG streams."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
@@ -19,8 +17,6 @@ from smoothlab.domain import (
     decompose_smooth,
     min_support_size,
     random_smooth_pmf,
-    sample,
-    sample_many,
     validate_smooth,
 )
 
@@ -175,60 +171,6 @@ def test_mixture_validation():
         )
 
 
-def test_sample_singleton_always_returns_the_element():
-    dom = FiniteDomain(4)
-    s = UniformOnSet(dom, (3,))
-    gen = RngStream(seed=7).generator()
-    draws = sample_many(s, gen, 100)
-    assert np.all(draws == 3)
-
-
-def test_sample_uniform_frequency():
-    dom = FiniteDomain(2)
-    s = UniformOnSet(dom, (1, 2))
-    gen = RngStream(seed=11).generator()
-    draws = sample_many(s, gen, 100_000)
-    freq = float(np.mean(draws == 1))
-    assert 0.49 <= freq <= 0.51
-
-
-def test_sample_mixture_component_frequencies():
-    dom = FiniteDomain(4)
-    mix = MixtureOfUniforms(
-        dom,
-        ((0.3, UniformOnSet(dom, (1, 2))), (0.7, UniformOnSet(dom, (3, 4)))),
-        sigma=0.5,
-    )
-    n_draws = 100_000
-    gen = RngStream(seed=13).generator()
-    draws = sample_many(mix, gen, n_draws)
-    freq = float(np.mean(draws <= 2))
-    margin = 4 * math.sqrt(0.3 * 0.7 / n_draws)
-    assert abs(freq - 0.3) <= margin
-
-
-def test_sample_smooth_pmf_frequencies():
-    dom = FiniteDomain(4)
-    pmf = SmoothPmf(dom, np.array([0.4, 0.3, 0.2, 0.1]), sigma=0.5)
-    n_draws = 100_000
-    gen = RngStream(seed=17).generator()
-    draws = sample_many(pmf, gen, n_draws)
-    for v, p in enumerate(pmf.mass, start=1):
-        freq = float(np.mean(draws == v))
-        assert abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / n_draws)
-
-
-def test_sample_with_stream_is_a_pure_function():
-    dom = FiniteDomain(8)
-    s = UniformOnSet(dom, tuple(range(1, 9)))
-    stream = RngStream(seed=5, stream_id=3)
-    assert sample(s, stream) == sample(s, stream)
-    other = RngStream(seed=5, stream_id=4)
-    draws_a = sample_many(s, stream, 64)
-    draws_b = sample_many(s, other, 64)
-    assert not np.array_equal(draws_a, draws_b)
-
-
 def test_rng_stream_reproducibility_and_independence():
     a = RngStream(seed=42, stream_id=0).generator().random(8)
     b = RngStream(seed=42, stream_id=0).generator().random(8)
@@ -241,16 +183,6 @@ def test_rng_stream_reproducibility_and_independence():
     sub_again = RngStream(seed=42, stream_id=0).substream(2)
     assert sub == sub_again
     assert sub != RngStream(seed=42, stream_id=0).substream(3)
-
-
-def test_smooth_pmf_json_round_trip_is_exact():
-    dom = FiniteDomain(5)
-    gen = RngStream(seed=23).generator()
-    pmf = random_smooth_pmf(dom, 0.5, gen, method="capped")
-    restored = SmoothPmf.from_json(pmf.to_json())
-    assert restored.domain == pmf.domain
-    assert restored.sigma == pmf.sigma
-    assert np.array_equal(restored.mass, pmf.mass)
 
 
 def test_history_round_index():

@@ -9,8 +9,10 @@ persisted files must reproduce summary.json exactly.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
+import pkgutil
 import re
 from pathlib import Path
 
@@ -53,6 +55,11 @@ def test_make_config_fills_defaults():
     cfg = make_config("discrepancy-lowerbound", {"algorithm": "random-sign", "n": 3, "T": 10}, 1, 0)
     assert "adversary" not in cfg.params
 
+    # An integral float resolves to the int it equals.
+    exact = make_config("coupling", {"n": 8, "sigma": 0.25, "T": 4, "k": 3}, 1, 0)
+    assert make_config("coupling", {"n": 8.0, "sigma": 0.25, "T": 4.0, "k": 3.0}, 1, 0) == exact
+    assert type(exact.params["n"]) is int
+
 
 def test_make_config_rejects_bad_input():
     with pytest.raises(ValidationError):
@@ -75,6 +82,16 @@ def test_make_config_rejects_bad_input():
         make_config("discrepancy", {"algorithm": ["potential"], "n": 4, "T": 8}, 1, 0)
     with pytest.raises(ValidationError):
         make_config("dispersion", {"T": 10, "ell": 2, "sigma": 0.2, "lo": 0.1}, 1, 0)
+    # Integer parameters refuse booleans and fractions instead of truncating.
+    for kind, bad in (
+        ("coupling", {"k": 2.7}),
+        ("coupling", {"n": True}),
+        ("coupling", {"T": 8.9}),
+        ("discrepancy", {"n": True}),
+        ("discrepancy", {"T": 8.9}),
+    ):
+        with pytest.raises(ValidationError, match="not an integer"):
+            make_config(kind, {"n": 8, "sigma": 0.25, "T": 4, **bad}, 1, 0)
     with pytest.raises(ValidationError):
         ExperimentConfig("coupling", {}, trials=0, seed=0)
     with pytest.raises(ValidationError):
@@ -148,15 +165,22 @@ def test_optional_numeric_table_covers_every_kind():
         assert set(spec.params) - set(spec.options) - set(required) == set(optional), kind
 
 
-@pytest.mark.parametrize("value", ["null", "abc"])
+# Each optional numeric parameter given null or a non-number, and integer
+# parameters, optional or required, given a boolean or a fraction.
 @pytest.mark.parametrize(
-    "kind,key",
-    [(kind, key) for kind, (_, optional) in OPTIONAL_NUMERIC.items() for key in optional],
+    "kind,key,value",
+    [
+        (kind, key, value)
+        for kind, (_, optional) in OPTIONAL_NUMERIC.items()
+        for key in optional
+        for value in ("null", "abc")
+    ]
+    + [("coupling", "k", "2.7"), ("discrepancy", "n", "true"), ("discrepancy", "T", "8.9")],
 )
 def test_cli_bad_optional_param_is_a_config_error(kind, key, value, tmp_path, capsys):
     required, optional = OPTIONAL_NUMERIC[kind]
     argv = [harness.KINDS[kind].command, "--out-dir", str(tmp_path / "run")]
-    for name, given in {**required, **optional[key]}.items():
+    for name, given in {**required, **optional.get(key, {})}.items():
         argv += ["--param", f"{name}={json.dumps(given)}"]
     code = cli_main(argv + ["--param", f"{key}={value}"])
     err = capsys.readouterr().err
@@ -429,6 +453,18 @@ def test_cli_config_file_with_overrides(tmp_path):
     assert cli_main(["dispersion", "--config", str(cfg_file)]) == 1
 
 
+def test_cli_config_file_rejects_non_integer_trials_and_seed(tmp_path, capsys):
+    params = {"n": 8, "sigma": 0.25, "T": 4}
+    for bad in ({"trials": True, "seed": 2.9}, {"trials": True}, {"seed": 2.9}):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"params": params, **bad}))
+        argv = ["coupling", "--config", str(cfg_file), "--out-dir", str(tmp_path / "run")]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_compare_ratio_limits(tmp_path):
     cfg = make_config("dispersion", {"T": 10, "ell": 2, "sigma": 0.2}, 6, 1)
     run_experiment(cfg, tmp_path / "a", parallelism=1)
@@ -508,3 +544,17 @@ def test_readme_kinds_table_matches_registry():
     )
     commands = {spec.command for spec in harness.KINDS.values()}
     assert set(subparsers.choices) == commands | {"compare"}
+
+
+def test_every_all_entry_resolves():
+    import smoothlab
+
+    modules = [smoothlab] + [
+        importlib.import_module(f"smoothlab.{info.name}")
+        for info in pkgutil.iter_modules(smoothlab.__path__)
+    ]
+    checked = [module for module in modules if hasattr(module, "__all__")]
+    assert len(checked) >= 7
+    for module in checked:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__

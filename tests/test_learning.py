@@ -5,8 +5,6 @@ Frozen oracle values:
 - cover sizes and spacings for (m=16, d=2, beta=0.25) and (m=64, d=1,
   beta=1/8) come from direct grid arithmetic: spacing floor(beta*m/d), grid
   lo, lo+spacing, ... within each block.
-- the adversarial Hedge table for N=4, T=1000 was measured once: expected
-  regret 9.955, far under the sqrt(T ln N / 2) + 1 = 27.33 budget.
 - best-in-hindsight and net-error have brute-force enumeration oracles and
   are compared on seeded random instances.
 """
@@ -27,7 +25,6 @@ from smoothlab.learning import (
     MistakeTreeAdversary,
     SmoothLabelAdversary,
     ThresholdUnionClass,
-    adversarial_loss_table,
     best_in_hindsight,
     best_in_hindsight_brute,
     build_cover,
@@ -36,7 +33,6 @@ from smoothlab.learning import (
     hedge_expected_regret,
     hedge_step,
     hypothesis_distance,
-    littlestone_dim,
     make_hedge,
     mistake_tree_adversary,
     net_error,
@@ -104,12 +100,6 @@ def test_hypothesis_distance_is_uniform_disagreement():
         h1, h2 = Hypothesis(cls, g1), Hypothesis(cls, g2)
         frac = float((h1.predict_many(xs) != h2.predict_many(xs)).mean())
         assert hypothesis_distance(h1, h2) == pytest.approx(frac)
-
-
-def test_littlestone_dim_examples():
-    assert littlestone_dim(ThresholdUnionClass(m=2, d=1)) == 1
-    assert littlestone_dim(ThresholdUnionClass(m=64, d=2)) == 10
-    assert littlestone_dim(ThresholdUnionClass(m=64, d=4)) == 16
 
 
 def test_build_cover_beta_one_is_single_hypothesis():
@@ -201,17 +191,6 @@ def test_hedge_validation():
         hedge_step(state, np.zeros(3))
     with pytest.raises(ValidationError):
         hedge_step(state, np.array([0.0, 0.0, 0.0, 1.5]))
-
-
-def test_hedge_adversarial_table_regret_bound():
-    T, N = 1000, 4
-    table = adversarial_loss_table(N, T)
-    assert table.shape == (T, N)
-    assert np.array_equal(table.sum(axis=1), np.ones(T))
-    regret = hedge_expected_regret(table)
-    assert regret <= math.sqrt(T * math.log(N) / 2.0) + 1.0
-    # Frozen measurement for drift detection.
-    assert regret == pytest.approx(9.955, abs=0.05)
 
 
 def test_hedge_regret_bound_on_random_tables():

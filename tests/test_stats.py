@@ -7,12 +7,10 @@ import pytest
 
 from smoothlab.domain import RngStream
 from smoothlab.stats import (
-    bootstrap_ci,
     bootstrap_ratio_ci,
     chi_square_fit,
     chi_square_table,
     chi_square_uniform,
-    ks_uniform,
     one_sided_bound_check,
     wilson_interval,
 )
@@ -76,26 +74,8 @@ def test_one_sided_bound_check():
     assert not one_sided_bound_check(1, 1000, bound=0.0, z=3.0).passed
 
 
-def test_bootstrap_ci_is_seeded_and_covers_median():
-    gen = RngStream(seed=107).generator()
-    values = gen.normal(10.0, 2.0, size=200)
-    ci_a = bootstrap_ci(values, RngStream(seed=5), n_resamples=2000)
-    ci_b = bootstrap_ci(values, RngStream(seed=5), n_resamples=2000)
-    assert ci_a == ci_b
-    lo, hi = ci_a
-    assert lo <= float(np.median(values)) <= hi
-
-
 def test_bootstrap_ratio_ci_identical_samples_covers_one():
     gen = RngStream(seed=109).generator()
     values = gen.normal(5.0, 1.0, size=150)
     lo, hi = bootstrap_ratio_ci(values, values.copy(), RngStream(seed=6), n_resamples=2000)
     assert lo <= 1.0 <= hi
-
-
-def test_ks_uniform():
-    gen = RngStream(seed=113).generator()
-    _, p_good = ks_uniform(gen.random(5000))
-    assert p_good > 0.001
-    _, p_bad = ks_uniform(gen.random(5000) ** 3)
-    assert p_bad < 1e-10
