@@ -168,6 +168,13 @@ def _integer(value) -> int:
     return number
 
 
+def _real(value) -> float:
+    """float(value) for a number or numeral; a bool is refused."""
+    if isinstance(value, bool):
+        raise ValueError("not a real number")
+    return float(value)
+
+
 _REQUIRED = object()
 
 
@@ -236,7 +243,7 @@ _COUPLING_ADVERSARIES = {
 
 def _resolve_coupling(kind: str, params: dict) -> dict:
     n = _param(params, "n", _integer, kind)
-    sigma = _param(params, "sigma", float, kind)
+    sigma = _param(params, "sigma", _real, kind)
     T = _param(params, "T", _integer, kind)
     adversary = _choice(params, "adversary", "window", _COUPLING_ADVERSARIES)
     k = _param(params, "k", _integer, kind, default_k(T, sigma))
@@ -353,7 +360,7 @@ def _resolve_balancing(kind: str, params: dict, algorithm: str, resolve_adversar
     sigma = resolve_adversary(kind, params, out).sigma
     for key, owner, default, cast in (
         ("M", "potential", 1024, _integer),
-        ("delta", "selfbalancing", 0.1, float),
+        ("delta", "selfbalancing", 0.1, _real),
     ):
         if _applies(params, out, key, "algorithm", owner):
             out[key] = _param(params, key, cast, kind, default)
@@ -363,9 +370,9 @@ def _resolve_balancing(kind: str, params: dict, algorithm: str, resolve_adversar
 
 def _resolve_vector_adversary(kind: str, params: dict, out: dict):
     out["adversary"] = _choice(params, "adversary", "uniform-ball", _VECTOR_ADVERSARIES)
-    out["sigma"] = _param(params, "sigma", float, kind, 1.0)
+    out["sigma"] = _param(params, "sigma", _real, kind, 1.0)
     if _applies(params, out, "inner", "adversary", "shell") and "inner" in params:
-        out["inner"] = _param(params, "inner", float, kind)
+        out["inner"] = _param(params, "inner", _real, kind)
     return _vector_adversary(out)
 
 
@@ -419,7 +426,7 @@ def _resolve_learning(kind: str, params: dict) -> dict:
     if T < 1:
         raise ValidationError(f"T must be >= 1, got {T}")
     if "sigma" in params:
-        m = _param(params, "sigma", lambda s: round(1.0 / float(s)), kind)
+        m = _param(params, "sigma", lambda s: round(1.0 / _real(s)), kind)
         if "m" in params and _param(params, "m", _integer, kind) != m:
             raise ValidationError(
                 f"m={params['m']!r} and sigma={params['sigma']!r} disagree: "
@@ -432,7 +439,7 @@ def _resolve_learning(kind: str, params: dict) -> dict:
     cls = ThresholdUnionClass(m, d)
     learner = _choice(params, "learner", "hedge-on-cover", LEARNERS)
     adversary = _choice(params, "adversary", "stationary-smooth", _LEARNING_ADVERSARIES)
-    beta = _param(params, "beta", float, kind, cls.sigma * math.sqrt(d) / math.sqrt(T))
+    beta = _param(params, "beta", _real, kind, cls.sigma * math.sqrt(d) / math.sqrt(T))
     build_cover(cls, beta)
     out = {
         "m": m,
@@ -444,7 +451,7 @@ def _resolve_learning(kind: str, params: dict) -> dict:
         "adversary": adversary,
     }
     if _applies(params, out, "flip", "adversary", "stationary-smooth"):
-        flip = _param(params, "flip", float, kind, 0.25)
+        flip = _param(params, "flip", _real, kind, 0.25)
         if not (0.0 <= flip <= 0.5):
             raise ValidationError(f"flip must lie in [0, 0.5], got {flip!r}")
         out["flip"] = flip
@@ -493,11 +500,11 @@ _INTERVAL_ADVERSARIES = {
 def _resolve_dispersion(kind: str, params: dict) -> dict:
     T = _param(params, "T", _integer, kind)
     ell = _param(params, "ell", _integer, kind)
-    sigma = _param(params, "sigma", float, kind)
+    sigma = _param(params, "sigma", _real, kind)
     adversary = _choice(params, "adversary", "iid-uniform", _INTERVAL_ADVERSARIES)
-    alpha = _param(params, "alpha", float, kind, 0.5)
-    delta = _param(params, "delta", float, kind, 0.05)
-    w = _param(params, "w", float, kind, default_window_width(T, ell, sigma, alpha))
+    alpha = _param(params, "alpha", _real, kind, 0.5)
+    delta = _param(params, "delta", _real, kind, 0.05)
+    w = _param(params, "w", _real, kind, default_window_width(T, ell, sigma, alpha))
     dispersion_bound(T, ell, sigma, w, delta)
     out = {
         "T": T,
@@ -509,9 +516,9 @@ def _resolve_dispersion(kind: str, params: dict) -> dict:
         "w": w,
     }
     if "k" in params:
-        out["k"] = _param(params, "k", float, kind)
+        out["k"] = _param(params, "k", _real, kind)
     if _applies(params, out, "lo", "adversary", "fixed-interval"):
-        out["lo"] = _param(params, "lo", float, kind, 0.0)
+        out["lo"] = _param(params, "lo", _real, kind, 0.0)
     _INTERVAL_ADVERSARIES[adversary](out)
     return out
 

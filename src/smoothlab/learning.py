@@ -7,10 +7,12 @@ distribution on [m] corresponds to a sigma-smooth density on [0, 1] (each
 integer cell has width exactly sigma), so adversaries here may play point
 masses and remain smooth.
 
-The module provides the explicit uniform-distance cover, Hedge over the cover
-in log domain, exact best-in-hindsight and net-error oracles (both decompose
-across blocks because blocks are disjoint and the cover is a full product
-grid), the game loop, and the binary-search lower-bound adversary.
+The module provides the uniform-distance cover, Hedge over the cover in log
+domain, exact best-in-hindsight and net-error oracles, the game loop, and the
+binary-search lower-bound adversary.  Blocks are disjoint and the cover is a
+full product grid, so the oracles and the learner all decompose across
+blocks: Hedge over the cover is d per-block Hedge instances sharing one eta,
+and no run builds anything of the cover's size.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .domain import History, RngStream, ValidationError, as_generator
 
@@ -159,18 +160,31 @@ class CoverGrid:
     Every class hypothesis has a grid neighbor whose per-block threshold gaps
     sum to at most beta*m, so the grid is a beta-cover in uniform distance.
     When beta*m/d < 1 the spacing floors at one index and the grid is the
-    whole class.
+    whole class.  The cover is held as its d block grids; its hypotheses are
+    their product in ``itertools.product`` order.
     """
 
     cls: ThresholdUnionClass
     beta: float
     spacing: int
     block_grids: tuple[tuple[int, ...], ...]
-    hypotheses: tuple[Hypothesis, ...]
 
     @property
     def size(self) -> int:
-        return len(self.hypotheses)
+        return math.prod(len(g) for g in self.block_grids)
+
+    @property
+    def hypotheses(self) -> tuple[Hypothesis, ...]:
+        """Every cover hypothesis, in ``itertools.product`` order; guarded to
+        desk scale.  Only the enumerating oracles read it."""
+        if self.size > _ENUMERATION_CAP:
+            raise ValidationError(
+                f"enumeration of a cover of size {self.size} exceeds the "
+                f"desk-scale cap {_ENUMERATION_CAP}"
+            )
+        return tuple(
+            Hypothesis(self.cls, gamma) for gamma in itertools.product(*self.block_grids)
+        )
 
 
 def build_cover(cls: ThresholdUnionClass, beta: float) -> CoverGrid:
@@ -182,18 +196,7 @@ def build_cover(cls: ThresholdUnionClass, beta: float) -> CoverGrid:
     for i in range(cls.d):
         lo, hi = cls.block_range(i)
         grids.append(tuple(range(lo, hi + 1, spacing)))
-    n_total = 1
-    for g in grids:
-        n_total *= len(g)
-    if n_total > _ENUMERATION_CAP:
-        raise ValidationError(
-            f"cover of size {n_total} exceeds the desk-scale cap {_ENUMERATION_CAP}; "
-            f"use a larger beta"
-        )
-    hyps = tuple(Hypothesis(cls, gamma) for gamma in itertools.product(*grids))
-    return CoverGrid(
-        cls=cls, beta=beta, spacing=spacing, block_grids=tuple(grids), hypotheses=hyps
-    )
+    return CoverGrid(cls=cls, beta=beta, spacing=spacing, block_grids=tuple(grids))
 
 
 def cover_distance_profile(cover: CoverGrid) -> float:
@@ -227,7 +230,13 @@ class HedgeState:
         return int(self.log_w.shape[0])
 
     def probs(self) -> np.ndarray:
-        return np.exp(self.log_w - logsumexp(self.log_w))
+        w = np.exp(self.log_w - self.log_w.max())
+        return w / w.sum()
+
+
+def _default_eta(n_experts: int, T: int) -> float:
+    """sqrt(8 ln N / T), or 0 for a single expert."""
+    return math.sqrt(8.0 * math.log(n_experts) / T) if n_experts > 1 else 0.0
 
 
 def make_hedge(n_experts: int, T: int | None = None, eta: float | None = None) -> HedgeState:
@@ -237,7 +246,7 @@ def make_hedge(n_experts: int, T: int | None = None, eta: float | None = None) -
     if eta is None:
         if T is None or T < 1:
             raise ValidationError("provide T >= 1 to derive eta, or pass eta explicitly")
-        eta = math.sqrt(8.0 * math.log(n_experts) / T) if n_experts > 1 else 0.0
+        eta = _default_eta(n_experts, T)
     if eta < 0.0:
         raise ValidationError(f"eta must be >= 0, got {eta!r}")
     return HedgeState(
@@ -545,20 +554,43 @@ class RegretLedger:
         return json.dumps(self.config, sort_keys=True)
 
 
-def _hedge_pick(state: HedgeState, losses: np.ndarray, gen: np.random.Generator):
-    """Sample an expert from the Hedge weights before this round's update."""
-    probs, state = hedge_step(state, losses)
-    return int(gen.choice(state.n_experts, p=probs)), state
+def _inverse_cdf(probs: np.ndarray, u: float) -> tuple[int, float]:
+    """The cell of ``probs`` that the uniform ``u`` falls in, and ``u`` rescaled
+    to a uniform draw within that cell."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    i = min(int(cdf.searchsorted(u, side="right")), cdf.size - 1)
+    lo = float(cdf[i - 1]) if i else 0.0
+    width = float(cdf[i]) - lo
+    # Only a draw clipped at the top can land in an empty cell; it stays at the top.
+    return i, (u - lo) / width if width > 0.0 else u
 
 
-def _ftl_pick(state: HedgeState, losses: np.ndarray, gen: np.random.Generator):
-    """Follow the expert with the fewest mistakes so far (ties to the lowest index)."""
-    j = int(np.argmin(state.cum_losses))
-    _, state = hedge_step(state, losses)
+def _hedge_pick(states: list[HedgeState], block: int, losses: np.ndarray, gen):
+    """Sample a cover hypothesis from the Hedge weights before this round's update.
+
+    The weights are the product of the per-block weights, so the one uniform
+    draw that ``gen.choice(N, p=probs)`` would take is mapped through each
+    block's inverse CDF in turn, block 0 first, down to the current block.
+    """
+    probs, state = hedge_step(states[block], losses)
+    u = gen.random()
+    for earlier in states[:block]:
+        _, u = _inverse_cdf(earlier.probs(), u)
+    return _inverse_cdf(probs, u)[0], state
+
+
+def _ftl_pick(states: list[HedgeState], block: int, losses: np.ndarray, gen):
+    """Follow the hypothesis with the fewest mistakes so far (ties to the lowest
+    index).  Cumulative losses add across blocks, so the lowest flat argmin is
+    the first argmin within each block."""
+    j = int(np.argmin(states[block].cum_losses))
+    _, state = hedge_step(states[block], losses)
     return j, state
 
 
-# learner -> pick(state, expert losses, gen) -> (expert index, updated state)
+# learner -> pick(per-block states, current block, its grid's losses, gen)
+#            -> (index in the current block's grid, that block's updated state)
 LEARNERS = {"hedge-on-cover": _hedge_pick, "ftl-on-cover": _ftl_pick}
 
 
@@ -577,6 +609,10 @@ def run_learning_game(
     "hedge-on-cover" samples from the current Hedge weights, "ftl-on-cover"
     follows the fewest mistakes so far.  The adversary receives the realized
     history, including the learner's past predictions.
+
+    A round's loss depends only on the threshold of the block x_t falls in,
+    so the learner keeps one Hedge state per block, all with the eta of the
+    whole cover, and charges only the current block's grid.
     """
     pick = LEARNERS.get(learner)
     if pick is None:
@@ -590,8 +626,9 @@ def run_learning_game(
         )
     gen = as_generator(rng)
     N = cover.size
-    state = make_hedge(N, T=T)
-    gamma_matrix = np.array([h.gamma for h in cover.hypotheses], dtype=int)
+    eta = _default_eta(N, T)
+    grids = [np.asarray(g, dtype=int) for g in cover.block_grids]
+    states = [make_hedge(g.size, eta=eta) for g in grids]
     tracker = BlockMistakeTracker(cls)
 
     xs = np.empty(T, dtype=int)
@@ -612,9 +649,9 @@ def run_learning_game(
         if y not in (0, 1):
             raise ValidationError(f"adversary played label {y}, need 0 or 1")
         block = cls.block_of(x)
-        expert_preds = (x >= gamma_matrix[:, block]).astype(int)
+        expert_preds = (x >= grids[block]).astype(int)
         expert_losses = (expert_preds != y).astype(float)
-        j, state = pick(state, expert_losses, gen)
+        j, states[block] = pick(states, block, expert_losses, gen)
         pred = int(expert_preds[j])
         loss = int(pred != y)
         cum += loss
@@ -635,7 +672,7 @@ def run_learning_game(
         "sigma": cls.sigma,
         "beta": cover.beta,
         "N": N,
-        "eta": state.eta,
+        "eta": eta,
         "T": T,
         "learner": learner,
         "adversary": getattr(adv, "name", "custom"),

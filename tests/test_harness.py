@@ -92,6 +92,26 @@ def test_make_config_rejects_bad_input():
     ):
         with pytest.raises(ValidationError, match="not an integer"):
             make_config(kind, {"n": 8, "sigma": 0.25, "T": 4, **bad}, 1, 0)
+    # Float parameters refuse booleans instead of reading them as 1.0 or 0.0.
+    shell = {"n": 4, "T": 8, "adversary": "shell"}
+    dispersion = {"T": 10, "ell": 2, "sigma": 0.2}
+    for kind, params in (
+        ("coupling", {"n": 8, "sigma": True, "T": 4}),
+        ("discrepancy", {**shell, "sigma": True}),
+        ("discrepancy", {**shell, "inner": False}),
+        ("discrepancy", {"algorithm": "selfbalancing", "n": 4, "T": 8, "delta": True}),
+        ("learning", {"d": 1, "T": 8, "sigma": True}),
+        ("learning", {"m": 16, "d": 1, "T": 8, "beta": True}),
+        ("learning", {"m": 16, "d": 1, "T": 8, "flip": False}),
+        ("dispersion", {**dispersion, "sigma": True}),
+        ("dispersion", {**dispersion, "alpha": True}),
+        ("dispersion", {**dispersion, "delta": True}),
+        ("dispersion", {**dispersion, "w": True}),
+        ("dispersion", {**dispersion, "k": True}),
+        ("dispersion", {**dispersion, "adversary": "fixed-interval", "lo": False}),
+    ):
+        with pytest.raises(ValidationError, match="not a real number"):
+            make_config(kind, params, 1, 0)
     with pytest.raises(ValidationError):
         ExperimentConfig("coupling", {}, trials=0, seed=0)
     with pytest.raises(ValidationError):

@@ -7,22 +7,29 @@ Frozen oracle values:
   lo, lo+spacing, ... within each block.
 - best-in-hindsight and net-error have brute-force enumeration oracles and
   are compared on seeded random instances.
+- the factored game loop has a flat O(N) reference, ``_oracle_learning_game``,
+  that is compared with it draw for draw over a grid of (m, d, beta, seed).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothlab import learning
-from smoothlab.domain import History, RngStream, ValidationError
+from smoothlab.domain import History, RngStream, ValidationError, as_generator
+from smoothlab.harness import make_config
 from smoothlab.learning import (
     BlockMistakeTracker,
     Hypothesis,
     MistakeTreeAdversary,
+    RegretLedger,
     SmoothLabelAdversary,
     ThresholdUnionClass,
     best_in_hindsight,
@@ -475,3 +482,152 @@ def test_ledger_csv_and_config():
     assert config["T"] == 7
     assert config["seed"] == 419
     assert config["stream_id"] == 0
+
+
+def _oracle_hedge_pick(state, losses, gen):
+    probs, state = hedge_step(state, losses)
+    return int(gen.choice(state.n_experts, p=probs)), state
+
+
+def _oracle_ftl_pick(state, losses, gen):
+    j = int(np.argmin(state.cum_losses))
+    _, state = hedge_step(state, losses)
+    return j, state
+
+
+_ORACLE_PICKS = {"hedge-on-cover": _oracle_hedge_pick, "ftl-on-cover": _oracle_ftl_pick}
+
+
+def _oracle_learning_game(learner, adv, cover, T, rng, gamma_matrix):
+    # Flat Hedge over all N cover hypotheses: every round charges the whole
+    # (N, d) threshold matrix and samples an expert with gen.choice(N, p).
+    pick = _ORACLE_PICKS[learner]
+    cls = cover.cls
+    gen = as_generator(rng)
+    state = make_hedge(cover.size, T=T)
+    tracker = BlockMistakeTracker(cls)
+    xs, ys, predictions, bih = [], [], [], []
+    hist = History()
+    for _ in range(T):
+        x, y = (int(v) for v in adv.play(hist, gen))
+        expert_preds = (x >= gamma_matrix[:, cls.block_of(x)]).astype(int)
+        j, state = pick(state, (expert_preds != y).astype(float), gen)
+        pred = int(expert_preds[j])
+        tracker.update(x, y)
+        xs.append(x)
+        ys.append(y)
+        predictions.append(pred)
+        bih.append(tracker.best())
+        hist.values.append((x, y))
+        hist.decisions.append(pred)
+    xs, ys, predictions, bih = (np.array(v, dtype=int) for v in (xs, ys, predictions, bih))
+    losses = (predictions != ys).astype(int)
+    cum_losses = np.cumsum(losses)
+    best_h, best_loss = best_in_hindsight(cls, xs, ys)
+    config = {
+        "m": cls.m,
+        "d": cls.d,
+        "sigma": cls.sigma,
+        "beta": cover.beta,
+        "N": cover.size,
+        "eta": state.eta,
+        "T": T,
+        "learner": learner,
+        "adversary": adv.name,
+        "seed": rng.seed,
+        "stream_id": rng.stream_id,
+    }
+    return RegretLedger(
+        xs=xs,
+        ys=ys,
+        predictions=predictions,
+        losses=losses,
+        cum_losses=cum_losses,
+        bih_curve=bih,
+        regret_curve=cum_losses - bih,
+        best_hypothesis=best_h,
+        best_loss=best_loss,
+        regret=int(cum_losses[-1]) - best_loss,
+        config=config,
+    )
+
+
+_LEDGER_ARRAYS = ("xs", "ys", "predictions", "losses", "cum_losses", "bih_curve", "regret_curve")
+_ADVERSARIES = (stationary_smooth_adversary, mistake_tree_adversary, constant_label_adversary)
+
+
+@pytest.mark.parametrize("m,d", list(itertools.product((16, 64, 256), (1, 2, 4))))
+def test_factored_game_matches_flat_reference_draw_for_draw(m, d):
+    cls = ThresholdUnionClass(m, d)
+    T = 64
+    default_beta = cls.sigma * math.sqrt(d) / math.sqrt(T)
+    for beta in (default_beta, 0.05, 0.2):
+        cover = build_cover(cls, beta)
+        if cover.size > learning._ENUMERATION_CAP:
+            # (m=256, d=4) at the default beta: N = 64**4 is past what the
+            # flat reference can enumerate.
+            continue
+        gamma_matrix = np.array([h.gamma for h in cover.hypotheses], dtype=int)
+        for learner, make_adv, seed in itertools.product(
+            learning.LEARNERS, _ADVERSARIES, (2201, 2202)
+        ):
+            rng = RngStream(seed=seed, stream_id=m + d)
+            led = run_learning_game(learner, make_adv(cls), cover, T, rng)
+            ref = _oracle_learning_game(learner, make_adv(cls), cover, T, rng, gamma_matrix)
+            for name in _LEDGER_ARRAYS:
+                assert np.array_equal(getattr(led, name), getattr(ref, name)), name
+            assert led.best_hypothesis == ref.best_hypothesis
+            assert (led.best_loss, led.regret) == (ref.best_loss, ref.regret)
+            assert led.config_json() == ref.config_json()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_product_of_block_hedge_probs_is_flat_hedge(data):
+    sizes = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    eta = data.draw(st.floats(0.0, 2.0))
+    rounds = data.draw(st.integers(1, 30))
+    # Row k holds the per-block grid indices of flat expert k, in product order.
+    index = np.array(list(itertools.product(*(range(s) for s in sizes))))
+    flat = make_hedge(index.shape[0], eta=eta)
+    blocks = [make_hedge(s, eta=eta) for s in sizes]
+    for _ in range(rounds):
+        b = data.draw(st.integers(0, len(sizes) - 1))
+        losses = np.array(
+            data.draw(st.lists(st.floats(0.0, 1.0), min_size=sizes[b], max_size=sizes[b]))
+        )
+        flat_probs, flat = hedge_step(flat, losses[index[:, b]])
+        product = np.ones(1)
+        for state in blocks:
+            product = np.kron(product, state.probs())
+        np.testing.assert_allclose(product, flat_probs, rtol=0.0, atol=1e-12)
+        _, blocks[b] = hedge_step(blocks[b], losses)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_block_first_argmin_is_flat_first_argmin(data):
+    sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    tables = [
+        np.array(data.draw(st.lists(st.integers(0, 3), min_size=s, max_size=s)), dtype=float)
+        for s in sizes
+    ]
+    # Cumulative losses add across blocks; ravel lays them out in product order.
+    flat = tables[0]
+    for table in tables[1:]:
+        flat = np.add.outer(flat, table)
+    flat_index = np.unravel_index(int(np.argmin(flat.ravel())), tuple(sizes))
+    assert tuple(int(i) for i in flat_index) == tuple(int(np.argmin(t)) for t in tables)
+
+
+def test_learning_runs_past_the_enumeration_cap():
+    cfg = make_config("learning", {"m": 4096, "d": 2, "T": 256}, 2, 0)
+    params = cfg.params
+    cls = ThresholdUnionClass(params["m"], params["d"])
+    cover = build_cover(cls, params["beta"])
+    adv = stationary_smooth_adversary(cls, flip=params["flip"])
+    led = run_learning_game(params["learner"], adv, cover, params["T"], RngStream(seed=0))
+    assert led.config["N"] == 2048**2
+    assert led.regret == led.cum_loss - led.best_loss
+    with pytest.raises(ValidationError):
+        cover.hypotheses
