@@ -17,10 +17,10 @@ Over T rounds the union bound gives failure probability at most
 T*(1-sigma)^k; ``default_k`` sizes k as ceil(10*ln(T)/sigma) to drive that
 below any polynomial.
 
-``verify_marginals`` checks the promised structure on simulated traces:
-every Z cell is uniform, cells are pairwise independent (including across
-rounds), later-round Z's do not depend on earlier realized X's, and the
-containment failure rate stays below the bound.
+``verify_marginals`` checks on the (X, Z) arrays of a batch of traces that
+every Z cell is uniform, that cells are pairwise independent (also across
+rounds), and that later-round Z's do not depend on earlier realized X's.
+``--assert`` checks the summary's ``containment_failure`` rate against the bound.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from smoothlab.domain import (
     min_support_size,
     validate_smooth,
 )
-from smoothlab.stats import chi_square_table, chi_square_uniform, wilson_interval
+from smoothlab.stats import chi_square_table, chi_square_uniform
 
 __all__ = [
     "UndersizedSetError",
@@ -63,6 +63,7 @@ __all__ = [
     "couple_single_round",
     "couple_adaptive",
     "enumerate_containment_probability",
+    "MARGINAL_MIN_TRACES",
     "MarginalReport",
     "verify_marginals",
     "traces_to_jsonl",
@@ -198,17 +199,8 @@ class CouplingTrace:
         return int(self.X.shape[0])
 
     @property
-    def k(self) -> int:
-        return int(self.Z.shape[1])
-
-    @property
     def contained(self) -> bool:
         return bool(self.contained_rounds.all())
-
-
-def _contained(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Per-round flags: X_t is among Z_t,1..Z_t,k."""
-    return (Z == X[:, None]).any(axis=1)
 
 
 def couple_single_round(
@@ -298,7 +290,7 @@ def couple_adaptive(
         X[t] = x
         Z[t] = z
         hist.values.append(x)
-    return CouplingTrace(n=n, X=X, Z=Z, contained_rounds=_contained(X, Z))
+    return CouplingTrace(n=n, X=X, Z=Z, contained_rounds=(Z == X[:, None]).any(axis=1))
 
 
 def enumerate_containment_probability(adv: SmoothAdversary, cfg: CouplingConfig) -> float:
@@ -349,6 +341,11 @@ def enumerate_containment_probability(adv: SmoothAdversary, cfg: CouplingConfig)
     return recurse((), cfg.T)
 
 
+# verify_marginals needs at least this many traces; below that the per-cell
+# counts are too thin for stable chi-square p-values.
+MARGINAL_MIN_TRACES = 10_000
+
+
 @dataclass(frozen=True, eq=False)
 class MarginalReport:
     """Distributional diagnostics over a batch of coupled traces."""
@@ -358,9 +355,6 @@ class MarginalReport:
     pair_pvalues: tuple[float, ...]  # independence of sampled cell pairs
     pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
     homogeneity_pvalues: tuple[float, ...]  # round-2 cells vs realized X_1 strata
-    failure_count: int
-    failure_rate: float
-    failure_ci: tuple[float, float]
 
     def passed(self, alpha: float = 0.001) -> bool:
         cells_ok = bool((self.cell_pvalues > alpha).all())
@@ -370,31 +364,23 @@ class MarginalReport:
 
 
 def verify_marginals(
-    traces: list[CouplingTrace],
-    n_pairs: int = 20,
-    pair_seed: int = 0,
-    min_traces: int = 10_000,
+    X: np.ndarray, Z: np.ndarray, n: int, n_pairs: int = 20, pair_seed: int = 0
 ) -> MarginalReport:
-    """Check Z-cell uniformity, pairwise independence, and containment rates.
+    """Check Z-cell uniformity on 1..n and pairwise independence.
 
-    Requires at least ``min_traces`` traces of identical shape.  Pairs of
-    cells are drawn deterministically from ``pair_seed``; when the trace has
-    more than one round, at least half of the pairs span two rounds, which
-    also exercises the independence of later-round replicas from earlier
-    realized values.
+    Needs ``MARGINAL_MIN_TRACES`` traces as X (N, T) and Z (N, T, k) arrays.
+    Pairs of cells are drawn deterministically from ``pair_seed``; when the
+    trace has more than one round, at least half of the pairs span two rounds,
+    which also exercises the independence of later-round replicas from
+    earlier realized values.
     """
-    if len(traces) < min_traces:
+    if Z.ndim != 3 or X.shape != Z.shape[:2]:
+        raise ValidationError(f"X {X.shape} and Z {Z.shape} are not (N, T) and (N, T, k)")
+    N, T, k = Z.shape
+    if N < MARGINAL_MIN_TRACES:
         raise ValidationError(
-            f"need at least {min_traces} traces for stable chi-square tests, got {len(traces)}"
+            f"need at least {MARGINAL_MIN_TRACES} traces for stable chi-square tests, got {N}"
         )
-    first = traces[0]
-    T, k, n = first.T, first.k, first.n
-    if any(tr.T != T or tr.k != k or tr.n != n for tr in traces):
-        raise ValidationError("traces have inconsistent shapes")
-
-    Z = np.stack([tr.Z for tr in traces])  # (N, T, k)
-    X = np.stack([tr.X for tr in traces])  # (N, T)
-    N = Z.shape[0]
 
     cell_pvalues = np.empty((T, k))
     for t in range(T):
@@ -439,17 +425,12 @@ def verify_marginals(
                 _, p = chi_square_table(table)
                 homogeneity_pvalues.append(p)
 
-    failures = sum(0 if tr.contained else 1 for tr in traces)
-    ci = wilson_interval(failures, N, z=3.0)
     return MarginalReport(
         n_traces=N,
         cell_pvalues=cell_pvalues,
         pair_pvalues=tuple(pair_pvalues),
         pairs=tuple(pairs),
         homogeneity_pvalues=tuple(homogeneity_pvalues),
-        failure_count=failures,
-        failure_rate=failures / N,
-        failure_ci=ci,
     )
 
 
@@ -462,17 +443,37 @@ def traces_to_jsonl(traces: list[CouplingTrace]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def traces_from_jsonl(text: str, n: int) -> list[CouplingTrace]:
-    """Inverse of ``traces_to_jsonl``; containment flags are recomputed per round."""
-    traces = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        X = np.asarray(obj["X"], dtype=np.int64)
-        Z = np.asarray(obj["Z"], dtype=np.int64)
-        tr = CouplingTrace(n=n, X=X, Z=Z, contained_rounds=_contained(X, Z))
-        if tr.contained != bool(obj["contained"]):
-            raise ValidationError("containment flag mismatch in serialized trace")
-        traces.append(tr)
-    return traces
+def traces_from_jsonl(text: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of ``traces_to_jsonl``: X (N, T) and Z (N, T, k) as int64 arrays.
+
+    The text is outside input.  ``ValidationError`` names the first trace
+    (non-blank line) that is malformed, differs in shape from the first, holds
+    a value outside 1..n, or has a containment flag that its X and Z contradict.
+    """
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise ValidationError("no serialized traces")
+    flags = np.empty(len(lines), dtype=bool)
+    for i, line in enumerate(lines):
+        try:
+            obj = json.loads(line)
+            x, z = np.asarray(obj["X"]), np.asarray(obj["Z"])
+            flags[i] = obj["contained"]
+            if i == 0:
+                X = np.empty((len(lines), x.shape[0]), dtype=np.int64)
+                Z = np.empty((len(lines), x.shape[0], z.shape[1]), dtype=np.int64)
+        except (ValueError, KeyError, TypeError, IndexError) as exc:
+            raise ValidationError(f"trace {i + 1} is not a serialized trace: {exc}") from exc
+        if (x.shape, z.shape, x.dtype.kind, z.dtype.kind) != (X.shape[1:], Z.shape[1:], "i", "i"):
+            raise ValidationError(
+                f"trace {i + 1}: X {x.shape} and Z {z.shape} are not integer arrays "
+                f"of the first trace's shapes {X.shape[1:]} and {Z.shape[1:]}"
+            )
+        X[i], Z[i] = x, z
+    bad = ((X < 1) | (X > n)).any(axis=1) | ((Z < 1) | (Z > n)).any(axis=(1, 2))
+    if bad.any():
+        raise ValidationError(f"trace {bad.argmax() + 1}: values outside 1..{n}")
+    bad = (Z == X[:, :, None]).any(axis=2).all(axis=1) != flags
+    if bad.any():
+        raise ValidationError(f"trace {bad.argmax() + 1}: containment flag mismatch")
+    return X, Z

@@ -33,6 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .coupling import (
+    MARGINAL_MIN_TRACES,
     CouplingConfig,
     containment_bound,
     couple_adaptive,
@@ -81,11 +82,6 @@ from .learning import (
 from .stats import bootstrap_ratio_ci, one_sided_bound_check, wilson_interval
 
 ENV_OUT_DIR = "SMOOTHLAB_OUT_DIR"
-
-# summarize() adds chi-square marginal diagnostics to coupling summaries only
-# when at least this many traces were persisted; below that the per-cell
-# counts are too thin for stable p-values.
-MARGINAL_MIN_TRACES = 10_000
 
 
 @dataclass(frozen=True)
@@ -276,8 +272,8 @@ def _trial_coupling(params: dict, seed: int, index: int, keep_raw: bool):
 
 
 def _summarize_coupling(run_dir: Path, cfg: dict, good: list[dict]) -> dict:
-    """The containment-failure rate, plus chi-square marginal diagnostics
-    when at least MARGINAL_MIN_TRACES traces were persisted."""
+    """The containment-failure rate, plus chi-square marginal diagnostics when at
+    least MARGINAL_MIN_TRACES traces were persisted; traces.jsonl is always checked."""
     failures = sum(0 if r["contained"] else 1 for r in good)
     lo, hi = wilson_interval(failures, len(good), z=3.0)
     extra = {
@@ -291,11 +287,10 @@ def _summarize_coupling(run_dir: Path, cfg: dict, good: list[dict]) -> dict:
     }
     traces_path = run_dir / "traces.jsonl"
     if traces_path.is_file():
-        text = traces_path.read_text()
-        n_lines = sum(1 for line in text.splitlines() if line.strip())
-        if n_lines >= MARGINAL_MIN_TRACES:
-            traces = traces_from_jsonl(text, cfg["params"]["n"])
-            report = verify_marginals(traces, n_pairs=20, pair_seed=0)
+        n = cfg["params"]["n"]
+        X, Z = traces_from_jsonl(traces_path.read_text(), n)
+        if X.shape[0] >= MARGINAL_MIN_TRACES:
+            report = verify_marginals(X, Z, n, n_pairs=20, pair_seed=0)
             extra["marginals"] = {
                 "n_traces": report.n_traces,
                 "min_cell_pvalue": float(report.cell_pvalues.min()),

@@ -86,7 +86,9 @@ def coupling_batch():
 def test_acceptance_1_coupling_marginals(coupling_batch, acceptance_report):
     traces, gen_elapsed = coupling_batch
     start = time.time()
-    report = verify_marginals(traces, n_pairs=20, pair_seed=0)
+    X = np.stack([tr.X for tr in traces])
+    Z = np.stack([tr.Z for tr in traces])
+    report = verify_marginals(X, Z, 16, n_pairs=20, pair_seed=0)
     elapsed = gen_elapsed + (time.time() - start)
 
     min_cell = float(report.cell_pvalues.min())

@@ -22,7 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothlab.coupling import (
+    MARGINAL_MIN_TRACES,
     CouplingConfig,
+    CouplingTrace,
     SmoothAdversary,
     UndersizedSetError,
     containment_bound,
@@ -243,8 +245,19 @@ def test_verify_marginals_requires_enough_traces():
         couple_adaptive(adv, CouplingConfig(T=1, k=1), RngStream(seed=212, stream_id=i))
         for i in range(10)
     ]
+    X = np.stack([tr.X for tr in traces])
+    Z = np.stack([tr.Z for tr in traces])
     with pytest.raises(ValidationError):
-        verify_marginals(traces)
+        verify_marginals(X, Z, 2)
+
+
+def test_verify_marginals_rejects_mismatched_shapes():
+    X = np.ones((MARGINAL_MIN_TRACES, 2), dtype=np.int64)
+    Z = np.ones((MARGINAL_MIN_TRACES, 3, 2), dtype=np.int64)
+    with pytest.raises(ValidationError, match="are not \\(N, T\\) and \\(N, T, k\\)"):
+        verify_marginals(X, Z, 2)
+    with pytest.raises(ValidationError):
+        verify_marginals(X, Z[:, :2, 0], 2)
 
 
 def test_verify_marginals_on_adaptive_traces():
@@ -256,12 +269,13 @@ def test_verify_marginals_on_adaptive_traces():
     traces = [
         couple_adaptive(adv, cfg, RngStream(seed=217, stream_id=i)) for i in range(12_000)
     ]
-    report = verify_marginals(traces, n_pairs=10, pair_seed=1)
+    X = np.stack([tr.X for tr in traces])
+    Z = np.stack([tr.Z for tr in traces])
+    report = verify_marginals(X, Z, 4, n_pairs=10, pair_seed=1)
     assert report.n_traces == 12_000
     assert report.cell_pvalues.shape == (2, 3)
     assert report.passed(alpha=0.001)
     assert len(report.homogeneity_pvalues) == cfg.k
-    assert report.failure_ci[0] <= report.failure_rate <= report.failure_ci[1]
     # At least half the sampled pairs span distinct rounds.
     cross = sum(1 for (a, b) in report.pairs if a[0] != b[0])
     assert cross >= 5
@@ -275,12 +289,10 @@ def test_trace_jsonl_round_trip():
         couple_adaptive(adv, cfg, RngStream(seed=214, stream_id=i)) for i in range(5)
     ]
     text = traces_to_jsonl(traces)
-    restored = traces_from_jsonl(text, n=4)
-    assert len(restored) == len(traces)
-    for a, b in zip(traces, restored):
-        assert np.array_equal(a.X, b.X)
-        assert np.array_equal(a.Z, b.Z)
-        assert a.contained == b.contained
+    X, Z = traces_from_jsonl(text, n=4)
+    assert X.dtype == Z.dtype == np.int64
+    assert np.array_equal(X, np.stack([tr.X for tr in traces]))
+    assert np.array_equal(Z, np.stack([tr.Z for tr in traces]))
 
 
 # ---------------------------------------------------------------------------
@@ -604,12 +616,15 @@ def test_trace_jsonl_bytes_match_reference():
     assert not all(tr.contained for tr in traces)
     text = traces_to_jsonl(traces)
     assert text == _oracle_traces_to_jsonl(traces)
-    restored = traces_from_jsonl(text, n=8)
+    X, Z = traces_from_jsonl(text, n=8)
+    assert np.array_equal(X, np.stack([tr.X for tr in traces]))
+    assert np.array_equal(Z, np.stack([tr.Z for tr in traces]))
+    restored = []
+    for tr, x_row, z_rows in zip(traces, X, Z):
+        expected = [x in set(int(v) for v in row) for x, row in zip(x_row, z_rows)]
+        assert tr.contained_rounds.tolist() == expected
+        restored.append(CouplingTrace(8, x_row, z_rows, np.array(expected)))
     assert traces_to_jsonl(restored) == text
-    for tr, back in zip(traces, restored):
-        expected = [x in set(int(v) for v in row) for x, row in zip(back.X, back.Z)]
-        assert back.contained_rounds.tolist() == expected
-        assert np.array_equal(back.contained_rounds, tr.contained_rounds)
 
 
 def test_trace_jsonl_rejects_flag_mismatch():
@@ -619,6 +634,38 @@ def test_trace_jsonl_rejects_flag_mismatch():
     obj["contained"] = not obj["contained"]
     with pytest.raises(ValidationError, match="mismatch"):
         traces_from_jsonl(json.dumps(obj) + "\n", n=4)
+
+
+_GOOD_TRACE = {"X": [1, 2], "Z": [[1, 3], [2, 2]], "contained": True}
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        ({"Z": [[1, 3], [2, 5]]}, "trace 2: values outside 1..4"),
+        ({"X": [0, 2], "contained": False}, "trace 2: values outside 1..4"),
+        ({"X": [1, 2, 3], "Z": [[1, 3], [2, 2], [3, 3]]}, "trace 2: X \\(3,\\)"),
+        ({"X": [1], "Z": [[1, 3]]}, "trace 2: X \\(1,\\)"),
+        ({"Z": [[1, 3, 4], [2, 2, 4]]}, "trace 2: .* not integer arrays of the first"),
+        ({"Z": [[1, 3], [2]]}, "trace 2 is not a serialized trace"),
+        ({"X": [1.5, 2]}, "trace 2: X \\(2,\\) and Z \\(2, 2\\) are not integer arrays"),
+        ({"X": None}, "trace 2"),
+    ],
+)
+def test_trace_jsonl_rejects_malformed_traces(bad, match):
+    text = "".join(json.dumps(obj) + "\n" for obj in (_GOOD_TRACE, {**_GOOD_TRACE, **bad}))
+    with pytest.raises(ValidationError, match=match):
+        traces_from_jsonl(text, n=4)
+
+
+def test_trace_jsonl_skips_blank_lines_and_checks_the_first_trace():
+    X, Z = traces_from_jsonl("\n" + json.dumps(_GOOD_TRACE) + "\n\n", n=4)
+    assert X.tolist() == [[1, 2]]
+    assert Z.tolist() == [[[1, 3], [2, 2]]]
+    with pytest.raises(ValidationError, match="no serialized traces"):
+        traces_from_jsonl("\n", n=4)
+    with pytest.raises(ValidationError, match="trace 1 is not a serialized trace"):
+        traces_from_jsonl(json.dumps({**_GOOD_TRACE, "Z": [1, 3]}) + "\n", n=4)
 
 
 def test_cached_member_arrays_are_read_only():

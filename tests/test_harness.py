@@ -302,6 +302,22 @@ def test_coupling_summary_has_failure_rate_with_ci(tmp_path):
     assert "marginals" not in result.summary
 
 
+def test_summarize_rejects_out_of_range_trace_value(tmp_path):
+    # traces.jsonl is read back from disk, so summarize() checks it even when
+    # the run is too small for the chi-square marginals.
+    cfg = make_config("coupling", {"n": 4, "sigma": 0.5, "T": 2}, trials=3, seed=0)
+    run_dir = tmp_path / "run"
+    run_experiment(cfg, run_dir, parallelism=1)
+    path = run_dir / "traces.jsonl"
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[1])
+    obj["Z"][0][0] = 5
+    lines[1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="trace 2: values outside 1..4"):
+        summarize(run_dir)
+
+
 def test_coupling_summary_marginals_block(tmp_path):
     cfg = make_config(
         "coupling", {"n": 4, "sigma": 0.5, "T": 2, "k": 4, "adversary": "last-value"},
