@@ -448,7 +448,8 @@ def traces_from_jsonl(text: str, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     The text is outside input.  ``ValidationError`` names the first trace
     (non-blank line) that is malformed, differs in shape from the first, holds
-    a value outside 1..n, or has a containment flag that its X and Z contradict.
+    a value outside 1..n, or has a containment flag that is not a JSON bool or
+    that its X and Z contradict.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -458,18 +459,20 @@ def traces_from_jsonl(text: str, n: int) -> tuple[np.ndarray, np.ndarray]:
         try:
             obj = json.loads(line)
             x, z = np.asarray(obj["X"]), np.asarray(obj["Z"])
-            flags[i] = obj["contained"]
+            flag = obj["contained"]
             if i == 0:
                 X = np.empty((len(lines), x.shape[0]), dtype=np.int64)
                 Z = np.empty((len(lines), x.shape[0], z.shape[1]), dtype=np.int64)
         except (ValueError, KeyError, TypeError, IndexError) as exc:
             raise ValidationError(f"trace {i + 1} is not a serialized trace: {exc}") from exc
+        if type(flag) is not bool:
+            raise ValidationError(f"trace {i + 1}: containment flag {flag!r} is not a JSON bool")
         if (x.shape, z.shape, x.dtype.kind, z.dtype.kind) != (X.shape[1:], Z.shape[1:], "i", "i"):
             raise ValidationError(
                 f"trace {i + 1}: X {x.shape} and Z {z.shape} are not integer arrays "
                 f"of the first trace's shapes {X.shape[1:]} and {Z.shape[1:]}"
             )
-        X[i], Z[i] = x, z
+        X[i], Z[i], flags[i] = x, z, flag
     bad = ((X < 1) | (X > n)).any(axis=1) | ((Z < 1) | (Z > n)).any(axis=(1, 2))
     if bad.any():
         raise ValidationError(f"trace {bad.argmax() + 1}: values outside 1..{n}")

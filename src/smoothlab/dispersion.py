@@ -17,7 +17,6 @@ an open window's point set has a minimal element p and is contained in
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -50,6 +49,9 @@ class IntervalAdversary:
 
     ``rule(points_so_far, step, gen)`` returns (lo, width); the generator
     checks width >= sigma and containment in [0, 1] before drawing.
+    ``points_so_far`` is a read-only view of the generator's draw history, so
+    a rule that writes into it raises instead of changing later draws; a rule
+    that needs a scratch copy makes its own.
     """
 
     sigma: float
@@ -75,21 +77,77 @@ def fixed_interval_adversary(sigma: float, lo: float = 0.0) -> IntervalAdversary
     )
 
 
+class _DensestWindowRule:
+    """The densest-window rule over an incrementally sorted copy of the points.
+
+    ``xs`` holds the points seen so far in sorted order, ``edges`` holds
+    ``xs + sigma`` and ``counts[a]`` the number of points from sorted position
+    a on that lie in the closed window [xs[a], edges[a]].  These are the
+    values a sort and ``searchsorted(xs, xs + sigma, "right") - arange(n)``
+    give, compared by the same floating-point comparisons, so the first
+    argmax names the same anchor.  A point p lands at
+    i = ``searchsorted(xs, p, "right")``; the anchors before it whose window
+    reaches p, from j = ``searchsorted(edges, p, "left")`` on, gain one.
+
+    ``seen`` keeps the points in draw order.  A call whose ``pts`` does not
+    extend that prefix bit for bit starts over from empty, so the answer is a
+    function of ``pts`` alone even when one rule serves several sequences.
+    """
+
+    def __init__(self, sigma: float) -> None:
+        self.sigma = sigma
+        self.n = 0
+        self.seen = np.empty(0)
+        self.xs = np.empty(0)
+        self.edges = np.empty(0)
+        self.counts = np.empty(0, dtype=np.int64)
+
+    def __call__(self, pts: np.ndarray, step: int, gen: np.random.Generator) -> tuple[float, float]:
+        pts = np.asarray(pts, dtype=float)
+        if pts.size == 0:
+            return 0.0, self.sigma
+        n = self.n
+        if pts.size < n or (pts[:n].view(np.int64) != self.seen[:n].view(np.int64)).any():
+            n = 0
+        if pts.size > self.seen.size:
+            self._reserve(max(pts.size, 2 * self.seen.size))
+        for p in pts[n:].tolist():
+            self._insert(p, n)
+            n += 1
+        self.n = n
+        anchor = int(self.counts[:n].argmax())
+        return min(max(float(self.xs[anchor]), 0.0), 1.0 - self.sigma), self.sigma
+
+    def _reserve(self, capacity: int) -> None:
+        for name in ("seen", "xs", "edges", "counts"):
+            old = getattr(self, name)
+            grown = np.empty(capacity, dtype=old.dtype)
+            grown[: self.n] = old[: self.n]
+            setattr(self, name, grown)
+
+    def _insert(self, p: float, n: int) -> None:
+        xs, edges, counts = self.xs, self.edges, self.counts
+        i = int(xs[:n].searchsorted(p, "right"))
+        j = int(edges[:n].searchsorted(p, "left"))
+        counts[j:i] += 1
+        for arr in (xs, edges, counts):
+            arr[i + 1 : n + 1] = arr[i:n]
+        xs[i] = p
+        edges[i] = p + self.sigma
+        counts[i] = int(xs[: n + 1].searchsorted(edges[i], "right")) - i
+        self.seen[n] = p
+
+
 def densest_window_adversary(sigma: float) -> IntervalAdversary:
-    """Adaptive source that re-aims at the currently densest width-sigma window."""
+    """Adaptive source that re-aims at the currently densest width-sigma window.
+
+    The interval starts at the first sorted point whose closed width-sigma
+    window holds the most points (clamped into [0, 1 - sigma]).  The rule keeps
+    the points sorted as they arrive, so a step costs one O(n) shift, not a sort.
+    """
     if not (0.0 < sigma <= 1.0):
         raise ValidationError(f"sigma must lie in (0, 1], got {sigma!r}")
-
-    def rule(pts: np.ndarray, step: int, gen: np.random.Generator) -> tuple[float, float]:
-        if pts.size == 0:
-            return 0.0, sigma
-        xs = np.sort(pts)
-        highs = np.searchsorted(xs, xs + sigma, side="right")
-        anchor = int(np.argmax(highs - np.arange(xs.size)))
-        lo = min(max(float(xs[anchor]), 0.0), 1.0 - sigma)
-        return lo, sigma
-
-    return IntervalAdversary(sigma=sigma, rule=rule, name="densest-window")
+    return IntervalAdversary(sigma=sigma, rule=_DensestWindowRule(sigma), name="densest-window")
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,10 +191,11 @@ def generate_discontinuities(
 ) -> DiscontinuitySample:
     """Draw the T*ell points sequentially, enforcing the smoothness floor.
 
-    The adversary sees every point drawn so far (flattened, in draw order) and
-    must emit an interval of width >= sigma inside [0, 1]; narrower or escaping
-    intervals raise.  Its own declared sigma may exceed the floor (a 1-smooth
-    source is also sigma-smooth for any smaller sigma).
+    The adversary sees a read-only view of every point drawn so far
+    (flattened, in draw order) and must emit an interval of width >= sigma
+    inside [0, 1]; narrower or escaping intervals raise.  Its own declared
+    sigma may exceed the floor (a 1-smooth source is also sigma-smooth for any
+    smaller sigma).
     """
     if not (0.0 < sigma <= 1.0):
         raise ValidationError(f"sigma must lie in (0, 1], got {sigma!r}")
@@ -144,8 +203,10 @@ def generate_discontinuities(
         raise ValidationError(f"need T >= 1 and ell >= 1, got T={T}, ell={ell}")
     gen = as_generator(rng)
     flat = np.empty(T * ell)
+    drawn = flat.view()
+    drawn.flags.writeable = False
     for step in range(T * ell):
-        lo, width = adv.rule(flat[:step].copy(), step, gen)
+        lo, width = adv.rule(drawn[:step], step, gen)
         lo = float(lo)
         width = float(width)
         if width < sigma - 1e-12:
@@ -336,14 +397,16 @@ def check_dispersed(
 
 
 def sample_to_jsonl(sample: DiscontinuitySample) -> str:
-    """One line {"i", "j", "x"} per point, 1-based indices, row order."""
-    lines = []
-    for i in range(sample.T):
-        for j in range(sample.ell):
-            lines.append(
-                json.dumps({"i": i + 1, "j": j + 1, "x": float(sample.points[i, j])})
-            )
-    return "\n".join(lines) + "\n"
+    """One line {"i", "j", "x"} per point, 1-based indices, row order.
+
+    The text is what ``json.dumps`` writes: JSON spells a finite float as its
+    shortest round-trip ``repr``, and every point is finite.
+    """
+    return "".join(
+        f'{{"i": {i}, "j": {j}, "x": {x!r}}}\n'
+        for i, row in enumerate(sample.points.tolist(), 1)
+        for j, x in enumerate(row, 1)
+    )
 
 
 def report_csv(report: DispersionReport) -> str:

@@ -658,6 +658,15 @@ def test_trace_jsonl_rejects_malformed_traces(bad, match):
         traces_from_jsonl(text, n=4)
 
 
+@pytest.mark.parametrize("flag", ["no", 1, [1, 2]])
+def test_trace_jsonl_rejects_non_bool_flags(flag):
+    # Each value is truthy, as the true flag of this trace is.
+    bad = {**_GOOD_TRACE, "contained": flag}
+    text = "".join(json.dumps(obj) + "\n" for obj in (_GOOD_TRACE, bad))
+    with pytest.raises(ValidationError, match="trace 2: containment flag .* is not a JSON bool"):
+        traces_from_jsonl(text, n=4)
+
+
 def test_trace_jsonl_skips_blank_lines_and_checks_the_first_trace():
     X, Z = traces_from_jsonl("\n" + json.dumps(_GOOD_TRACE) + "\n\n", n=4)
     assert X.tolist() == [[1, 2]]

@@ -8,6 +8,10 @@ Frozen oracle values:
 - the bound at (T, ell, sigma, w, delta) = (100, 5, 0.1, 0.02, 0.05) is
   1696.117935815099, evaluated here by an independent arithmetic path (sums
   of logarithms instead of logarithms of products).
+
+The incremental densest-window rule has the sort-based rule it replaced,
+``_densest_reference``, as its oracle: the two are compared on every prefix of
+random sequences and draw for draw inside ``generate_discontinuities``.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from smoothlab.domain import RngStream, ValidationError
@@ -99,6 +105,61 @@ def test_generate_densest_window_sample_is_valid():
     assert sample.points.shape == (40, 5)
     assert float(sample.points.min()) >= 0.0
     assert float(sample.points.max()) <= 1.0
+
+
+def _densest_reference(sigma):
+    # The sort-based rule: sort every point so far, count each anchor's closed
+    # window with searchsorted, and aim at the first argmax.
+    def rule(pts, step, gen):
+        if pts.size == 0:
+            return 0.0, sigma
+        xs = np.sort(pts)
+        highs = np.searchsorted(xs, xs + sigma, side="right")
+        anchor = int(np.argmax(highs - np.arange(xs.size)))
+        return min(max(float(xs[anchor]), 0.0), 1.0 - sigma), sigma
+
+    return rule
+
+
+def _point_sequences(sigma):
+    edges = st.sampled_from([0.0, 1.0, 1.0 - sigma])
+    grid = st.integers(0, 12).map(lambda k: k / 12)  # ties and shared window edges
+    return st.lists(st.one_of(edges, grid, st.floats(0.0, 1.0)), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), sigma=st.sampled_from([1e-3, 0.1, 0.5, 1.0]))
+def test_densest_window_rule_matches_sort_reference(data, sigma):
+    rule = densest_window_adversary(sigma).rule
+    reference = _densest_reference(sigma)
+    # One rule object serves two unrelated sequences.  Each gets calls that
+    # skip, repeat or go back a step, then every prefix in order.
+    for _ in range(2):
+        pts = np.array(data.draw(_point_sequences(sigma)), dtype=float)
+        jumps = data.draw(st.lists(st.integers(0, pts.size), max_size=8))
+        for step in jumps + list(range(pts.size + 1)):
+            assert rule(pts[:step], step, None) == reference(pts[:step], step, None), step
+
+
+def test_reused_densest_window_adversary_draws_as_the_reference():
+    adv = densest_window_adversary(0.1)
+    reference = IntervalAdversary(sigma=0.1, rule=_densest_reference(0.1), name="densest-window")
+    for stream_id in (0, 1, 0):
+        rng = RngStream(seed=517, stream_id=stream_id)
+        sample = generate_discontinuities(adv, 30, 5, 0.1, rng)
+        expected = generate_discontinuities(reference, 30, 5, 0.1, rng)
+        assert sample.points.tobytes() == expected.points.tobytes()
+
+
+def test_rule_that_writes_into_the_history_raises():
+    def scribble(pts, step, gen):
+        if step:
+            pts[0] = 0.5
+        return 0.0, 1.0
+
+    adv = IntervalAdversary(sigma=1.0, rule=scribble, name="scribble")
+    with pytest.raises(ValueError, match="read-only"):
+        generate_discontinuities(adv, 3, 2, 1.0, RngStream(seed=518))
 
 
 def test_generate_rejects_narrow_or_escaping_intervals():
@@ -305,6 +366,17 @@ def test_jsonl_round_trip():
     assert [(r["i"], r["j"]) for r in records] == [(i, j) for i in range(1, 7) for j in range(1, 4)]
     points = np.array([r["x"] for r in records]).reshape(6, 3)
     assert np.array_equal(points, sample.points)
+
+
+def test_jsonl_matches_json_dumps_on_edge_floats():
+    points = np.array([[0.0, 1.0, 5e-324], [1e-7, 0.1 + 0.2, 0.5]])
+    sample = DiscontinuitySample(points=points, sigma=1.0, adversary="x", seed_info={})
+    expected = "".join(
+        json.dumps({"i": i + 1, "j": j + 1, "x": float(points[i, j])}) + "\n"
+        for i in range(2)
+        for j in range(3)
+    )
+    assert sample_to_jsonl(sample) == expected
 
 
 def test_report_csv_format():
