@@ -226,21 +226,46 @@ def build_probe_pool(n: int, M: int, rng: "RngStream | np.random.Generator") -> 
     return ProbePool(n=n, ball=ball, descriptor=descriptor)
 
 
-def _cosh_mixture(basis_args: np.ndarray, ball_args: np.ndarray) -> float:
-    """Half the mean cosh over the basis arguments, half over the ball ones.
+def _phi_pair(
+    buf: np.ndarray, S: np.ndarray, X: np.ndarray, lam: float, n: int
+) -> tuple[float, float]:
+    """Phi(d + x) and Phi(d - x) in one pass over the (2, n + M) buffer ``buf``.
 
-    With no ball arguments (M = 0) the basis mean carries full weight, and
-    with no basis arguments (n = 0) it is 1.  Any argument beyond
-    ``COSH_ARG_LIMIT`` raises PotentialOverflowError.
+    ``S`` is [d, ball @ d] and ``X`` is [x, ball @ x]: the first n entries are
+    the basis arguments, the other M the ball-probe projections.  Row 0 of
+    ``buf`` becomes lam (S + X) and row 1 lam (S - X); each row's Phi is half
+    its mean cosh over the basis entries and half over the ball entries.  With
+    no ball probes (M = 0) the basis mean carries full weight, and with no
+    basis entries (n = 0) it is 1.  Any argument beyond ``COSH_ARG_LIMIT``, on
+    either row, raises PotentialOverflowError.
     """
-    if float(np.abs(basis_args).max(initial=0.0)) > COSH_ARG_LIMIT:
-        raise PotentialOverflowError("basis probe argument exceeded the cosh overflow limit")
-    basis_mean = float(np.cosh(basis_args).mean()) if basis_args.size else 1.0
-    if not ball_args.size:
-        return basis_mean
-    if float(np.abs(ball_args).max(initial=0.0)) > COSH_ARG_LIMIT:
-        raise PotentialOverflowError("ball probe argument exceeded the cosh overflow limit")
-    return 0.5 * basis_mean + 0.5 * float(np.cosh(ball_args).mean())
+    np.add(S, X, out=buf[0])
+    np.subtract(S, X, out=buf[1])
+    buf *= lam
+    if float(np.abs(buf).max(initial=0.0)) > COSH_ARG_LIMIT:
+        raise PotentialOverflowError("a probe argument exceeded the cosh overflow limit")
+    np.cosh(buf, out=buf)
+    # Row sums divided as Python floats: the same bits as each row's .mean().
+    phi_plus = phi_minus = 1.0
+    if n:
+        sum_plus, sum_minus = np.add.reduce(buf[:, :n], axis=1).tolist()
+        phi_plus, phi_minus = sum_plus / n, sum_minus / n
+    M = buf.shape[1] - n
+    if M:
+        sum_plus, sum_minus = np.add.reduce(buf[:, n:], axis=1).tolist()
+        phi_plus = 0.5 * phi_plus + 0.5 * (sum_plus / M)
+        phi_minus = 0.5 * phi_minus + 0.5 * (sum_minus / M)
+    return phi_plus, phi_minus
+
+
+def _lower_sign(phi_plus: float, phi_minus: float) -> tuple[int, float]:
+    """The sign of the lower potential, ties within 1e-12 to +1, and that potential."""
+    return (-1, phi_minus) if phi_minus < phi_plus - 1e-12 else (+1, phi_plus)
+
+
+def _with_projections(v: np.ndarray, ball: np.ndarray) -> np.ndarray:
+    """[v, ball @ v], the layout ``_phi_pair`` reads."""
+    return np.concatenate([v, ball @ v])
 
 
 def potential_value(d: np.ndarray, lam: float, pool: ProbePool) -> float:
@@ -256,7 +281,9 @@ def potential_value(d: np.ndarray, lam: float, pool: ProbePool) -> float:
     if lam < 0.0:
         raise ValidationError(f"lam must be >= 0, got {lam!r}")
     d = np.asarray(d, dtype=float)
-    return _cosh_mixture(lam * d, lam * (pool.ball @ d))
+    S = _with_projections(d, pool.ball)
+    # With x = 0 both rows of the kernel are Phi(d).
+    return _phi_pair(np.empty((2, S.size)), S, np.zeros_like(S), lam, d.size)[0]
 
 
 def _state_d(state) -> np.ndarray:
@@ -271,21 +298,14 @@ def _check_input_vector(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _greedy_sign(lam: float, plus, minus, ball_plus, ball_minus) -> tuple[int, float]:
-    """The sign of the lower of Phi(``plus`` = d + x) and Phi(``minus`` = d - x),
-    ties within 1e-12 to +1, and that Phi; ``ball_*`` are their ball projections."""
-    phi_plus = _cosh_mixture(lam * plus, lam * ball_plus)
-    phi_minus = _cosh_mixture(lam * minus, lam * ball_minus)
-    return (-1, phi_minus) if phi_minus < phi_plus - 1e-12 else (+1, phi_plus)
-
-
 def choose_sign_potential(state, x: np.ndarray, cfg: PotentialConfig, pool: ProbePool) -> int:
     """Greedy sign minimizing the potential, ties within 1e-12 to +1; the single-step
     twin of the ``run_discrepancy`` loop, tested sign for sign against it."""
     d = _state_d(state)
     x = _check_input_vector(x)
-    plus, minus = d + x, d - x
-    return _greedy_sign(cfg.lam, plus, minus, pool.ball @ plus, pool.ball @ minus)[0]
+    S = _with_projections(d, pool.ball)
+    X = _with_projections(x, pool.ball)
+    return _lower_sign(*_phi_pair(np.empty((2, S.size)), S, X, cfg.lam, d.size))[0]
 
 
 def choose_sign_selfbalancing(
@@ -545,7 +565,11 @@ def run_discrepancy(
     if potential:
         pool = build_probe_pool(n, rule.M, rng.substream(1) if isinstance(rng, RngStream) else gen)
         ball = pool.ball
-        bd = np.zeros(pool.M)
+        # S = [d, ball @ d] is kept incrementally: a fresh matvec of
+        # ball @ (d +- x) is not bitwise equal and could flip near-ties.
+        S = np.zeros(n + pool.M)
+        Xp = np.empty(n + pool.M)  # [x, ball @ x]
+        buf = np.empty((2, n + pool.M))
         header.update({"lam": rule.lam, "M": pool.M, "k": rule.k, "pool": list(pool.descriptor)})
     elif selfbalancing:
         header.update({"c": rule.c, "delta": rule.delta})
@@ -576,11 +600,10 @@ def run_discrepancy(
         ips[t - 1] = float(d @ x)
 
         if potential:
-            # Incremental projections bd = ball @ d: a fresh matvec of
-            # ball @ (d +- x) is not bitwise equal and could flip near-ties.
-            bx = ball @ x
+            Xp[:n] = x
+            np.matmul(ball, x, out=Xp[n:])
             try:
-                sign, phi_t = _greedy_sign(rule.lam, d + x, d - x, bd + bx, bd - bx)
+                sign, phi_t = _lower_sign(*_phi_pair(buf, S, Xp, rule.lam, n))
             except PotentialOverflowError:
                 blown_up = True
                 phi_cross_round = t if phi_cross_round == -1 else phi_cross_round
@@ -588,7 +611,10 @@ def run_discrepancy(
             phis[t] = phi_t
             if phi_t > phi_limit and phi_cross_round == -1:
                 phi_cross_round = t
-            bd = bd + sign * bx
+            if sign > 0:
+                S += Xp
+            else:
+                S -= Xp
         elif selfbalancing:
             outcome = choose_sign_selfbalancing(d, x, rule, gen)
             if outcome is FAILURE:
@@ -599,7 +625,8 @@ def run_discrepancy(
         else:
             sign = +1 if gen.random() < 0.5 else -1
 
-        d = d + sign * x
+        # d stays a fresh array each round: the adversary may keep the d it saw.
+        d = S[:n].copy() if potential else d + sign * x
         signs[t - 1] = sign
         inf = float(np.abs(d).max())
         inf_norms[t - 1] = inf

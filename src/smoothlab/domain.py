@@ -193,11 +193,12 @@ class SmoothPmf:
         if np.any(mass < 0):
             raise ValidationError("mass contains negative entries")
         if abs(float(mass.sum()) - 1.0) > 1e-12:
-            raise ValidationError(f"mass must sum to 1 within 1e-12, got {mass.sum()!r}")
+            raise ValidationError(f"mass must sum to 1 within 1e-12, got {float(mass.sum())!r}")
         cap = 1.0 / (self.sigma * self.domain.n)
         if float(mass.max()) > cap + 1e-12:
             raise ValidationError(
-                f"max mass {mass.max()!r} exceeds smoothness cap {cap!r} for sigma={self.sigma}"
+                f"max mass {float(mass.max())!r} exceeds smoothness cap {cap!r} "
+                f"for sigma={self.sigma}"
             )
 
 

@@ -19,9 +19,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from smoothlab.discrepancy import (
+    COSH_ARG_LIMIT,
     FAILURE,
     AdversaryViolationError,
     PotentialConfig,
@@ -52,7 +55,7 @@ from smoothlab.discrepancy import (
     uniform_ball_adversary,
     uniform_ball_batch,
 )
-from smoothlab.domain import RngStream, ValidationError
+from smoothlab.domain import History, RngStream, ValidationError
 from smoothlab.stats import binomial_stderr
 
 
@@ -273,6 +276,154 @@ def test_run_discrepancy_greedy_choice_is_replayable():
         assert float(tr.phis[t + 1]) == pytest.approx(chosen, abs=1e-12)
         d = d + sign * x
     assert tr.phi_cross_round == -1
+
+
+def _cosh_mixture(basis_args: np.ndarray, ball_args: np.ndarray) -> float:
+    """The one-state potential as computed before the two-row kernel."""
+    if float(np.abs(basis_args).max(initial=0.0)) > COSH_ARG_LIMIT:
+        raise PotentialOverflowError("basis probe argument exceeded the cosh overflow limit")
+    basis_mean = float(np.cosh(basis_args).mean()) if basis_args.size else 1.0
+    if not ball_args.size:
+        return basis_mean
+    if float(np.abs(ball_args).max(initial=0.0)) > COSH_ARG_LIMIT:
+        raise PotentialOverflowError("ball probe argument exceeded the cosh overflow limit")
+    return 0.5 * basis_mean + 0.5 * float(np.cosh(ball_args).mean())
+
+
+def _reference_potential_run(rule: PotentialConfig, adv, T: int, rng: RngStream) -> dict:
+    """The potential loop of ``run_discrepancy`` before the two-row kernel: two
+    ``_cosh_mixture`` calls per round on d +- x and the incremental bd +- ball @ x."""
+    n = adv.n
+    gen = rng.generator()
+    ball = build_probe_pool(n, rule.M, rng.substream(1)).ball
+    bd = np.zeros(rule.M)
+    d = np.zeros(n)
+    hist = History()
+    signs, phis, ips, inf_norms, two_norms = [], [1.0], [], [], []
+    phi_cross_round, blown_up = -1, False
+    for t in range(1, T + 1):
+        x = np.asarray(adv.next_vector(d, t, hist, gen), dtype=float)
+        ips.append(float(d @ x))
+        bx = ball @ x
+        try:
+            phi_plus = _cosh_mixture(rule.lam * (d + x), rule.lam * (bd + bx))
+            phi_minus = _cosh_mixture(rule.lam * (d - x), rule.lam * (bd - bx))
+        except PotentialOverflowError:
+            blown_up = True
+            phi_cross_round = t if phi_cross_round == -1 else phi_cross_round
+            break
+        sign, phi_t = (-1, phi_minus) if phi_minus < phi_plus - 1e-12 else (+1, phi_plus)
+        phis.append(phi_t)
+        if phi_t > float(T) ** 6 and phi_cross_round == -1:
+            phi_cross_round = t
+        bd = bd + sign * bx
+        d = d + sign * x
+        signs.append(sign)
+        inf_norms.append(float(np.abs(d).max()))
+        two_norms.append(float(np.linalg.norm(d)))
+        hist.values.append(x)
+        hist.decisions.append(sign)
+    return {
+        "signs": np.array(signs, dtype=np.int8),
+        "phis": np.array(phis),
+        "ips": np.array(ips[: len(signs)]),
+        "inf_norms": np.array(inf_norms),
+        "two_norms": np.array(two_norms),
+        "d_final": d,
+        "t_done": len(signs),
+        "blown_up": blown_up,
+        "phi_cross_round": phi_cross_round,
+    }
+
+
+def _push_back_adversary(n: int, r: float) -> VectorAdversary:
+    """e_1 first, then r * -d / ||d||_2: d + x shrinks while d - x grows, so a
+    large lam overflows the minus side alone."""
+
+    def next_fn(d, t, hist, gen):
+        nrm = float(np.linalg.norm(d))
+        return np.eye(n)[0] if nrm == 0.0 else (-r / nrm) * d
+
+    return VectorAdversary(n=n, sigma=1.0, next_fn=next_fn, name="push-back")
+
+
+def _axis_adversary(n: int) -> VectorAdversary:
+    """Round t plays a random multiple of e_(t mod n); with M = 0 a coordinate
+    where d is still 0 makes an exact tie."""
+
+    def next_fn(d, t, hist, gen):
+        x = np.zeros(n)
+        x[t % n] = gen.uniform(-1.0, 1.0)
+        return x
+
+    return VectorAdversary(n=n, sigma=1.0, next_fn=next_fn, name="axis")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    M=st.sampled_from([0, 1, 7, 64, 1024]),
+    T=st.integers(1, 64),
+    lam=st.sampled_from([None, 0.5, 60.0, 700.0 / 1.05]),
+    source=st.sampled_from(["adaptive-shell", "uniform-ball", "push-back", "axis"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, M=0, T=8, lam=700.0 / 1.05, source="push-back", seed=0)  # minus side overflows
+@example(n=3, M=0, T=16, lam=0.5, source="axis", seed=1)  # exact ties at M = 0
+def test_potential_run_matches_reference_loop(n, M, T, lam, source, seed):
+    adv = {
+        "adaptive-shell": lambda: adaptive_shell_adversary(n, 0.25),
+        "uniform-ball": lambda: uniform_ball_adversary(n),
+        "push-back": lambda: _push_back_adversary(n, 0.5),
+        "axis": lambda: _axis_adversary(n),
+    }[source]()
+    default = PotentialConfig.default(n, T, adv.sigma, M=M)
+    rule = default if lam is None else PotentialConfig(lam=lam, M=M, k=default.k)
+    stream = RngStream(seed=seed, stream_id=3)
+    ref = _reference_potential_run(rule, adv, T, stream)
+    tr = run_discrepancy(rule, adv, T, stream)
+    got = {
+        "signs": tr.signs,
+        "phis": tr.phis,
+        "ips": tr.ips,
+        "inf_norms": tr.inf_norms,
+        "two_norms": tr.two_norms,
+        "d_final": tr.d_final,
+    }
+    for key, value in got.items():
+        assert value.dtype == ref[key].dtype and value.shape == ref[key].shape, key
+        assert value.tobytes() == ref[key].tobytes(), key
+    assert (tr.t_done, tr.blown_up, tr.phi_cross_round) == (
+        ref["t_done"],
+        ref["blown_up"],
+        ref["phi_cross_round"],
+    )
+
+
+def test_push_back_overflows_the_minus_side_only():
+    # The first @example of the reference test: round 1 ties at d = 0 and plays
+    # +e_1; round 2 has x = -0.5, so lam (d + x) = 333 but lam (d - x) = 1000 > 700.
+    rule = PotentialConfig(lam=700.0 / 1.05, M=0, k=1)
+    tr = run_discrepancy(rule, _push_back_adversary(1, 0.5), 8, RngStream(seed=0, stream_id=3))
+    assert tr.signs.tolist() == [1]
+    assert tr.blown_up and tr.t_done == 1
+    assert rule.lam * 0.5 < COSH_ARG_LIMIT < rule.lam * 1.5
+
+
+def test_axis_adversary_ties_go_to_plus():
+    # Rounds 1..3 each load a coordinate that is still 0: Phi(d + x) == Phi(d - x).
+    rule = PotentialConfig(lam=0.5, M=0, k=1)
+    tr = run_discrepancy(rule, _axis_adversary(3), 3, RngStream(seed=1, stream_id=3))
+    assert tr.signs.tolist() == [1, 1, 1]
+
+
+def test_choose_sign_potential_overflow_on_either_side_raises():
+    pool = _empty_pool(1)
+    cfg = PotentialConfig(lam=600.0, M=0, k=1)
+    # d + x = 0.5 stays below the limit and d - x = 1.5 does not, and vice versa.
+    for x in (-0.5, 0.5):
+        with pytest.raises(PotentialOverflowError):
+            choose_sign_potential(np.array([1.0]), np.array([x]), cfg, pool)
 
 
 def test_run_discrepancy_blowup_is_flagged():

@@ -39,6 +39,17 @@ def test_validate_sum_tolerance():
     assert validate_smooth([0.25, 0.25, 0.25, 0.25 + 2e-10], sigma=0.5) is True
 
 
+def test_smooth_pmf_errors_print_plain_floats():
+    # Under numpy 2 the repr of a numpy scalar reads np.float64(...).
+    dom = FiniteDomain(4)
+    with pytest.raises(ValidationError, match=r"got 0\.5$") as bad_sum:
+        SmoothPmf(dom, np.array([0.25, 0.25, 0.0, 0.0]), sigma=1.0)
+    with pytest.raises(ValidationError, match=r"^max mass 0\.5 exceeds") as bad_cap:
+        SmoothPmf(dom, np.array([0.5, 0.5, 0.0, 0.0]), sigma=0.9)
+    for err in (bad_sum, bad_cap):
+        assert "np.float64" not in str(err.value)
+
+
 def test_validate_rejects_nan_and_negative():
     with pytest.raises(ValidationError):
         validate_smooth([0.5, float("nan"), 0.25, 0.25], sigma=1.0)
