@@ -36,7 +36,6 @@ import numpy as np
 
 from smoothlab.domain import (
     FiniteDomain,
-    History,
     RngStream,
     SmoothPmf,
     UniformOnSet,
@@ -107,15 +106,15 @@ class CouplingConfig:
 class SmoothAdversary:
     """Adaptive sigma-smooth adversary.
 
-    ``rule`` maps the history of realized elements to the next round's
-    distribution: a ``UniformOnSet`` of at least ceil(sigma*n) elements, or a
-    sigma-smooth ``SmoothPmf``; it may switch between the two from round to
-    round.
+    ``rule`` maps the realized elements X_1..X_{t-1}, a read-only int64
+    array (empty in round 1), to round t's distribution: a ``UniformOnSet``
+    of at least ceil(sigma*n) elements, or a sigma-smooth ``SmoothPmf``; it
+    may switch between the two from round to round.
     """
 
     domain: FiniteDomain
     sigma: float
-    rule: Callable[[History], UniformOnSet | SmoothPmf]
+    rule: Callable[[np.ndarray], UniformOnSet | SmoothPmf]
     name: str = "custom"
 
     def __post_init__(self) -> None:
@@ -127,7 +126,7 @@ def stationary_set_adversary(domain: FiniteDomain, members: tuple[int, ...]) -> 
     """Plays the same set every round."""
     target = UniformOnSet(domain, members)
     sigma = target.size / domain.n
-    return SmoothAdversary(domain, sigma, lambda hist: target, name="stationary-set")
+    return SmoothAdversary(domain, sigma, lambda xs: target, name="stationary-set")
 
 
 def full_domain_adversary(domain: FiniteDomain) -> SmoothAdversary:
@@ -156,8 +155,8 @@ def window_set_adversary(domain: FiniteDomain, sigma: float) -> SmoothAdversary:
     n = domain.n
     size = min_support_size(sigma, n)
 
-    def rule(hist: History) -> UniformOnSet:
-        return _wrapped_window(domain, ((hist.round - 1) * size) % n, size)
+    def rule(xs: np.ndarray) -> UniformOnSet:
+        return _wrapped_window(domain, (len(xs) * size) % n, size)
 
     return SmoothAdversary(domain, sigma, rule, name="window")
 
@@ -172,9 +171,9 @@ def last_value_adversary(domain: FiniteDomain, sigma: float) -> SmoothAdversary:
     n = domain.n
     size = min_support_size(sigma, n)
 
-    def rule(hist: History) -> UniformOnSet:
-        start = hist.values[-1] if hist.values else 1
-        return _wrapped_window(domain, int(start - 1) % n, size)
+    def rule(xs: np.ndarray) -> UniformOnSet:
+        start = int(xs[-1]) if len(xs) else 1
+        return _wrapped_window(domain, (start - 1) % n, size)
 
     return SmoothAdversary(domain, sigma, rule, name="last-value")
 
@@ -182,7 +181,7 @@ def last_value_adversary(domain: FiniteDomain, sigma: float) -> SmoothAdversary:
 def stationary_pmf_adversary(pmf: SmoothPmf) -> SmoothAdversary:
     """Plays the same smooth pmf every round; the rule that tests the pmf path of
     ``couple_adaptive``."""
-    return SmoothAdversary(pmf.domain, pmf.sigma, lambda hist: pmf, name="stationary-pmf")
+    return SmoothAdversary(pmf.domain, pmf.sigma, lambda xs: pmf, name="stationary-pmf")
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,20 +245,22 @@ def couple_adaptive(
     its weight, and the component is coupled.  The realized X then has the
     emitted distribution as its marginal while the Z grid stays i.i.d.
     uniform.  The path follows the emitted type alone, so a set round never
-    spends the component draw, and a pmf round always does.
+    spends the component draw, and a pmf round always does.  The rule sees a
+    read-only view of X's realized prefix.
     """
     gen = as_generator(rng)
     n = adv.domain.n
     floor = min_support_size(adv.sigma, n)
-    hist = History()
     X = np.empty(cfg.T, dtype=np.int64)
+    realized = X.view()
+    realized.flags.writeable = False
     Z = np.empty((cfg.T, cfg.k), dtype=np.int64)
     # Stationary rules return the same pmf object every round; validate and
     # decompose it once.  Each entry holds its pmf, so no later pmf can be
     # allocated at a freed one's address and inherit its decomposition by id.
     memo: dict[int, tuple[SmoothPmf, np.ndarray, tuple]] = {}
     for t in range(cfg.T):
-        dist = adv.rule(hist)
+        dist = adv.rule(realized[:t])
         if isinstance(dist, UniformOnSet):
             if dist.domain != adv.domain:
                 raise ValidationError("adversary emitted a set on the wrong domain")
@@ -289,7 +290,6 @@ def couple_adaptive(
         x, z = couple_single_round(S, cfg.k, gen)
         X[t] = x
         Z[t] = z
-        hist.values.append(x)
     return CouplingTrace(n=n, X=X, Z=Z, contained_rounds=(Z == X[:, None]).any(axis=1))
 
 
@@ -311,7 +311,7 @@ def enumerate_containment_probability(adv: SmoothAdversary, cfg: CouplingConfig)
     def recurse(past: tuple[int, ...], rounds_left: int) -> float:
         if rounds_left == 0:
             return 1.0
-        S = adv.rule(History(values=list(past)))
+        S = adv.rule(np.array(past, dtype=np.int64))
         if not isinstance(S, UniformOnSet):
             raise ValidationError("enumeration needs an adversary that emits sets")
         members = list(S.members)

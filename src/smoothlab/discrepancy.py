@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import betainc, betaincinv
 
-from smoothlab.domain import History, RngStream, ValidationError, as_generator
+from smoothlab.domain import RngStream, ValidationError, as_generator
 from smoothlab.stats import binomial_stderr
 
 __all__ = [
@@ -184,7 +184,8 @@ class ProbePool:
     """Frozen probe pool: the 2n signed basis vectors plus M uniform-ball draws.
 
     Only the ball probes are stored; the basis half is evaluated in closed
-    form.  ``descriptor`` records how the pool was seeded for the run header.
+    form.  ``descriptor`` is ("stream", seed, stream_id), the stream the pool
+    was drawn from, for the run header.
     """
 
     n: int
@@ -215,15 +216,16 @@ def uniform_ball_batch(n: int, size: int, gen: np.random.Generator) -> np.ndarra
     return g / nrms * radii[:, None]
 
 
-def build_probe_pool(n: int, M: int, rng: "RngStream | np.random.Generator") -> ProbePool:
+def _require_stream(rng: RngStream) -> None:
+    if not isinstance(rng, RngStream):
+        raise ValidationError(f"expected an RngStream, got {type(rng).__name__}")
+
+
+def build_probe_pool(n: int, M: int, rng: RngStream) -> ProbePool:
     """Draw the M ball probes once; they stay frozen for the whole run."""
-    if isinstance(rng, RngStream):
-        descriptor = ("stream", rng.seed, rng.stream_id)
-    else:
-        descriptor = ("inline",)
-    gen = as_generator(rng)
-    ball = uniform_ball_batch(n, M, gen) if M > 0 else np.empty((0, n))
-    return ProbePool(n=n, ball=ball, descriptor=descriptor)
+    _require_stream(rng)
+    ball = uniform_ball_batch(n, M, rng.generator()) if M > 0 else np.empty((0, n))
+    return ProbePool(n=n, ball=ball, descriptor=("stream", rng.seed, rng.stream_id))
 
 
 def _phi_pair(
@@ -331,17 +333,16 @@ def choose_sign_selfbalancing(
 
 @dataclass(frozen=True)
 class VectorAdversary:
-    """Adaptive vector source; emits unit-ball vectors given the run state."""
+    """Adaptive vector source: ``next_fn(d, t, gen)`` emits a unit-ball vector
+    given the running sum d_{t-1} and the 1-based round t."""
 
     n: int
     sigma: float
-    next_fn: Callable[[np.ndarray, int, History, np.random.Generator], np.ndarray]
+    next_fn: Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
     name: str = "custom"
 
-    def next_vector(
-        self, d: np.ndarray, t: int, hist: History, gen: np.random.Generator
-    ) -> np.ndarray:
-        return self.next_fn(d, t, hist, gen)
+    def next_vector(self, d: np.ndarray, t: int, gen: np.random.Generator) -> np.ndarray:
+        return self.next_fn(d, t, gen)
 
 
 def uniform_ball_adversary(n: int) -> VectorAdversary:
@@ -349,7 +350,7 @@ def uniform_ball_adversary(n: int) -> VectorAdversary:
     return VectorAdversary(
         n=n,
         sigma=1.0,
-        next_fn=lambda d, t, hist, gen: uniform_ball(n, gen),
+        next_fn=lambda d, t, gen: uniform_ball(n, gen),
         name="uniform-ball",
     )
 
@@ -383,7 +384,7 @@ def shell_adversary(n: int, sigma: float, inner: float | None = None) -> VectorA
     return VectorAdversary(
         n=n,
         sigma=sigma,
-        next_fn=lambda d, t, hist, gen: _shell_draw(n, inner, gen),
+        next_fn=lambda d, t, gen: _shell_draw(n, inner, gen),
         name="shell",
     )
 
@@ -398,7 +399,7 @@ def adaptive_shell_adversary(n: int, sigma: float) -> VectorAdversary:
     r_max = (1.0 - sigma) ** (1.0 / n) if sigma < 1.0 else 0.0
     golden = (math.sqrt(5.0) - 1.0) / 2.0
 
-    def next_fn(d, t, hist, gen):
+    def next_fn(d, t, gen):
         u = (golden * t + float(d @ d)) % 1.0
         return _shell_draw(n, r_max * u, gen)
 
@@ -475,7 +476,7 @@ def slab_lowerbound_adversary(n: int, T: int) -> VectorAdversary:
     return VectorAdversary(
         n=n,
         sigma=sigma,
-        next_fn=lambda d, t, hist, gen: slab_adversary_next(d, n, T, gen),
+        next_fn=lambda d, t, gen: slab_adversary_next(d, n, T, gen),
         name="slab-lowerbound",
     )
 
@@ -512,7 +513,7 @@ class DiscrepancyTrace:
     failed_round: int  # 1-based round of Failure, -1 if none
     phi_cross_round: int  # first round with Phi > T^6, -1 if none
     blown_up: bool
-    X: np.ndarray | None  # (t_done, n) when vectors are stored
+    X: np.ndarray  # (t_done, n), the vectors of the completed rounds
     header: dict
 
     @property
@@ -532,17 +533,17 @@ def run_discrepancy(
     rule: PotentialConfig | SelfBalancingConfig | RandomSign,
     adv: VectorAdversary,
     T: int,
-    rng: "RngStream | np.random.Generator",
-    store_vectors: bool = False,
+    rng: RngStream,
 ) -> DiscrepancyTrace:
     """Run one balancing game for T rounds under the sign rule ``rule``.
 
     ``rule`` is a PotentialConfig or SelfBalancingConfig (``.default(n, T,
     sigma)`` sizes either from the adversary's smoothness) or RandomSign();
     the header records ``rule.name`` as "algorithm".  The potential rule draws
-    its probe pool once at the start (from a dedicated substream when ``rng``
-    is an RngStream) and records it in the header.
+    its probe pool once at the start, from ``rng.substream(1)``, and records
+    that stream in the header.
     """
+    _require_stream(rng)
     if T < 1:
         raise ValidationError(f"T must be >= 1, got {T}")
     if not isinstance(rule, (PotentialConfig, SelfBalancingConfig, RandomSign)):
@@ -556,14 +557,13 @@ def run_discrepancy(
         "T": T,
         "adversary": adv.name,
         "adversary_sigma": adv.sigma,
+        "seed": rng.seed,
+        "stream_id": rng.stream_id,
     }
-    if isinstance(rng, RngStream):
-        header["seed"] = rng.seed
-        header["stream_id"] = rng.stream_id
-    gen = as_generator(rng)
+    gen = rng.generator()
 
     if potential:
-        pool = build_probe_pool(n, rule.M, rng.substream(1) if isinstance(rng, RngStream) else gen)
+        pool = build_probe_pool(n, rule.M, rng.substream(1))
         ball = pool.ball
         # S = [d, ball @ d] is kept incrementally: a fresh matvec of
         # ball @ (d +- x) is not bitwise equal and could flip near-ties.
@@ -576,7 +576,6 @@ def run_discrepancy(
 
     phi_limit = float(T) ** 6
     d = np.zeros(n)
-    hist = History()
     signs = np.empty(T, dtype=np.int8)
     inf_norms = np.empty(T)
     two_norms = np.empty(T)
@@ -585,7 +584,7 @@ def run_discrepancy(
     phis = np.empty(T + 1) if potential else None
     if phis is not None:
         phis[0] = 1.0
-    X = np.empty((T, n)) if store_vectors else None
+    X = np.empty((T, n))
 
     failed = False
     failed_round = -1
@@ -595,7 +594,7 @@ def run_discrepancy(
     running_max = 0.0
 
     for t in range(1, T + 1):
-        x = adv.next_vector(d, t, hist, gen)
+        x = adv.next_vector(d, t, gen)
         x = _check_input_vector(x)
         ips[t - 1] = float(d @ x)
 
@@ -633,10 +632,7 @@ def run_discrepancy(
         two_norms[t - 1] = float(np.linalg.norm(d))
         running_max = max(running_max, inf)
         max_inf_curve[t - 1] = running_max
-        if store_vectors:
-            X[t - 1] = x
-        hist.values.append(x)
-        hist.decisions.append(sign)
+        X[t - 1] = x
         t_done = t
 
     if phis is not None:
@@ -658,7 +654,7 @@ def run_discrepancy(
         failed_round=failed_round,
         phi_cross_round=phi_cross_round,
         blown_up=blown_up,
-        X=X[:t_done].copy() if store_vectors else None,
+        X=X[:t_done].copy(),
         header=header,
     )
 
@@ -683,19 +679,18 @@ def check_isotropy(
     """Estimate how far the adversary's draw law is from isotropic at a state:
     checks the isotropy premise of the shell adversaries.
 
-    Draws n_samples vectors at the fixed (d, t, empty history) state, forms
-    the empirical second-moment matrix C, and reports the operator norm of
-    C - (tr C / n) I.  Isotropic sources (balls, shells) give values near 0;
-    the slab's flattened direction shows up as a deviation of order tr C / n.
+    Draws n_samples vectors at the fixed (d, t) state, forms the empirical
+    second-moment matrix C, and reports the operator norm of C - (tr C / n) I.
+    Isotropic sources (balls, shells) give values near 0; the slab's
+    flattened direction shows up as a deviation of order tr C / n.
     """
     if n_samples < 1000:
         raise ValidationError(f"need at least 1000 samples, got {n_samples}")
     gen = as_generator(rng)
     d0 = np.zeros(adv.n) if d is None else np.asarray(d, dtype=float)
-    hist = History()
     cov = np.zeros((adv.n, adv.n))
     for _ in range(n_samples):
-        x = adv.next_vector(d0, t, hist, gen)
+        x = adv.next_vector(d0, t, gen)
         cov += np.outer(x, x)
     cov /= n_samples
     c_hat = float(np.trace(cov) / adv.n)

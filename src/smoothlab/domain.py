@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +26,6 @@ __all__ = [
     "DecompositionError",
     "FiniteDomain",
     "RngStream",
-    "History",
     "UniformOnSet",
     "SmoothPmf",
     "MixtureOfUniforms",
@@ -99,25 +98,6 @@ def as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     raise ValidationError(f"expected RngStream or numpy Generator, got {type(rng).__name__}")
-
-
-@dataclass
-class History:
-    """Append-only record of a run: realized values and algorithm decisions.
-
-    Run loops own the History and append to it; adversary rules receive it
-    read-only by contract.  ``values`` holds the realized draws (elements,
-    vectors, or (x, y) pairs depending on the process) and ``decisions`` the
-    algorithm's outputs so far (signs, predictions).
-    """
-
-    values: list = field(default_factory=list)
-    decisions: list = field(default_factory=list)
-
-    @property
-    def round(self) -> int:
-        """1-based index of the round about to be played."""
-        return len(self.values) + 1
 
 
 def min_support_size(sigma: float, n: int) -> int:

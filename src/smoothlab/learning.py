@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import History, RngStream, ValidationError, as_generator
+from .domain import RngStream, ValidationError, as_generator
 
 __all__ = [
     "BlockMistakeTracker",
@@ -417,15 +417,16 @@ class BlockMistakeTracker:
 
 @dataclass(frozen=True)
 class SmoothLabelAdversary:
-    """Labeled-example source; draws (x, y) given the game history."""
+    """Labeled-example source: ``rule(gen)`` draws the round's (x, y) and reads
+    nothing from the game."""
 
     sigma: float
     m: int
-    rule: Callable[[History, np.random.Generator], tuple[int, int]]
+    rule: Callable[[np.random.Generator], tuple[int, int]]
     name: str = "custom"
 
-    def play(self, hist: History, gen: np.random.Generator) -> tuple[int, int]:
-        return self.rule(hist, gen)
+    def play(self, gen: np.random.Generator) -> tuple[int, int]:
+        return self.rule(gen)
 
 
 def _canonical_target(cls: ThresholdUnionClass) -> Hypothesis:
@@ -445,7 +446,7 @@ def stationary_smooth_adversary(
         raise ValidationError(f"flip probability must lie in [0, 0.5], got {flip!r}")
     h_star = _canonical_target(cls) if target is None else target
 
-    def rule(hist: History, gen: np.random.Generator) -> tuple[int, int]:
+    def rule(gen: np.random.Generator) -> tuple[int, int]:
         x = int(gen.integers(1, cls.m + 1))
         y = h_star.predict(x)
         if flip > 0.0 and gen.random() < flip:
@@ -463,7 +464,7 @@ def constant_label_adversary(
     """Realizable source: uniform points, labels exactly from a class hypothesis."""
     h_star = _canonical_target(cls) if target is None else target
 
-    def rule(hist: History, gen: np.random.Generator) -> tuple[int, int]:
+    def rule(gen: np.random.Generator) -> tuple[int, int]:
         x = int(gen.integers(1, cls.m + 1))
         return x, h_star.predict(x)
 
@@ -494,7 +495,7 @@ class MistakeTreeAdversary:
         self.cursor = 0
         self.shrink_counts = [0] * self.cls.d
 
-    def play(self, hist: History, gen: np.random.Generator) -> tuple[int, int]:
+    def play(self, gen: np.random.Generator) -> tuple[int, int]:
         i = self.cursor
         self.cursor = (self.cursor + 1) % self.cls.d
         lo, hi = self.active[i]
@@ -607,8 +608,8 @@ def run_learning_game(
     every cover hypothesis is charged its 0/1 loss.  ``learner`` names the
     rule in ``LEARNERS`` that picks the hypothesis each round:
     "hedge-on-cover" samples from the current Hedge weights, "ftl-on-cover"
-    follows the fewest mistakes so far.  The adversary receives the realized
-    history, including the learner's past predictions.
+    follows the fewest mistakes so far.  The adversary's ``play(gen)`` sees
+    nothing of the game; an adaptive adversary keeps its own state.
 
     A round's loss depends only on the threshold of the block x_t falls in,
     so the learner keeps one Hedge state per block, all with the eta of the
@@ -637,11 +638,10 @@ def run_learning_game(
     losses = np.empty(T, dtype=int)
     cum_losses = np.empty(T, dtype=int)
     bih_curve = np.empty(T, dtype=int)
-    hist = History()
     cum = 0
 
     for t in range(T):
-        x, y = adv.play(hist, gen)
+        x, y = adv.play(gen)
         x = int(x)
         y = int(y)
         if not (1 <= x <= cls.m):
@@ -662,8 +662,6 @@ def run_learning_game(
         losses[t] = loss
         cum_losses[t] = cum
         bih_curve[t] = tracker.best()
-        hist.values.append((x, y))
-        hist.decisions.append(pred)
 
     best_h, best_loss = best_in_hindsight(cls, xs, ys)
     config = {

@@ -43,7 +43,6 @@ from smoothlab.coupling import (
 )
 from smoothlab.domain import (
     FiniteDomain,
-    History,
     RngStream,
     SmoothPmf,
     UniformOnSet,
@@ -197,7 +196,7 @@ def test_adaptive_failure_rate_below_union_bound():
 
 def test_adaptive_rejects_undersized_sets():
     dom = FiniteDomain(4)
-    bad = SmoothAdversary(dom, 0.5, lambda hist: UniformOnSet(dom, (1,)), name="bad")
+    bad = SmoothAdversary(dom, 0.5, lambda xs: UniformOnSet(dom, (1,)), name="bad")
     with pytest.raises(UndersizedSetError):
         couple_adaptive(bad, CouplingConfig(T=1, k=2), RngStream(seed=208))
 
@@ -233,7 +232,7 @@ def test_general_coupling_uniform_pmf_never_fails():
 def test_general_coupling_rejects_rough_pmf():
     dom = FiniteDomain(4)
     rough = SmoothPmf(dom, np.array([0.6, 0.2, 0.1, 0.1]), sigma=0.25)
-    adv = SmoothAdversary(dom, 0.5, lambda hist: rough, name="rough")
+    adv = SmoothAdversary(dom, 0.5, lambda xs: rough, name="rough")
     with pytest.raises(ValidationError):
         couple_adaptive(adv, CouplingConfig(T=1, k=1), RngStream(seed=211))
 
@@ -326,8 +325,8 @@ def _oracle_window_rule(domain, sigma):
     n = domain.n
     size = min_support_size(sigma, n)
 
-    def rule(hist):
-        start = ((hist.round - 1) * size) % n
+    def rule(xs):
+        start = (len(xs) * size) % n
         members = tuple(sorted(((start + j) % n) + 1 for j in range(size)))
         return UniformOnSet(domain, members)
 
@@ -338,8 +337,8 @@ def _oracle_last_value_rule(domain, sigma):
     n = domain.n
     size = min_support_size(sigma, n)
 
-    def rule(hist):
-        start = hist.values[-1] if hist.values else 1
+    def rule(xs):
+        start = int(xs[-1]) if len(xs) else 1
         members = tuple(sorted(((start - 1 + j) % n) + 1 for j in range(size)))
         return UniformOnSet(domain, members)
 
@@ -350,12 +349,12 @@ def _oracle_adaptive(rule, domain, sigma, cfg, rng):
     gen = as_generator(rng)
     n = domain.n
     floor = min_support_size(sigma, n)
-    hist = History()
+    past = []
     X = np.empty(cfg.T, dtype=np.int64)
     Z = np.empty((cfg.T, cfg.k), dtype=np.int64)
     flags = np.empty(cfg.T, dtype=bool)
     for t in range(cfg.T):
-        S = rule(hist)
+        S = rule(np.array(past, dtype=np.int64))
         if S.domain != domain:
             raise ValidationError("adversary emitted a set on the wrong domain")
         if S.size < floor:
@@ -366,19 +365,19 @@ def _oracle_adaptive(rule, domain, sigma, cfg, rng):
         X[t] = x
         Z[t] = z
         flags[t] = x in set(int(v) for v in z)
-        hist.values.append(x)
+        past.append(x)
     return X, Z, flags
 
 
 def _oracle_general(adv, cfg, rng):
     gen = as_generator(rng)
-    hist = History()
+    past = []
     X = np.empty(cfg.T, dtype=np.int64)
     Z = np.empty((cfg.T, cfg.k), dtype=np.int64)
     flags = np.empty(cfg.T, dtype=bool)
     memo = {}
     for t in range(cfg.T):
-        pmf = adv.rule(hist)
+        pmf = adv.rule(np.array(past, dtype=np.int64))
         if pmf.domain != adv.domain:
             raise ValidationError("adversary emitted a pmf on the wrong domain")
         cached = memo.get(id(pmf))
@@ -395,7 +394,7 @@ def _oracle_general(adv, cfg, rng):
         X[t] = x
         Z[t] = z
         flags[t] = x in set(int(v) for v in z)
-        hist.values.append(x)
+        past.append(x)
     return X, Z, flags
 
 
@@ -477,7 +476,7 @@ def test_general_matches_reference_draw_for_draw(n, sigma, k, T):
         adversaries = [
             stationary_pmf_adversary(pmfs[0]),
             SmoothAdversary(
-                dom, sigma, lambda hist: pmfs[hist.values[-1] % 3 if hist.values else 0], "chase"
+                dom, sigma, lambda xs: pmfs[xs[-1] % 3 if len(xs) else 0], "chase"
             ),
         ]
         for adv in adversaries:
@@ -493,20 +492,20 @@ def _oracle_mixed(adv, cfg, rng):
     # through _oracle_adaptive and a pmf round through _oracle_general, so only
     # pmf rounds spend the component pick's gen.random() call.
     gen = as_generator(rng)
-    hist = History()
+    past = []
     X = np.empty(cfg.T, dtype=np.int64)
     Z = np.empty((cfg.T, cfg.k), dtype=np.int64)
     flags = np.empty(cfg.T, dtype=bool)
     one_round = CouplingConfig(T=1, k=cfg.k)
     for t in range(cfg.T):
-        emitted = adv.rule(hist)
+        emitted = adv.rule(np.array(past, dtype=np.int64))
         if isinstance(emitted, SmoothPmf):
-            stationary = SmoothAdversary(adv.domain, adv.sigma, lambda h: emitted)
+            stationary = SmoothAdversary(adv.domain, adv.sigma, lambda xs: emitted)
             Xt, Zt, ft = _oracle_general(stationary, one_round, gen)
         else:
-            Xt, Zt, ft = _oracle_adaptive(lambda h: emitted, adv.domain, adv.sigma, one_round, gen)
+            Xt, Zt, ft = _oracle_adaptive(lambda xs: emitted, adv.domain, adv.sigma, one_round, gen)
         X[t], Z[t], flags[t] = Xt[0], Zt[0], ft[0]
-        hist.values.append(int(Xt[0]))
+        past.append(int(Xt[0]))
     return X, Z, flags
 
 
@@ -520,10 +519,10 @@ def test_mixed_set_and_pmf_rounds_match_reference_draw_for_draw(n, sigma, k, T):
         random_smooth_pmf(dom, sigma, RngStream(seed=2600 + n, stream_id=j)) for j in range(2)
     ]
 
-    def rule(hist):
-        if hist.round % 2 == 1:
-            return chase(hist)
-        return pmfs[hist.values[-1] % 3]
+    def rule(xs):
+        if len(xs) % 2 == 0:
+            return chase(xs)
+        return pmfs[xs[-1] % 3]
 
     adv = SmoothAdversary(dom, sigma, rule, name="mixed")
     for stream in range(4):
@@ -539,9 +538,9 @@ def test_fresh_pmf_each_round_gets_its_own_decomposition():
     dom = FiniteDomain(6)
     supports = [(1, 2, 3), (4, 5, 6), (2, 3, 4), (1, 5, 6), (3, 4, 5)]
 
-    def rule(hist):
+    def rule(xs):
         mass = np.zeros(6)
-        mass[np.array(supports[len(hist.values) % 5]) - 1] = 1 / 3
+        mass[np.array(supports[len(xs) % 5]) - 1] = 1 / 3
         return SmoothPmf(dom, mass, sigma=0.5)
 
     adv = SmoothAdversary(dom, 0.5, rule, name="fresh")
@@ -559,16 +558,30 @@ def test_fresh_pmf_each_round_gets_its_own_decomposition():
     ids=["set", "pmf"],
 )
 def test_adaptive_rejects_wrong_domain(emitted):
-    adv = SmoothAdversary(FiniteDomain(4), 0.5, lambda hist: emitted, name="elsewhere")
+    adv = SmoothAdversary(FiniteDomain(4), 0.5, lambda xs: emitted, name="elsewhere")
     with pytest.raises(ValidationError, match="wrong domain"):
         couple_adaptive(adv, CouplingConfig(T=1, k=2), RngStream(seed=219))
 
 
 def test_adaptive_rejects_other_emitted_types():
     dom = FiniteDomain(4)
-    adv = SmoothAdversary(dom, 0.5, lambda hist: (1, 2), name="tuple")
+    adv = SmoothAdversary(dom, 0.5, lambda xs: (1, 2), name="tuple")
     with pytest.raises(ValidationError, match="not a UniformOnSet or SmoothPmf"):
         couple_adaptive(adv, CouplingConfig(T=1, k=2), RngStream(seed=220))
+
+
+def test_rule_that_writes_into_the_history_raises():
+    dom = FiniteDomain(4)
+    full = UniformOnSet(dom, (1, 2, 3, 4))
+
+    def scribble(xs):
+        if len(xs):
+            xs[0] = 1
+        return full
+
+    adv = SmoothAdversary(dom, 1.0, scribble, name="scribble")
+    with pytest.raises(ValueError, match="read-only"):
+        couple_adaptive(adv, CouplingConfig(T=3, k=2), RngStream(seed=221))
 
 
 def test_enumeration_rejects_pmf_rules():
@@ -604,9 +617,11 @@ def test_window_adversaries_emit_reference_sets():
         for name, (factory, oracle_factory) in _SET_ADVERSARIES.items():
             rule = factory(dom, sigma).rule
             oracle_rule = oracle_factory(dom, sigma)
-            hists = [History()] + [History(values=[v] * r) for v in range(1, n + 1) for r in (1, 3)]
-            for hist in hists:
-                assert rule(hist) == oracle_rule(hist), (name, n, sigma, hist)
+            prefixes = [np.empty(0, dtype=np.int64)] + [
+                np.full(r, v, dtype=np.int64) for v in range(1, n + 1) for r in (1, 3)
+            ]
+            for xs in prefixes:
+                assert rule(xs) == oracle_rule(xs), (name, n, sigma, xs)
 
 
 def test_trace_jsonl_bytes_match_reference():

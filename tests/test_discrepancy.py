@@ -55,7 +55,7 @@ from smoothlab.discrepancy import (
     uniform_ball_adversary,
     uniform_ball_batch,
 )
-from smoothlab.domain import History, RngStream, ValidationError
+from smoothlab.domain import RngStream, ValidationError
 from smoothlab.stats import binomial_stderr
 
 
@@ -201,11 +201,36 @@ def test_selfbalancing_failure_cases():
 def test_run_discrepancy_single_round():
     adv = uniform_ball_adversary(4)
     for rule in _default_rules(adv, 1):
-        tr = run_discrepancy(rule, adv, 1, RngStream(seed=311), store_vectors=True)
+        tr = run_discrepancy(rule, adv, 1, RngStream(seed=311))
         assert tr.header["algorithm"] == rule.name
         assert tr.t_done == 1
         assert np.allclose(np.abs(tr.d_final), np.abs(tr.X[0]))
         assert tr.inf_norms[0] == pytest.approx(float(np.abs(tr.X[0]).max()))
+
+
+def test_run_discrepancy_records_the_emitted_vectors():
+    ball = uniform_ball_adversary(3)
+    for rule in _default_rules(ball, 40):
+        emitted = []
+
+        def record(d, t, gen):
+            emitted.append(ball.next_vector(d, t, gen))
+            return emitted[-1]
+
+        adv = VectorAdversary(n=3, sigma=1.0, next_fn=record, name="recording")
+        tr = run_discrepancy(rule, adv, 40, RngStream(seed=339))
+        assert tr.t_done == 40, rule.name
+        assert tr.X.tobytes() == np.array(emitted).tobytes(), rule.name
+
+
+def test_probe_pool_and_run_need_a_stream():
+    gen = RngStream(seed=340).generator()
+    with pytest.raises(ValidationError, match="RngStream"):
+        build_probe_pool(3, 8, gen)
+    adv = uniform_ball_adversary(3)
+    for rule in _default_rules(adv, 4):
+        with pytest.raises(ValidationError, match="RngStream"):
+            run_discrepancy(rule, adv, 4, gen)
 
 
 def test_run_discrepancy_validates_inputs():
@@ -215,7 +240,7 @@ def test_run_discrepancy_validates_inputs():
     with pytest.raises(ValidationError):
         run_discrepancy("newton", adv, 4, RngStream(seed=312))
     long_adv = VectorAdversary(
-        n=2, sigma=1.0, next_fn=lambda d, t, h, g: np.array([2.0, 0.0])
+        n=2, sigma=1.0, next_fn=lambda d, t, g: np.array([2.0, 0.0])
     )
     with pytest.raises(AdversaryViolationError):
         run_discrepancy(RandomSign(), long_adv, 4, RngStream(seed=312))
@@ -235,7 +260,7 @@ def test_choose_sign_potential_matches_run():
     # The single-step rule and the run loop share the greedy comparison.
     adv = uniform_ball_adversary(3)
     rule = PotentialConfig.default(adv.n, 50, adv.sigma)
-    tr = run_discrepancy(rule, adv, 50, RngStream(seed=314), store_vectors=True)
+    tr = run_discrepancy(rule, adv, 50, RngStream(seed=314))
     pool = build_probe_pool(3, rule.M, RngStream(seed=314).substream(1))
     d = np.zeros(3)
     for t in range(tr.t_done):
@@ -246,7 +271,7 @@ def test_choose_sign_potential_matches_run():
 def test_run_discrepancy_signed_sum_rebuild():
     adv = adaptive_shell_adversary(4, 0.5)
     rule = PotentialConfig.default(adv.n, 200, adv.sigma)
-    tr = run_discrepancy(rule, adv, 200, RngStream(seed=313), store_vectors=True)
+    tr = run_discrepancy(rule, adv, 200, RngStream(seed=313))
     rebuilt = (tr.signs[:, None] * tr.X).sum(axis=0)
     assert float(np.abs(rebuilt - tr.d_final).max()) <= 1e-9
     assert np.all(np.diff(tr.max_inf_curve) >= 0)
@@ -259,7 +284,7 @@ def test_run_discrepancy_greedy_choice_is_replayable():
     adv = uniform_ball_adversary(3)
     stream = RngStream(seed=314)
     rule = PotentialConfig.default(adv.n, 50, adv.sigma)
-    tr = run_discrepancy(rule, adv, 50, stream, store_vectors=True)
+    tr = run_discrepancy(rule, adv, 50, stream)
     kind, seed, stream_id = tr.header["pool"]
     assert kind == "stream"
     pool = build_probe_pool(3, tr.header["M"], RngStream(seed=seed, stream_id=stream_id))
@@ -298,11 +323,10 @@ def _reference_potential_run(rule: PotentialConfig, adv, T: int, rng: RngStream)
     ball = build_probe_pool(n, rule.M, rng.substream(1)).ball
     bd = np.zeros(rule.M)
     d = np.zeros(n)
-    hist = History()
-    signs, phis, ips, inf_norms, two_norms = [], [1.0], [], [], []
+    signs, phis, ips, inf_norms, two_norms, xs = [], [1.0], [], [], [], []
     phi_cross_round, blown_up = -1, False
     for t in range(1, T + 1):
-        x = np.asarray(adv.next_vector(d, t, hist, gen), dtype=float)
+        x = np.asarray(adv.next_vector(d, t, gen), dtype=float)
         ips.append(float(d @ x))
         bx = ball @ x
         try:
@@ -321,9 +345,9 @@ def _reference_potential_run(rule: PotentialConfig, adv, T: int, rng: RngStream)
         signs.append(sign)
         inf_norms.append(float(np.abs(d).max()))
         two_norms.append(float(np.linalg.norm(d)))
-        hist.values.append(x)
-        hist.decisions.append(sign)
+        xs.append(x)
     return {
+        "X": np.array(xs, dtype=float).reshape(len(xs), n),
         "signs": np.array(signs, dtype=np.int8),
         "phis": np.array(phis),
         "ips": np.array(ips[: len(signs)]),
@@ -340,7 +364,7 @@ def _push_back_adversary(n: int, r: float) -> VectorAdversary:
     """e_1 first, then r * -d / ||d||_2: d + x shrinks while d - x grows, so a
     large lam overflows the minus side alone."""
 
-    def next_fn(d, t, hist, gen):
+    def next_fn(d, t, gen):
         nrm = float(np.linalg.norm(d))
         return np.eye(n)[0] if nrm == 0.0 else (-r / nrm) * d
 
@@ -351,7 +375,7 @@ def _axis_adversary(n: int) -> VectorAdversary:
     """Round t plays a random multiple of e_(t mod n); with M = 0 a coordinate
     where d is still 0 makes an exact tie."""
 
-    def next_fn(d, t, hist, gen):
+    def next_fn(d, t, gen):
         x = np.zeros(n)
         x[t % n] = gen.uniform(-1.0, 1.0)
         return x
@@ -383,6 +407,7 @@ def test_potential_run_matches_reference_loop(n, M, T, lam, source, seed):
     ref = _reference_potential_run(rule, adv, T, stream)
     tr = run_discrepancy(rule, adv, T, stream)
     got = {
+        "X": tr.X,
         "signs": tr.signs,
         "phis": tr.phis,
         "ips": tr.ips,
@@ -429,7 +454,7 @@ def test_choose_sign_potential_overflow_on_either_side_raises():
 def test_run_discrepancy_blowup_is_flagged():
     # Round 1 evaluates cosh(700) (huge but finite, crossing T^6 at once);
     # round 2 would need cosh(1400) and trips the overflow guard instead.
-    adv = VectorAdversary(n=1, sigma=1.0, next_fn=lambda d, t, h, g: np.array([1.0]))
+    adv = VectorAdversary(n=1, sigma=1.0, next_fn=lambda d, t, g: np.array([1.0]))
     cfg = PotentialConfig(lam=700.0, M=0, k=1)
     tr = run_discrepancy(cfg, adv, 10, RngStream(seed=315))
     assert tr.blown_up
@@ -627,7 +652,7 @@ def test_trace_csv_and_header():
 
 
 def test_failed_run_truncates_trace():
-    adv = VectorAdversary(n=2, sigma=1.0, next_fn=lambda d, t, h, g: np.array([1.0, 0.0]))
+    adv = VectorAdversary(n=2, sigma=1.0, next_fn=lambda d, t, g: np.array([1.0, 0.0]))
     cfg = SelfBalancingConfig(c=2.5, delta=0.5)
     # Deterministic drift: with x = e1 every round, the walk must eventually
     # push |d_1| past c and fail.
@@ -658,5 +683,5 @@ def test_shell_adversary_validates_inner_radius():
     gen = RngStream(seed=338).generator()
     inner = (1.0 - 0.5) ** 0.25
     for _ in range(200):
-        v = adv.next_vector(np.zeros(4), 1, None, gen)
+        v = adv.next_vector(np.zeros(4), 1, gen)
         assert inner - 1e-12 <= float(np.linalg.norm(v)) <= 1.0 + 1e-12

@@ -8,7 +8,6 @@ import pytest
 from smoothlab.domain import (
     DecompositionError,
     FiniteDomain,
-    History,
     MixtureOfUniforms,
     RngStream,
     SmoothPmf,
@@ -194,11 +193,3 @@ def test_rng_stream_reproducibility_and_independence():
     sub_again = RngStream(seed=42, stream_id=0).substream(2)
     assert sub == sub_again
     assert sub != RngStream(seed=42, stream_id=0).substream(3)
-
-
-def test_history_round_index():
-    hist = History()
-    assert hist.round == 1
-    hist.values.append(3)
-    hist.decisions.append(+1)
-    assert hist.round == 2

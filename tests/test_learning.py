@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothlab import learning
-from smoothlab.domain import History, RngStream, ValidationError, as_generator
+from smoothlab.domain import RngStream, ValidationError, as_generator
 from smoothlab.harness import make_config
 from smoothlab.learning import (
     BlockMistakeTracker,
@@ -355,12 +355,12 @@ def test_run_learning_game_validation():
     with pytest.raises(ValidationError):
         run_learning_game("hedge-on-cover", other, cover, 10, RngStream(seed=415))
     bad_x = SmoothLabelAdversary(
-        sigma=cls.sigma, m=cls.m, rule=lambda h, g: (65, 0), name="bad"
+        sigma=cls.sigma, m=cls.m, rule=lambda g: (65, 0), name="bad"
     )
     with pytest.raises(ValidationError):
         run_learning_game("hedge-on-cover", bad_x, cover, 10, RngStream(seed=415))
     bad_y = SmoothLabelAdversary(
-        sigma=cls.sigma, m=cls.m, rule=lambda h, g: (1, 2), name="bad"
+        sigma=cls.sigma, m=cls.m, rule=lambda g: (1, 2), name="bad"
     )
     with pytest.raises(ValidationError):
         run_learning_game("hedge-on-cover", bad_y, cover, 10, RngStream(seed=415))
@@ -412,12 +412,11 @@ def test_mistake_tree_descends_binary_search():
     adv = mistake_tree_adversary(cls)
     assert isinstance(adv, MistakeTreeAdversary)
     gen = RngStream(seed=417).generator()
-    hist = History()
     sizes = {0: [32], 1: [32]}
     for t in range(40):
         block = t % 2
         lo, hi = adv.active[block]
-        x, y = adv.play(hist, gen)
+        x, y = adv.play(gen)
         assert lo <= x <= hi
         new_lo, new_hi = adv.active[block]
         assert (new_lo, new_hi) == ((lo, hi) if lo == hi else ((lo, x) if y == 1 else (x + 1, hi)))
@@ -434,10 +433,9 @@ def test_mistake_tree_descent_labels_are_realizable():
     cls = ThresholdUnionClass(m=64, d=2)
     adv = mistake_tree_adversary(cls)
     gen = RngStream(seed=418).generator()
-    hist = History()
     transcript = []
     for _ in range(10):  # exactly the descent rounds: 5 per block
-        x, y = adv.play(hist, gen)
+        x, y = adv.play(gen)
         transcript.append((x, y))
     gamma = tuple(adv.active[i][0] for i in range(2))
     h = Hypothesis(cls, gamma)
@@ -507,9 +505,8 @@ def _oracle_learning_game(learner, adv, cover, T, rng, gamma_matrix):
     state = make_hedge(cover.size, T=T)
     tracker = BlockMistakeTracker(cls)
     xs, ys, predictions, bih = [], [], [], []
-    hist = History()
     for _ in range(T):
-        x, y = (int(v) for v in adv.play(hist, gen))
+        x, y = (int(v) for v in adv.play(gen))
         expert_preds = (x >= gamma_matrix[:, cls.block_of(x)]).astype(int)
         j, state = pick(state, (expert_preds != y).astype(float), gen)
         pred = int(expert_preds[j])
@@ -518,8 +515,6 @@ def _oracle_learning_game(learner, adv, cover, T, rng, gamma_matrix):
         ys.append(y)
         predictions.append(pred)
         bih.append(tracker.best())
-        hist.values.append((x, y))
-        hist.decisions.append(pred)
     xs, ys, predictions, bih = (np.array(v, dtype=int) for v in (xs, ys, predictions, bih))
     losses = (predictions != ys).astype(int)
     cum_losses = np.cumsum(losses)
