@@ -341,6 +341,12 @@ class VectorAdversary:
     next_fn: Callable[[np.ndarray, int, np.random.Generator], np.ndarray]
     name: str = "custom"
 
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValidationError(f"n must be >= 1, got {self.n!r}")
+        if not (0.0 < self.sigma <= 1.0):
+            raise ValidationError(f"sigma must lie in (0, 1], got {self.sigma!r}")
+
     def next_vector(self, d: np.ndarray, t: int, gen: np.random.Generator) -> np.ndarray:
         return self.next_fn(d, t, gen)
 
@@ -365,6 +371,13 @@ def _shell_draw(n: int, inner: float, gen: np.random.Generator) -> np.ndarray:
     return (rho / nrm) * g
 
 
+def _max_inner_radius(n: int, sigma: float) -> float:
+    """(1-sigma)^(1/n), the largest inner radius that keeps a shell draw sigma-smooth."""
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n!r}")
+    return (1.0 - sigma) ** (1.0 / n) if sigma < 1.0 else 0.0
+
+
 def shell_adversary(n: int, sigma: float, inner: float | None = None) -> VectorAdversary:
     """Uniform draws from the shell {inner <= ||x|| <= 1}.
 
@@ -372,7 +385,7 @@ def shell_adversary(n: int, sigma: float, inner: float | None = None) -> VectorA
     sigma-smooth relative to the ball exactly when inner <= (1-sigma)^(1/n);
     that largest admissible radius is the default.
     """
-    r_max = (1.0 - sigma) ** (1.0 / n) if sigma < 1.0 else 0.0
+    r_max = _max_inner_radius(n, sigma)
     if inner is None:
         inner = r_max
     if inner > r_max + 1e-12:
@@ -396,7 +409,7 @@ def adaptive_shell_adversary(n: int, sigma: float) -> VectorAdversary:
     with r_max = (1-sigma)^(1/n), so every round stays sigma-smooth and
     isotropic while the support chases the algorithm's position.
     """
-    r_max = (1.0 - sigma) ** (1.0 / n) if sigma < 1.0 else 0.0
+    r_max = _max_inner_radius(n, sigma)
     golden = (math.sqrt(5.0) - 1.0) / 2.0
 
     def next_fn(d, t, gen):
@@ -472,6 +485,8 @@ def slab_adversary_next_rejection(
 
 def slab_lowerbound_adversary(n: int, T: int) -> VectorAdversary:
     """The thin-slab opponent; declared smoothness is its volume fraction bound."""
+    if n < 1 or T < 1:
+        raise ValidationError(f"need n >= 1 and T >= 1, got n={n}, T={T}")
     sigma = 1.0 / (20.0 * n * n * T * T)
     return VectorAdversary(
         n=n,

@@ -11,7 +11,7 @@ same bytes as running inline.  Each run directory holds
     raw files       per-kind traces
 
 ``KINDS`` is the registry of experiment kinds: each KindSpec names the
-kind's parameters, choices, trial function, raw files and acceptance check.
+kind's parameters, choices, game builder, raw files and acceptance check.
 
 A trial that raises is recorded as {"trial": i, "error": "..."} in
 metrics.jsonl (with no raw files) and the run continues; summary.json counts
@@ -91,13 +91,16 @@ class KindSpec:
     ``resolve(kind, params)`` validates the parameters and returns them with
     every default filled in; unknown parameter names are rejected against
     ``params`` before it runs.  ``options`` maps each choice parameter to its
-    table of accepted values.  ``trial(params, seed, index, keep_raw)``
-    returns the trial's metrics and, when ``keep_raw``, the contents of
+    table of accepted values.  ``game(params)`` builds every object a trial
+    plays from resolved parameters; make_config calls it once, so every check
+    those constructors make runs before any trial.  It returns
+    ``play(rng, keep_raw)``, which plays one trial on the RngStream ``rng``
+    and returns the trial's metrics and, when ``keep_raw``, the contents of
     ``raw_files`` in order, where NNNN in a name stands for the trial index.
     ``summary_hook(run_dir, config, completed_rows)`` returns extra summary
     blocks, and ``check(params, summary)`` the kind's ``--assert`` failures.
 
-    Option factories and trial functions look module names up when called,
+    Option factories and game builders look module names up when called,
     so rebinding a name on this module reaches every trial.
     """
 
@@ -105,7 +108,7 @@ class KindSpec:
     params: tuple[str, ...]
     resolve: Callable[[str, dict], dict]
     options: dict[str, dict[str, Callable]]
-    trial: Callable[[dict, int, int, bool], tuple[dict, tuple[str, ...]]]
+    game: Callable[[dict], Callable[[RngStream, bool], tuple[dict, tuple[str, ...]]]]
     raw_files: tuple[str, ...]
     check: Callable[[dict, dict], list[str]]
     summary_hook: Callable[[Path, dict, list[dict]], dict] | None = None
@@ -145,7 +148,8 @@ def make_config(kind: str, params: dict, trials: int, seed: int) -> ExperimentCo
 
     Resolution fills in derived parameters (replica counts, cover widths,
     window widths) so config.json records exactly what the trials will use.
-    All validation of the underlying modules runs here, before any trial.
+    It then builds the kind's game once, so all validation of the underlying
+    modules runs here, before any trial.
     """
     resolved = _resolve_params(kind, params)
     return ExperimentConfig(kind=kind, params=resolved, trials=trials, seed=seed)
@@ -161,6 +165,14 @@ def _integer(value) -> int:
     number = int(value)
     if isinstance(value, bool) or (not isinstance(value, str) and number != value):
         raise ValueError("not an integer")
+    return number
+
+
+def _positive(value) -> int:
+    """_integer(value) for a size, which must be at least 1."""
+    number = _integer(value)
+    if number < 1:
+        raise ValueError("not a positive integer")
     return number
 
 
@@ -223,7 +235,9 @@ def _resolve_params(kind: str, params: dict) -> dict:
     if spec is None:
         raise ValidationError(f"unknown experiment kind {kind!r}")
     _check_keys(params, spec.params, kind)
-    return spec.resolve(kind, params)
+    resolved = spec.resolve(kind, params)
+    spec.game(resolved)
+    return resolved
 
 
 # adversary -> factory(params, domain)
@@ -238,53 +252,45 @@ _COUPLING_ADVERSARIES = {
 
 
 def _resolve_coupling(kind: str, params: dict) -> dict:
-    n = _param(params, "n", _integer, kind)
+    n = _param(params, "n", _positive, kind)
     sigma = _param(params, "sigma", _real, kind)
-    T = _param(params, "T", _integer, kind)
+    T = _param(params, "T", _positive, kind)
     adversary = _choice(params, "adversary", "window", _COUPLING_ADVERSARIES)
-    k = _param(params, "k", _integer, kind, default_k(T, sigma))
-    CouplingConfig(T=T, k=k)
-    domain = FiniteDomain(n)
+    k = _param(params, "k", _positive, kind, default_k(T, sigma))
     floor = min_support_size(sigma, n)
     out = {"n": n, "sigma": sigma, "T": T, "k": k, "adversary": adversary}
     if _applies(params, out, "set_size", "adversary", "stationary"):
-        set_size = _param(params, "set_size", _integer, kind, floor)
+        set_size = _param(params, "set_size", _positive, kind, floor)
         if not (floor <= set_size <= n):
             raise ValidationError(
                 f"set_size must lie in [{floor}, {n}] for sigma={sigma}, got {set_size}"
             )
         out["set_size"] = set_size
-    _COUPLING_ADVERSARIES[adversary](out, domain)
     return out
 
 
-def _trial_coupling(params: dict, seed: int, index: int, keep_raw: bool):
+def _coupling_game(params: dict):
     adv = _COUPLING_ADVERSARIES[params["adversary"]](params, FiniteDomain(params["n"]))
     cfg = CouplingConfig(T=params["T"], k=params["k"])
-    trace = couple_adaptive(adv, cfg, RngStream(seed=seed, stream_id=index))
-    missed = np.flatnonzero(~trace.contained_rounds)
-    metrics = {
-        "contained": bool(trace.contained),
-        "failed_round": int(missed[0]) + 1 if missed.size else -1,
-        "n_contained_rounds": int(trace.contained_rounds.sum()),
-    }
-    return metrics, (traces_to_jsonl([trace]),) if keep_raw else ()
+
+    def play(rng: RngStream, keep_raw: bool):
+        trace = couple_adaptive(adv, cfg, rng)
+        missed = np.flatnonzero(~trace.contained_rounds)
+        metrics = {
+            "contained": bool(trace.contained),
+            "failed_round": int(missed[0]) + 1 if missed.size else -1,
+            "n_contained_rounds": int(trace.contained_rounds.sum()),
+        }
+        return metrics, (traces_to_jsonl([trace]),) if keep_raw else ()
+
+    return play
 
 
 def _summarize_coupling(run_dir: Path, cfg: dict, good: list[dict]) -> dict:
     """The containment-failure rate, plus chi-square marginal diagnostics when at
     least MARGINAL_MIN_TRACES traces were persisted; traces.jsonl is always checked."""
     failures = sum(0 if r["contained"] else 1 for r in good)
-    lo, hi = wilson_interval(failures, len(good), z=3.0)
-    extra = {
-        "containment_failure": {
-            "count": failures,
-            "n": len(good),
-            "rate": failures / len(good),
-            "ci_low": lo,
-            "ci_high": hi,
-        }
-    }
+    extra = {"containment_failure": _rate_block(failures, len(good))}
     traces_path = run_dir / "traces.jsonl"
     if traces_path.is_file():
         n = cfg["params"]["n"]
@@ -333,67 +339,65 @@ _VECTOR_ADVERSARIES = {
 }
 
 
-def _vector_adversary(params: dict):
-    return _VECTOR_ADVERSARIES[params["adversary"]](params)
-
-
-def _slab_adversary(params: dict):
-    return slab_lowerbound_adversary(params["n"], params["T"])
-
-
-def _resolve_balancing(kind: str, params: dict, algorithm: str, resolve_adversary) -> dict:
-    """Resolve a discrepancy kind: sign rule, n, T, adversary, then M or delta.
-
-    ``resolve_adversary(kind, params, out)`` adds the adversary's own parameters to
-    ``out`` and returns the adversary, whose sigma sizes the rule.
-    """
+def _resolve_balancing(kind: str, params: dict, algorithm: str) -> dict:
+    """Resolve a discrepancy kind's sign rule, n and T, then M or delta."""
     out = {
         "algorithm": _choice(params, "algorithm", algorithm, _ALGORITHMS),
-        "n": _param(params, "n", _integer, kind),
-        "T": _param(params, "T", _integer, kind),
+        "n": _param(params, "n", _positive, kind),
+        "T": _param(params, "T", _positive, kind),
     }
-    sigma = resolve_adversary(kind, params, out).sigma
     for key, owner, default, cast in (
         ("M", "potential", 1024, _integer),
         ("delta", "selfbalancing", 0.1, _real),
     ):
         if _applies(params, out, key, "algorithm", owner):
             out[key] = _param(params, key, cast, kind, default)
-            _ALGORITHMS[owner](out, sigma)
     return out
 
 
-def _resolve_vector_adversary(kind: str, params: dict, out: dict):
+def _resolve_discrepancy(kind: str, params: dict) -> dict:
+    out = _resolve_balancing(kind, params, "potential")
     out["adversary"] = _choice(params, "adversary", "uniform-ball", _VECTOR_ADVERSARIES)
     out["sigma"] = _param(params, "sigma", _real, kind, 1.0)
     if _applies(params, out, "inner", "adversary", "shell") and "inner" in params:
         out["inner"] = _param(params, "inner", _real, kind)
-    return _vector_adversary(out)
+    return out
 
 
-def _trial_balancing(
-    params: dict, seed: int, index: int, keep_raw: bool, make_adversary, ok_floor=None
-):
-    """One balancing game against ``make_adversary(params)``.
+def _balancing_game(params: dict, adv, ok_floor=None):
+    """A balancing game against ``adv``, with the sign rule its sigma sizes.
 
     ``ok_floor`` adds the ok metric, final_d2_sq >= ok_floor.
     """
-    adv = make_adversary(params)
     rule = _ALGORITHMS[params["algorithm"]](params, adv.sigma)
-    trace = run_discrepancy(rule, adv, params["T"], RngStream(seed=seed, stream_id=index))
-    metrics = {
-        "max_inf": float(trace.max_inf),
-        "final_inf": float(np.abs(trace.d_final).max()),
-        "final_d2_sq": float(trace.final_two_norm_sq),
-        "failed": bool(trace.failed),
-        "failed_round": int(trace.failed_round),
-        "blown_up": bool(trace.blown_up),
-        "phi_cross_round": int(trace.phi_cross_round),
-        "t_done": int(trace.t_done),
-    }
-    if ok_floor is not None:
-        metrics["ok"] = bool(metrics["final_d2_sq"] >= ok_floor)
-    return metrics, (trace_to_csv(trace), trace_header_json(trace) + "\n") if keep_raw else ()
+
+    def play(rng: RngStream, keep_raw: bool):
+        trace = run_discrepancy(rule, adv, params["T"], rng)
+        metrics = {
+            "max_inf": float(trace.max_inf),
+            "final_inf": float(np.abs(trace.d_final).max()),
+            "final_d2_sq": float(trace.final_two_norm_sq),
+            "failed": bool(trace.failed),
+            "failed_round": int(trace.failed_round),
+            "blown_up": bool(trace.blown_up),
+            "phi_cross_round": int(trace.phi_cross_round),
+            "t_done": int(trace.t_done),
+        }
+        if ok_floor is not None:
+            metrics["ok"] = bool(metrics["final_d2_sq"] >= ok_floor)
+        return metrics, (trace_to_csv(trace), trace_header_json(trace) + "\n") if keep_raw else ()
+
+    return play
+
+
+def _discrepancy_game(params: dict):
+    adv = _VECTOR_ADVERSARIES[params["adversary"]](params)
+    if adv.sigma != params["sigma"]:
+        raise ValidationError(
+            f"bad value for 'sigma': {params['sigma']!r} "
+            f"(the {adv.name} adversary is {adv.sigma!r}-smooth)"
+        )
+    return _balancing_game(params, adv)
 
 
 def _check_discrepancy(params: dict, summary: dict) -> list[str]:
@@ -416,26 +420,23 @@ _LEARNING_ADVERSARIES = {
 
 
 def _resolve_learning(kind: str, params: dict) -> dict:
-    d = _param(params, "d", _integer, kind)
-    T = _param(params, "T", _integer, kind)
-    if T < 1:
-        raise ValidationError(f"T must be >= 1, got {T}")
+    d = _param(params, "d", _positive, kind)
+    T = _param(params, "T", _positive, kind)
     if "sigma" in params:
         m = _param(params, "sigma", lambda s: round(1.0 / _real(s)), kind)
-        if "m" in params and _param(params, "m", _integer, kind) != m:
+        if "m" in params and _param(params, "m", _positive, kind) != m:
             raise ValidationError(
                 f"m={params['m']!r} and sigma={params['sigma']!r} disagree: "
                 f"m must equal round(1/sigma) = {m}"
             )
     elif "m" in params:
-        m = _param(params, "m", _integer, kind)
+        m = _param(params, "m", _positive, kind)
     else:
         raise ValidationError(f"{kind} experiment requires m or sigma")
     cls = ThresholdUnionClass(m, d)
     learner = _choice(params, "learner", "hedge-on-cover", LEARNERS)
     adversary = _choice(params, "adversary", "stationary-smooth", _LEARNING_ADVERSARIES)
     beta = _param(params, "beta", _real, kind, cls.sigma * math.sqrt(d) / math.sqrt(T))
-    build_cover(cls, beta)
     out = {
         "m": m,
         "d": d,
@@ -446,26 +447,25 @@ def _resolve_learning(kind: str, params: dict) -> dict:
         "adversary": adversary,
     }
     if _applies(params, out, "flip", "adversary", "stationary-smooth"):
-        flip = _param(params, "flip", _real, kind, 0.25)
-        if not (0.0 <= flip <= 0.5):
-            raise ValidationError(f"flip must lie in [0, 0.5], got {flip!r}")
-        out["flip"] = flip
+        out["flip"] = _param(params, "flip", _real, kind, 0.25)
     return out
 
 
-def _trial_learning(params: dict, seed: int, index: int, keep_raw: bool):
+def _learning_game(params: dict):
     cls = ThresholdUnionClass(params["m"], params["d"])
     cover = build_cover(cls, params["beta"])
     adv = _LEARNING_ADVERSARIES[params["adversary"]](params, cls)
-    ledger = run_learning_game(
-        params["learner"], adv, cover, params["T"], RngStream(seed=seed, stream_id=index)
-    )
-    metrics = {
-        "regret": int(ledger.regret),
-        "cum_loss": int(ledger.cum_loss),
-        "best_loss": int(ledger.best_loss),
-    }
-    return metrics, (ledger.to_csv(), ledger.config_json() + "\n") if keep_raw else ()
+
+    def play(rng: RngStream, keep_raw: bool):
+        ledger = run_learning_game(params["learner"], adv, cover, params["T"], rng)
+        metrics = {
+            "regret": int(ledger.regret),
+            "cum_loss": int(ledger.cum_loss),
+            "best_loss": int(ledger.best_loss),
+        }
+        return metrics, (ledger.to_csv(), ledger.config_json() + "\n") if keep_raw else ()
+
+    return play
 
 
 def _check_learning(params: dict, summary: dict) -> list[str]:
@@ -493,14 +493,13 @@ _INTERVAL_ADVERSARIES = {
 
 
 def _resolve_dispersion(kind: str, params: dict) -> dict:
-    T = _param(params, "T", _integer, kind)
-    ell = _param(params, "ell", _integer, kind)
+    T = _param(params, "T", _positive, kind)
+    ell = _param(params, "ell", _positive, kind)
     sigma = _param(params, "sigma", _real, kind)
     adversary = _choice(params, "adversary", "iid-uniform", _INTERVAL_ADVERSARIES)
     alpha = _param(params, "alpha", _real, kind, 0.5)
     delta = _param(params, "delta", _real, kind, 0.05)
     w = _param(params, "w", _real, kind, default_window_width(T, ell, sigma, alpha))
-    dispersion_bound(T, ell, sigma, w, delta)
     out = {
         "T": T,
         "ell": ell,
@@ -514,31 +513,34 @@ def _resolve_dispersion(kind: str, params: dict) -> dict:
         out["k"] = _param(params, "k", _real, kind)
     if _applies(params, out, "lo", "adversary", "fixed-interval"):
         out["lo"] = _param(params, "lo", _real, kind, 0.0)
-    _INTERVAL_ADVERSARIES[adversary](out)
     return out
 
 
-def _trial_dispersion(params: dict, seed: int, index: int, keep_raw: bool):
+def _dispersion_game(params: dict):
+    T, ell, sigma = params["T"], params["ell"], params["sigma"]
+    dispersion_bound(T, ell, sigma, params["w"], params["delta"])
     adv = _INTERVAL_ADVERSARIES[params["adversary"]](params)
-    sample = generate_discontinuities(
-        adv, params["T"], params["ell"], params["sigma"], RngStream(seed=seed, stream_id=index)
-    )
-    passed, report = check_dispersed(
-        sample,
-        w=params["w"],
-        k=params.get("k"),
-        alpha=params["alpha"],
-        delta=params["delta"],
-    )
-    metrics = {
-        "total": int(report.total),
-        "split": int(report.split),
-        "bound": float(report.bound),
-        "w": float(report.w),
-        "within_bound": bool(report.total <= report.bound),
-        "passed": bool(passed),
-    }
-    return metrics, (sample_to_jsonl(sample), report_csv(report)) if keep_raw else ()
+
+    def play(rng: RngStream, keep_raw: bool):
+        sample = generate_discontinuities(adv, T, ell, sigma, rng)
+        passed, report = check_dispersed(
+            sample,
+            w=params["w"],
+            k=params.get("k"),
+            alpha=params["alpha"],
+            delta=params["delta"],
+        )
+        metrics = {
+            "total": int(report.total),
+            "split": int(report.split),
+            "bound": float(report.bound),
+            "w": float(report.w),
+            "within_bound": bool(report.total <= report.bound),
+            "passed": bool(passed),
+        }
+        return metrics, (sample_to_jsonl(sample), report_csv(report)) if keep_raw else ()
+
+    return play
 
 
 def _min_rate(metric: str, floor: float, label: str):
@@ -559,7 +561,7 @@ KINDS: dict[str, KindSpec] = {
         params=("n", "sigma", "T", "k", "adversary", "set_size"),
         resolve=_resolve_coupling,
         options={"adversary": _COUPLING_ADVERSARIES},
-        trial=_trial_coupling,
+        game=_coupling_game,
         raw_files=("traces.jsonl",),
         check=_check_coupling,
         summary_hook=_summarize_coupling,
@@ -567,13 +569,9 @@ KINDS: dict[str, KindSpec] = {
     "discrepancy": KindSpec(
         command="discrepancy",
         params=(*_BALANCING_PARAMS, "adversary", "sigma", "inner"),
-        resolve=lambda kind, params: _resolve_balancing(
-            kind, params, "potential", _resolve_vector_adversary
-        ),
+        resolve=_resolve_discrepancy,
         options={"algorithm": _ALGORITHMS, "adversary": _VECTOR_ADVERSARIES},
-        trial=lambda params, seed, index, keep_raw: _trial_balancing(
-            params, seed, index, keep_raw, _vector_adversary
-        ),
+        game=_discrepancy_game,
         raw_files=("trace_NNNN.csv", "run_NNNN.json"),
         check=_check_discrepancy,
     ),
@@ -581,12 +579,12 @@ KINDS: dict[str, KindSpec] = {
     "discrepancy-lowerbound": KindSpec(
         command="discrepancy-lb",
         params=_BALANCING_PARAMS,
-        resolve=lambda kind, params: _resolve_balancing(
-            kind, params, "random-sign", lambda _kind, _params, out: _slab_adversary(out)
-        ),
+        resolve=lambda kind, params: _resolve_balancing(kind, params, "random-sign"),
         options={"algorithm": _ALGORITHMS},
-        trial=lambda params, seed, index, keep_raw: _trial_balancing(
-            params, seed, index, keep_raw, _slab_adversary, ok_floor=params["T"] / 20.0
+        game=lambda params: _balancing_game(
+            params,
+            slab_lowerbound_adversary(params["n"], params["T"]),
+            ok_floor=params["T"] / 20.0,
         ),
         raw_files=("trace_NNNN.csv", "run_NNNN.json"),
         # Final squared length at least T/20 in at least 99 percent of trials.
@@ -597,7 +595,7 @@ KINDS: dict[str, KindSpec] = {
         params=("m", "sigma", "d", "T", "beta", "learner", "adversary", "flip"),
         resolve=_resolve_learning,
         options={"learner": LEARNERS, "adversary": _LEARNING_ADVERSARIES},
-        trial=_trial_learning,
+        game=_learning_game,
         raw_files=("ledger_NNNN.csv", "game_NNNN.json"),
         check=_check_learning,
     ),
@@ -606,7 +604,7 @@ KINDS: dict[str, KindSpec] = {
         params=("T", "ell", "sigma", "adversary", "alpha", "delta", "w", "k", "lo"),
         resolve=_resolve_dispersion,
         options={"adversary": _INTERVAL_ADVERSARIES},
-        trial=_trial_dispersion,
+        game=_dispersion_game,
         raw_files=("points_NNNN.jsonl", "reports.csv"),
         # Total window count within the bound in at least 95 percent of trials.
         check=_min_rate("within_bound", 0.95, "within-bound"),
@@ -625,7 +623,7 @@ def _run_single_trial(job: tuple) -> tuple[dict, dict]:
     kind, params, seed, index, keep_raw = job
     spec = KINDS[kind]
     try:
-        metrics, contents = spec.trial(params, seed, index, keep_raw)
+        metrics, contents = spec.game(params)(RngStream(seed=seed, stream_id=index), keep_raw)
     except Exception as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}, {}
     names = (name.replace("NNNN", f"{index:04d}") for name in spec.raw_files)
@@ -693,15 +691,15 @@ def run_experiment(
     """
     if parallelism < 1:
         raise ValidationError(f"parallelism must be >= 1, got {parallelism}")
-    params = _resolve_params(cfg.kind, cfg.params)
+    resolved = ExperimentConfig(
+        cfg.kind, _resolve_params(cfg.kind, cfg.params), cfg.trials, cfg.seed
+    )
     run_dir = Path(out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     _clear_owned_files(run_dir)
-    (run_dir / "config.json").write_text(
-        ExperimentConfig(cfg.kind, params, cfg.trials, cfg.seed).to_json()
-    )
+    (run_dir / "config.json").write_text(resolved.to_json())
 
-    jobs = [(cfg.kind, params, cfg.seed, i, write_traces) for i in range(cfg.trials)]
+    jobs = [(cfg.kind, resolved.params, cfg.seed, i, write_traces) for i in range(cfg.trials)]
     if parallelism == 1 or cfg.trials == 1:
         results = [_run_single_trial(job) for job in jobs]
     else:
@@ -730,7 +728,7 @@ def run_experiment(
     summary = summarize(run_dir)
     (run_dir / "summary.json").write_text(summary_to_json(summary))
     return RunResult(
-        config=ExperimentConfig(cfg.kind, params, cfg.trials, cfg.seed),
+        config=resolved,
         run_dir=str(run_dir),
         metrics=rows,
         summary=summary,
@@ -746,6 +744,12 @@ def _read_metrics(run_dir: Path) -> list[dict]:
     if not path.is_file():
         raise ValidationError(f"no metrics.jsonl in {run_dir}")
     return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
+
+
+def _rate_block(count: int, n: int) -> dict:
+    """count of n, its rate and the rate's Wilson interval at three standard errors."""
+    lo, hi = wilson_interval(count, n, z=3.0)
+    return {"count": count, "n": n, "rate": count / n, "ci_low": lo, "ci_high": hi}
 
 
 def summarize(run_dir: str | Path) -> dict:
@@ -769,15 +773,7 @@ def summarize(run_dir: str | Path) -> dict:
     for key in keys:
         values = [r[key] for r in good if key in r]
         if values and all(isinstance(v, bool) for v in values):
-            count = sum(values)
-            lo, hi = wilson_interval(count, len(values), z=3.0)
-            metrics[key] = {
-                "count": count,
-                "n": len(values),
-                "rate": count / len(values),
-                "ci_low": lo,
-                "ci_high": hi,
-            }
+            metrics[key] = _rate_block(sum(values), len(values))
         else:
             arr = np.asarray([float(v) for v in values])
             metrics[key] = {

@@ -685,3 +685,21 @@ def test_shell_adversary_validates_inner_radius():
     for _ in range(200):
         v = adv.next_vector(np.zeros(4), 1, gen)
         assert inner - 1e-12 <= float(np.linalg.norm(v)) <= 1.0 + 1e-12
+
+
+def test_vector_adversaries_validate_n_and_sigma():
+    # n=0 would make uniform_ball loop forever; the shells and the slab would
+    # divide by zero.
+    for make in (
+        lambda: uniform_ball_adversary(0),
+        lambda: uniform_ball_adversary(-3),
+        lambda: shell_adversary(0, 0.5),
+        lambda: adaptive_shell_adversary(0, 0.5),
+        lambda: adaptive_shell_adversary(4, 0.0),
+        lambda: adaptive_shell_adversary(4, -1.0),
+        lambda: VectorAdversary(n=2, sigma=1.5, next_fn=lambda d, t, g: np.zeros(2)),
+        lambda: slab_lowerbound_adversary(0, 5),
+        lambda: slab_lowerbound_adversary(3, 0),
+    ):
+        with pytest.raises(ValidationError):
+            make()

@@ -19,7 +19,12 @@ from pathlib import Path
 import pytest
 
 from smoothlab.cli import build_parser, main as cli_main
-from smoothlab.discrepancy import run_discrepancy, uniform_ball_adversary
+from smoothlab.discrepancy import (
+    adaptive_shell_adversary,
+    run_discrepancy,
+    uniform_ball_adversary,
+)
+from smoothlab.dispersion import dispersion_bound
 from smoothlab.domain import RngStream, ValidationError
 from smoothlab.harness import (
     ExperimentConfig,
@@ -32,6 +37,7 @@ from smoothlab.harness import (
     summary_to_json,
 )
 from smoothlab import harness, learning
+from smoothlab.learning import ThresholdUnionClass, stationary_smooth_adversary
 
 
 def _dir_bytes(path: Path) -> dict[str, bytes]:
@@ -112,10 +118,45 @@ def test_make_config_rejects_bad_input():
     ):
         with pytest.raises(ValidationError, match="not a real number"):
             make_config(kind, params, 1, 0)
+    # Sizes below 1, and configs that only a game's own constructors refuse.
+    # A trial with n=0 and random-sign would loop in uniform_ball, so that case
+    # is only ever given to make_config.
+    for kind, key, value, choices, needle in BAD_GAMES + [
+        ("discrepancy", "n", "0", RANDOM_SIGN, "'n'")
+    ]:
+        params = {**OPTIONAL_NUMERIC[kind][0], **choices, key: json.loads(value)}
+        with pytest.raises(ValidationError, match=re.escape(needle)):
+            make_config(kind, params, 1, 0)
     with pytest.raises(ValidationError):
         ExperimentConfig("coupling", {}, trials=0, seed=0)
     with pytest.raises(ValidationError):
         ExperimentConfig("coupling", {}, trials=1, seed=-1)
+
+
+def test_make_config_raises_what_a_trial_would():
+    cls = ThresholdUnionClass(16, 2)
+    for kind, params, build in (
+        (
+            "learning",
+            {"m": 16, "d": 2, "T": 8, "flip": 0.7},
+            lambda: stationary_smooth_adversary(cls, flip=0.7),
+        ),
+        (
+            "discrepancy",
+            {**RANDOM_SIGN, "n": 4, "T": 8, "adversary": "adaptive-shell", "sigma": 0.0},
+            lambda: adaptive_shell_adversary(4, 0.0),
+        ),
+        (
+            "dispersion",
+            {"T": 10, "ell": 2, "sigma": 0.2, "w": -1.0},
+            lambda: dispersion_bound(10, 2, 0.2, -1.0, 0.05),
+        ),
+    ):
+        with pytest.raises(ValidationError) as from_config:
+            make_config(kind, params, 1, 0)
+        with pytest.raises(ValidationError) as from_trial:
+            build()
+        assert str(from_config.value) == str(from_trial.value), kind
 
 
 def test_make_config_rejects_boolean_trials_and_seed():
@@ -178,6 +219,24 @@ OPTIONAL_NUMERIC = {
 }
 
 
+RANDOM_SIGN = {"algorithm": "random-sign"}
+ADAPTIVE_SHELL = {**RANDOM_SIGN, "adversary": "adaptive-shell"}
+
+# (kind, key, value, the choices the value is given with, text the error must
+# contain) for values that a size cast or a game's constructors refuse. A cast
+# names the parameter quoted; a constructor's check gives its own message.
+BAD_GAMES = [
+    ("discrepancy", "n", "-3", RANDOM_SIGN, "'n'"),
+    ("discrepancy", "T", "0", RANDOM_SIGN, "'T'"),
+    ("discrepancy", "n", "0", {"adversary": "shell"}, "'n'"),
+    ("discrepancy", "sigma", "0.0", ADAPTIVE_SHELL, "sigma must lie in (0, 1]"),
+    ("discrepancy", "sigma", "-1", ADAPTIVE_SHELL, "sigma must lie in (0, 1]"),
+    ("discrepancy", "sigma", "7.0", {"adversary": "uniform-ball"}, "'sigma'"),
+    ("discrepancy-lowerbound", "n", "0", {}, "'n'"),
+    ("discrepancy-lowerbound", "T", "0", {}, "'T'"),
+]
+
+
 def test_optional_numeric_table_covers_every_kind():
     assert list(OPTIONAL_NUMERIC) == list(harness.KINDS)
     for kind, (required, optional) in OPTIONAL_NUMERIC.items():
@@ -185,27 +244,36 @@ def test_optional_numeric_table_covers_every_kind():
         assert set(spec.params) - set(spec.options) - set(required) == set(optional), kind
 
 
-# Each optional numeric parameter given null or a non-number, and integer
-# parameters, optional or required, given a boolean or a fraction.
+# Each optional numeric parameter given null or a non-number, integer
+# parameters, optional or required, given a boolean or a fraction, and BAD_GAMES.
 @pytest.mark.parametrize(
-    "kind,key,value",
+    "kind,key,value,choices,needle",
     [
-        (kind, key, value)
+        pytest.param(kind, key, value, optional[key], f"{key!r}", id=f"{kind}-{key}-{value}")
         for kind, (_, optional) in OPTIONAL_NUMERIC.items()
         for key in optional
         for value in ("null", "abc")
     ]
-    + [("coupling", "k", "2.7"), ("discrepancy", "n", "true"), ("discrepancy", "T", "8.9")],
+    + [
+        pytest.param(kind, key, value, {}, f"{key!r}", id=f"{kind}-{key}-{value}")
+        for kind, key, value in (
+            ("coupling", "k", "2.7"),
+            ("discrepancy", "n", "true"),
+            ("discrepancy", "T", "8.9"),
+        )
+    ]
+    + [pytest.param(*case, id="-".join((*case[:3], *case[3].values()))) for case in BAD_GAMES],
 )
-def test_cli_bad_optional_param_is_a_config_error(kind, key, value, tmp_path, capsys):
-    required, optional = OPTIONAL_NUMERIC[kind]
+def test_cli_bad_optional_param_is_a_config_error(
+    kind, key, value, choices, needle, tmp_path, capsys
+):
     argv = [harness.KINDS[kind].command, "--out-dir", str(tmp_path / "run")]
-    for name, given in {**required, **optional.get(key, {})}.items():
+    for name, given in {**OPTIONAL_NUMERIC[kind][0], **choices}.items():
         argv += ["--param", f"{name}={json.dumps(given)}"]
     code = cli_main(argv + ["--param", f"{key}={value}"])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: ") and f"{key!r}" in err
+    assert err.startswith("error: ") and needle in err
     assert "Traceback" not in err
 
 
