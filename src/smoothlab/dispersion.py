@@ -40,6 +40,7 @@ __all__ = [
     "max_interval_count_brute",
     "report_csv",
     "sample_to_jsonl",
+    "split_ceiling",
 ]
 
 
@@ -336,6 +337,19 @@ def default_window_width(T: int, ell: int, sigma: float, alpha: float = 0.5) -> 
     return sigma * float(T * ell) ** (alpha - 1.0)
 
 
+def split_ceiling(k: float | None, bound: float) -> float:
+    """The k a sample's split count is held to: ``bound`` when k is None.
+
+    A given k must be finite and at least 0; a negative or NaN k would fail
+    every sample and an infinite one pass every sample, whatever the data.
+    """
+    if k is None:
+        return bound
+    if not (0.0 <= k < math.inf):
+        raise ValidationError(f"k must be finite and >= 0, got {k!r}")
+    return float(k)
+
+
 @dataclass(frozen=True)
 class DispersionReport:
     """Window counts of one sample against the lemma's ceiling."""
@@ -379,15 +393,14 @@ def check_dispersed(
     elif not (0.5 <= alpha <= 1.0):
         raise ValidationError(f"alpha must lie in [0.5, 1], got {alpha!r}")
     bound = dispersion_bound(sample.T, sample.ell, sample.sigma, w, delta)
-    if k is None:
-        k = bound
+    k = split_ceiling(k, bound)
     total, split = max_interval_count(sample, w)
     report = DispersionReport(
         w=float(w),
         total=total,
         split=split,
         bound=bound,
-        k=float(k),
+        k=k,
         passed=split <= k,
         alpha=alpha,
         delta=delta,

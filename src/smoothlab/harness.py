@@ -68,6 +68,7 @@ from .dispersion import (
     iid_uniform_adversary,
     report_csv,
     sample_to_jsonl,
+    split_ceiling,
 )
 from .domain import FiniteDomain, RngStream, ValidationError, min_support_size
 from .learning import (
@@ -518,7 +519,8 @@ def _resolve_dispersion(kind: str, params: dict) -> dict:
 
 def _dispersion_game(params: dict):
     T, ell, sigma = params["T"], params["ell"], params["sigma"]
-    dispersion_bound(T, ell, sigma, params["w"], params["delta"])
+    bound = dispersion_bound(T, ell, sigma, params["w"], params["delta"])
+    split_ceiling(params.get("k"), bound)
     adv = _INTERVAL_ADVERSARIES[params["adversary"]](params)
 
     def play(rng: RngStream, keep_raw: bool):

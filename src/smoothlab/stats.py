@@ -1,7 +1,8 @@
 """Statistical helpers shared by the diagnostics and the experiment harness.
 
-Thin wrappers over scipy.stats plus the specific conventions used throughout
-the laboratory: one-sided bound checks use the model probability q as the
+Pearson chi-square tests computed from their formulas, with p-values from
+``scipy.special.chdtrc``, plus the conventions used throughout the
+laboratory: one-sided bound checks use the model probability q as the
 variance scale (stderr = sqrt(q(1-q)/N)), and bootstrap intervals are seeded
 percentile intervals with 10^4 resamples.
 """
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import chdtrc
 
 from smoothlab.domain import as_generator
 
@@ -27,36 +28,55 @@ __all__ = [
     "bootstrap_ratio_ci",
 ]
 
+# Largest relative gap between the observed and expected totals of a fit.
+_SUM_RTOL = math.sqrt(np.finfo(float).eps)
+
+
+def _chi_square(observed: np.ndarray, expected: np.ndarray, dof: int) -> tuple[float, float]:
+    """Pearson's statistic sum((o - e)^2 / e) and its upper chi-square tail at dof."""
+    stat = ((observed - expected) ** 2 / expected).sum()
+    return float(stat), float(chdtrc(dof, stat))
+
 
 def chi_square_uniform(counts: np.ndarray) -> tuple[float, float]:
     """Chi-square goodness of fit of observed category counts to the uniform law."""
     counts = np.asarray(counts, dtype=float)
-    stat, p = sps.chisquare(counts)
-    return float(stat), float(p)
+    return _chi_square(counts, counts.mean(), counts.size - 1)
 
 
 def chi_square_fit(counts: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
-    """Chi-square fit to a pmf; checks the pmf-round marginal of ``couple_adaptive``."""
+    """Chi-square fit to a pmf; checks the pmf-round marginal of ``couple_adaptive``.
+
+    Cells of zero probability are dropped.  Counts that fall on them leave
+    the kept counts short of the expected total, which raises ValueError
+    when the two totals differ by more than a relative sqrt(eps).
+    """
     counts = np.asarray(counts, dtype=float)
     probs = np.asarray(probs, dtype=float)
     expected = probs * counts.sum()
     keep = expected > 0
-    stat, p = sps.chisquare(counts[keep], expected[keep])
-    return float(stat), float(p)
+    observed, expected = counts[keep], expected[keep]
+    got, want = observed.sum(), expected.sum()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if abs(got - want) / min(got, want) > _SUM_RTOL:
+            raise ValueError(f"observed total {got} does not match expected total {want}")
+    return _chi_square(observed, expected, observed.size - 1)
 
 
 def chi_square_table(table: np.ndarray) -> tuple[float, float]:
     """Chi-square test of independence / homogeneity on a contingency table.
 
     Rows or columns that are entirely zero are dropped (they carry no
-    information and break the expected-count computation).
+    information and break the expected-count computation).  The expected
+    counts are the outer product of the row and column sums over the total.
     """
     table = np.asarray(table, dtype=float)
     table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
-    if table.shape[0] < 2 or table.shape[1] < 2:
+    rows, cols = table.shape
+    if rows < 2 or cols < 2:
         return 0.0, 1.0
-    stat, p, _, _ = sps.chi2_contingency(table, correction=False)
-    return float(stat), float(p)
+    expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0, keepdims=True) / table.sum()
+    return _chi_square(table, expected, (rows - 1) * (cols - 1))
 
 
 def wilson_interval(successes: int, trials: int, z: float = 3.0) -> tuple[float, float]:

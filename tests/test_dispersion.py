@@ -321,6 +321,16 @@ def test_check_dispersed_k_equals_T_always_true():
     assert report.k == 30.0
 
 
+def test_check_dispersed_refuses_negative_or_non_finite_k():
+    sample = generate_discontinuities(iid_uniform_adversary(), 20, 2, 0.2, RngStream(seed=513))
+    for k in (-5.0, -1e-12, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="k must be finite and >= 0"):
+            check_dispersed(sample, k=k)
+    ok, report = check_dispersed(sample, k=0)
+    assert report.k == 0.0
+    assert ok == (report.split == 0)
+
+
 def test_check_dispersed_defaults():
     sample = generate_discontinuities(iid_uniform_adversary(), 100, 5, 0.1, RngStream(seed=512))
     ok, report = check_dispersed(sample)

@@ -24,7 +24,12 @@ from smoothlab.discrepancy import (
     run_discrepancy,
     uniform_ball_adversary,
 )
-from smoothlab.dispersion import dispersion_bound
+from smoothlab.dispersion import (
+    check_dispersed,
+    dispersion_bound,
+    generate_discontinuities,
+    iid_uniform_adversary,
+)
 from smoothlab.domain import RngStream, ValidationError
 from smoothlab.harness import (
     ExperimentConfig,
@@ -151,6 +156,14 @@ def test_make_config_raises_what_a_trial_would():
             {"T": 10, "ell": 2, "sigma": 0.2, "w": -1.0},
             lambda: dispersion_bound(10, 2, 0.2, -1.0, 0.05),
         ),
+        (
+            "dispersion",
+            {"T": 10, "ell": 2, "sigma": 0.2, "k": -5.0},
+            lambda: check_dispersed(
+                generate_discontinuities(iid_uniform_adversary(), 10, 2, 0.2, RngStream(seed=0)),
+                k=-5.0,
+            ),
+        ),
     ):
         with pytest.raises(ValidationError) as from_config:
             make_config(kind, params, 1, 0)
@@ -234,6 +247,8 @@ BAD_GAMES = [
     ("discrepancy", "sigma", "7.0", {"adversary": "uniform-ball"}, "'sigma'"),
     ("discrepancy-lowerbound", "n", "0", {}, "'n'"),
     ("discrepancy-lowerbound", "T", "0", {}, "'T'"),
+    ("dispersion", "k", "-5", {}, "k must be finite and >= 0"),
+    ("dispersion", "k", "NaN", {}, "k must be finite and >= 0"),
 ]
 
 
