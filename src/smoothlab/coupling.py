@@ -40,7 +40,6 @@ from smoothlab.domain import (
     SmoothPmf,
     UniformOnSet,
     ValidationError,
-    as_generator,
     decompose_smooth,
     min_support_size,
     validate_smooth,
@@ -203,7 +202,7 @@ class CouplingTrace:
 
 
 def couple_single_round(
-    S: UniformOnSet, k: int, rng: "RngStream | np.random.Generator"
+    S: UniformOnSet, k: int, gen: np.random.Generator
 ) -> tuple[int, np.ndarray]:
     """One round of the replica coupling against a uniform set.
 
@@ -220,7 +219,6 @@ def couple_single_round(
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    gen = as_generator(rng)
     members = S.members_array
     z = gen.integers(1, S.domain.n + 1, size=k)
     hit = S.member_mask[z]
@@ -235,7 +233,7 @@ def couple_single_round(
 
 
 def couple_adaptive(
-    adv: SmoothAdversary, cfg: CouplingConfig, rng: "RngStream | np.random.Generator"
+    adv: SmoothAdversary, cfg: CouplingConfig, gen: np.random.Generator
 ) -> CouplingTrace:
     """Run the coupling for T rounds against an adaptive smooth adversary.
 
@@ -248,7 +246,6 @@ def couple_adaptive(
     spends the component draw, and a pmf round always does.  The rule sees a
     read-only view of X's realized prefix.
     """
-    gen = as_generator(rng)
     n = adv.domain.n
     floor = min_support_size(adv.sigma, n)
     X = np.empty(cfg.T, dtype=np.int64)

@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import betainc, betaincinv
 
-from smoothlab.domain import RngStream, ValidationError, as_generator
+from smoothlab.domain import RngStream, ValidationError, require_stream
 from smoothlab.stats import binomial_stderr
 
 __all__ = [
@@ -197,14 +197,20 @@ class ProbePool:
         return int(self.ball.shape[0])
 
 
-def uniform_ball(n: int, gen: np.random.Generator) -> np.ndarray:
-    """One draw uniform in the unit n-ball (gaussian direction, radius u^(1/n))."""
+def _shell_draw(n: int, inner: float, gen: np.random.Generator) -> np.ndarray:
+    """One draw uniform in the shell {inner <= ||x|| <= 1}; radius^n is uniform on [inner^n, 1]."""
     g = gen.standard_normal(n)
     nrm = float(np.linalg.norm(g))
     while nrm == 0.0:
         g = gen.standard_normal(n)
         nrm = float(np.linalg.norm(g))
-    return (gen.random() ** (1.0 / n) / nrm) * g
+    rho = (inner**n + gen.random() * (1.0 - inner**n)) ** (1.0 / n)
+    return (rho / nrm) * g
+
+
+def uniform_ball(n: int, gen: np.random.Generator) -> np.ndarray:
+    """One draw uniform in the unit n-ball (gaussian direction, radius u^(1/n))."""
+    return _shell_draw(n, 0.0, gen)
 
 
 def uniform_ball_batch(n: int, size: int, gen: np.random.Generator) -> np.ndarray:
@@ -216,14 +222,9 @@ def uniform_ball_batch(n: int, size: int, gen: np.random.Generator) -> np.ndarra
     return g / nrms * radii[:, None]
 
 
-def _require_stream(rng: RngStream) -> None:
-    if not isinstance(rng, RngStream):
-        raise ValidationError(f"expected an RngStream, got {type(rng).__name__}")
-
-
 def build_probe_pool(n: int, M: int, rng: RngStream) -> ProbePool:
     """Draw the M ball probes once; they stay frozen for the whole run."""
-    _require_stream(rng)
+    require_stream(rng)
     ball = uniform_ball_batch(n, M, rng.generator()) if M > 0 else np.empty((0, n))
     return ProbePool(n=n, ball=ball, descriptor=("stream", rng.seed, rng.stream_id))
 
@@ -311,7 +312,7 @@ def choose_sign_potential(state, x: np.ndarray, cfg: PotentialConfig, pool: Prob
 
 
 def choose_sign_selfbalancing(
-    state, x: np.ndarray, cfg: SelfBalancingConfig, rng: "RngStream | np.random.Generator"
+    state, x: np.ndarray, cfg: SelfBalancingConfig, gen: np.random.Generator
 ):
     """Self-balancing sign rule; returns +1, -1, or the FAILURE sentinel.
 
@@ -326,7 +327,6 @@ def choose_sign_selfbalancing(
     ip = float(d @ x)
     if abs(ip) > cfg.c:
         return FAILURE
-    gen = as_generator(rng)
     p_plus = 0.5 - ip / (2.0 * cfg.c)
     return +1 if gen.random() < p_plus else -1
 
@@ -359,16 +359,6 @@ def uniform_ball_adversary(n: int) -> VectorAdversary:
         next_fn=lambda d, t, gen: uniform_ball(n, gen),
         name="uniform-ball",
     )
-
-
-def _shell_draw(n: int, inner: float, gen: np.random.Generator) -> np.ndarray:
-    g = gen.standard_normal(n)
-    nrm = float(np.linalg.norm(g))
-    while nrm == 0.0:
-        g = gen.standard_normal(n)
-        nrm = float(np.linalg.norm(g))
-    rho = (inner**n + gen.random() * (1.0 - inner**n)) ** (1.0 / n)
-    return (rho / nrm) * g
 
 
 def _max_inner_radius(n: int, sigma: float) -> float:
@@ -419,9 +409,7 @@ def adaptive_shell_adversary(n: int, sigma: float) -> VectorAdversary:
     return VectorAdversary(n=n, sigma=sigma, next_fn=next_fn, name="adaptive-shell")
 
 
-def slab_adversary_next(
-    d: np.ndarray, n: int, T: int, rng: "RngStream | np.random.Generator"
-) -> np.ndarray:
+def slab_adversary_next(d: np.ndarray, n: int, T: int, gen: np.random.Generator) -> np.ndarray:
     """One exact draw from the slab {||x|| <= 1, |<x, dhat>| <= n^-2 T^-2}.
 
     With d = 0 (or a slab wider than the ball) this is a plain uniform ball
@@ -430,7 +418,6 @@ def slab_adversary_next(
     incomplete beta function in s^2, inverted with betaincinv.  The
     cross-section at s is a uniform (n-1)-ball of radius sqrt(1 - s^2).
     """
-    gen = as_generator(rng)
     d = np.asarray(d, dtype=float)
     nrm = float(np.linalg.norm(d))
     tau = 1.0 / (n * n * T * T)
@@ -461,7 +448,7 @@ def slab_adversary_next_rejection(
     d: np.ndarray,
     n: int,
     T: int,
-    rng: "RngStream | np.random.Generator",
+    gen: np.random.Generator,
     max_tries: int = 10_000_000,
 ) -> tuple[np.ndarray, int]:
     """Rejection oracle for the slab draw: resample the ball until inside.
@@ -469,7 +456,6 @@ def slab_adversary_next_rejection(
     Returns (vector, number of proposals).  Kept as the independent check of
     the exact sampler; expected proposals scale with n^2 T^2.
     """
-    gen = as_generator(rng)
     d = np.asarray(d, dtype=float)
     nrm = float(np.linalg.norm(d))
     tau = 1.0 / (n * n * T * T)
@@ -496,16 +482,13 @@ def slab_lowerbound_adversary(n: int, T: int) -> VectorAdversary:
     )
 
 
-def slab_acceptance_rate(
-    n: int, T: int, n_samples: int, rng: "RngStream | np.random.Generator"
-) -> float:
+def slab_acceptance_rate(n: int, T: int, n_samples: int, gen: np.random.Generator) -> float:
     """Empirical fraction of uniform-ball draws landing inside the slab: checks the
     slab adversary's declared sigma against its real volume fraction.
 
     Uses a fixed nonzero direction; by rotational symmetry of the ball the
     rate does not depend on it.
     """
-    gen = as_generator(rng)
     tau = 1.0 / (n * n * T * T)
     pts = uniform_ball_batch(n, n_samples, gen)
     return float(np.mean(np.abs(pts[:, 0]) <= tau))
@@ -521,7 +504,6 @@ class DiscrepancyTrace:
     d_final: np.ndarray
     inf_norms: np.ndarray  # ||d_t||_inf per completed round
     two_norms: np.ndarray
-    max_inf_curve: np.ndarray  # running max, nondecreasing
     ips: np.ndarray  # <d_{t-1}, x_t> per round
     phis: np.ndarray | None  # length t_done + 1 with phis[0] = Phi(0) = 1
     failed: bool
@@ -537,7 +519,7 @@ class DiscrepancyTrace:
 
     @property
     def max_inf(self) -> float:
-        return float(self.max_inf_curve[-1]) if self.t_done else 0.0
+        return float(self.inf_norms.max()) if self.t_done else 0.0
 
     @property
     def final_two_norm_sq(self) -> float:
@@ -558,7 +540,7 @@ def run_discrepancy(
     its probe pool once at the start, from ``rng.substream(1)``, and records
     that stream in the header.
     """
-    _require_stream(rng)
+    require_stream(rng)
     if T < 1:
         raise ValidationError(f"T must be >= 1, got {T}")
     if not isinstance(rule, (PotentialConfig, SelfBalancingConfig, RandomSign)):
@@ -594,7 +576,6 @@ def run_discrepancy(
     signs = np.empty(T, dtype=np.int8)
     inf_norms = np.empty(T)
     two_norms = np.empty(T)
-    max_inf_curve = np.empty(T)
     ips = np.empty(T)
     phis = np.empty(T + 1) if potential else None
     if phis is not None:
@@ -606,7 +587,6 @@ def run_discrepancy(
     phi_cross_round = -1
     blown_up = False
     t_done = 0
-    running_max = 0.0
 
     for t in range(1, T + 1):
         x = adv.next_vector(d, t, gen)
@@ -642,11 +622,8 @@ def run_discrepancy(
         # d stays a fresh array each round: the adversary may keep the d it saw.
         d = S[:n].copy() if potential else d + sign * x
         signs[t - 1] = sign
-        inf = float(np.abs(d).max())
-        inf_norms[t - 1] = inf
+        inf_norms[t - 1] = float(np.abs(d).max())
         two_norms[t - 1] = float(np.linalg.norm(d))
-        running_max = max(running_max, inf)
-        max_inf_curve[t - 1] = running_max
         X[t - 1] = x
         t_done = t
 
@@ -662,7 +639,6 @@ def run_discrepancy(
         d_final=d,
         inf_norms=inf_norms[:t_done].copy(),
         two_norms=two_norms[:t_done].copy(),
-        max_inf_curve=max_inf_curve[:t_done].copy(),
         ips=ips[:t_done].copy() if not failed else ips[:failed_round].copy(),
         phis=phis[: t_done + 1].copy() if phis is not None else None,
         failed=failed,
@@ -687,7 +663,7 @@ class IsotropyReport:
 def check_isotropy(
     adv: VectorAdversary,
     n_samples: int,
-    rng: "RngStream | np.random.Generator",
+    gen: np.random.Generator,
     d: np.ndarray | None = None,
     t: int = 1,
 ) -> IsotropyReport:
@@ -701,7 +677,6 @@ def check_isotropy(
     """
     if n_samples < 1000:
         raise ValidationError(f"need at least 1000 samples, got {n_samples}")
-    gen = as_generator(rng)
     d0 = np.zeros(adv.n) if d is None else np.asarray(d, dtype=float)
     cov = np.zeros((adv.n, adv.n))
     for _ in range(n_samples):

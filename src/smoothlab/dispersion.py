@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import RngStream, ValidationError, as_generator
+from .domain import ValidationError
 
 __all__ = [
     "DiscontinuitySample",
@@ -158,7 +158,6 @@ class DiscontinuitySample:
     points: np.ndarray  # shape (T, ell)
     sigma: float
     adversary: str
-    seed_info: dict
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -188,7 +187,7 @@ def generate_discontinuities(
     T: int,
     ell: int,
     sigma: float,
-    rng: "RngStream | np.random.Generator",
+    gen: np.random.Generator,
 ) -> DiscontinuitySample:
     """Draw the T*ell points sequentially, enforcing the smoothness floor.
 
@@ -202,7 +201,6 @@ def generate_discontinuities(
         raise ValidationError(f"sigma must lie in (0, 1], got {sigma!r}")
     if T < 1 or ell < 1:
         raise ValidationError(f"need T >= 1 and ell >= 1, got T={T}, ell={ell}")
-    gen = as_generator(rng)
     flat = np.empty(T * ell)
     drawn = flat.view()
     drawn.flags.writeable = False
@@ -222,12 +220,7 @@ def generate_discontinuities(
             )
         lo = min(max(lo, 0.0), 1.0 - width)
         flat[step] = lo + gen.random() * width
-    seed_info: dict = {}
-    if isinstance(rng, RngStream):
-        seed_info = {"seed": rng.seed, "stream_id": rng.stream_id}
-    return DiscontinuitySample(
-        points=flat.reshape(T, ell), sigma=sigma, adversary=adv.name, seed_info=seed_info
-    )
+    return DiscontinuitySample(points=flat.reshape(T, ell), sigma=sigma, adversary=adv.name)
 
 
 def _flatten_input(

@@ -9,7 +9,10 @@ a mixture by greedy peeling.
 
 Randomness is always routed through :class:`RngStream`, a (seed, stream_id)
 pair that materializes an independent PCG64 generator, so that multi-trial
-experiments are reproducible independently of scheduling.
+experiments are reproducible independently of scheduling.  A function that
+records its stream in its output takes the RngStream itself and checks it with
+``require_stream``; every other function that draws takes its caller's
+``np.random.Generator``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ __all__ = [
     "validate_smooth",
     "decompose_smooth",
     "random_smooth_pmf",
-    "as_generator",
+    "require_stream",
 ]
 
 
@@ -91,13 +94,10 @@ class RngStream:
         return RngStream(seed=derived, stream_id=0)
 
 
-def as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator:
-    """Accept either a stream descriptor or a live generator."""
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise ValidationError(f"expected RngStream or numpy Generator, got {type(rng).__name__}")
+def require_stream(rng: RngStream) -> None:
+    """Refuse anything but an RngStream, for the functions that record their stream."""
+    if not isinstance(rng, RngStream):
+        raise ValidationError(f"expected an RngStream, got {type(rng).__name__}")
 
 
 def min_support_size(sigma: float, n: int) -> int:
@@ -299,7 +299,7 @@ def decompose_smooth(pmf: SmoothPmf) -> MixtureOfUniforms:
 def random_smooth_pmf(
     domain: FiniteDomain,
     sigma: float,
-    rng: "RngStream | np.random.Generator",
+    gen: np.random.Generator,
     method: str = "mixture",
 ) -> SmoothPmf:
     """Generate a random sigma-smooth pmf that is representable as a mixture.
@@ -310,7 +310,6 @@ def random_smooth_pmf(
     above the representability cap 1/ceil(sigma*n), producing boundary-rich
     pmfs with several coordinates exactly at the cap.
     """
-    gen = as_generator(rng)
     n = domain.n
     s = min_support_size(sigma, n)
     if method == "mixture":

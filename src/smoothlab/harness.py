@@ -275,7 +275,7 @@ def _coupling_game(params: dict):
     cfg = CouplingConfig(T=params["T"], k=params["k"])
 
     def play(rng: RngStream, keep_raw: bool):
-        trace = couple_adaptive(adv, cfg, rng)
+        trace = couple_adaptive(adv, cfg, rng.generator())
         missed = np.flatnonzero(~trace.contained_rounds)
         metrics = {
             "contained": bool(trace.contained),
@@ -524,7 +524,7 @@ def _dispersion_game(params: dict):
     adv = _INTERVAL_ADVERSARIES[params["adversary"]](params)
 
     def play(rng: RngStream, keep_raw: bool):
-        sample = generate_discontinuities(adv, T, ell, sigma, rng)
+        sample = generate_discontinuities(adv, T, ell, sigma, rng.generator())
         passed, report = check_dispersed(
             sample,
             w=params["w"],
@@ -670,11 +670,10 @@ def _clear_owned_files(run_dir: Path) -> None:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Everything a finished run produced, plus where it lives on disk."""
+    """A finished run's resolved config and summary, plus where it lives on disk."""
 
     config: ExperimentConfig
     run_dir: str
-    metrics: list
     summary: dict
 
 
@@ -711,12 +710,10 @@ def run_experiment(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_single_trial, jobs, chunksize=chunk))
 
-    rows = []
-    lines = []
-    for i, (metrics, _) in enumerate(results):
-        row = {"trial": i, **metrics}
-        rows.append(row)
-        lines.append(json.dumps(row, sort_keys=True))
+    lines = [
+        json.dumps({"trial": i, **metrics}, sort_keys=True)
+        for i, (metrics, _) in enumerate(results)
+    ]
     (run_dir / "metrics.jsonl").write_text("\n".join(lines) + "\n")
 
     if write_traces:
@@ -729,12 +726,7 @@ def run_experiment(
 
     summary = summarize(run_dir)
     (run_dir / "summary.json").write_text(summary_to_json(summary))
-    return RunResult(
-        config=resolved,
-        run_dir=str(run_dir),
-        metrics=rows,
-        summary=summary,
-    )
+    return RunResult(config=resolved, run_dir=str(run_dir), summary=summary)
 
 
 def summary_to_json(summary: dict) -> str:
@@ -831,7 +823,7 @@ def compare_runs(
     if median_b == 0.0:
         raise ValidationError(f"median of {metric!r} in run B is zero; ratio undefined")
     ci_low, ci_high = bootstrap_ratio_ci(
-        a, b, RngStream(seed=seed, stream_id=0), n_resamples=n_resamples
+        a, b, RngStream(seed=seed, stream_id=0).generator(), n_resamples=n_resamples
     )
     return {
         "metric": metric,

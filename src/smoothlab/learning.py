@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import RngStream, ValidationError, as_generator
+from .domain import RngStream, ValidationError, require_stream
 
 __all__ = [
     "BlockMistakeTracker",
@@ -600,7 +600,7 @@ def run_learning_game(
     adv,
     cover: CoverGrid,
     T: int,
-    rng: "RngStream | np.random.Generator",
+    rng: RngStream,
 ) -> RegretLedger:
     """Play T rounds of online prediction over the cover.
 
@@ -613,8 +613,10 @@ def run_learning_game(
 
     A round's loss depends only on the threshold of the block x_t falls in,
     so the learner keeps one Hedge state per block, all with the eta of the
-    whole cover, and charges only the current block's grid.
+    whole cover, and charges only the current block's grid.  The ledger's
+    config records the stream's seed and stream_id.
     """
+    require_stream(rng)
     pick = LEARNERS.get(learner)
     if pick is None:
         raise ValidationError(f"unknown learner {learner!r}; expected one of {tuple(LEARNERS)}")
@@ -625,7 +627,7 @@ def run_learning_game(
         raise ValidationError(
             f"adversary domain {getattr(adv, 'm', None)} does not match class m={cls.m}"
         )
-    gen = as_generator(rng)
+    gen = rng.generator()
     N = cover.size
     eta = _default_eta(N, T)
     grids = [np.asarray(g, dtype=int) for g in cover.block_grids]
@@ -674,10 +676,9 @@ def run_learning_game(
         "T": T,
         "learner": learner,
         "adversary": getattr(adv, "name", "custom"),
+        "seed": rng.seed,
+        "stream_id": rng.stream_id,
     }
-    if isinstance(rng, RngStream):
-        config["seed"] = rng.seed
-        config["stream_id"] = rng.stream_id
     return RegretLedger(
         xs=xs,
         ys=ys,

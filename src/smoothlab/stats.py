@@ -15,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
-from smoothlab.domain import as_generator
-
 __all__ = [
     "chi_square_uniform",
     "chi_square_fit",
@@ -30,6 +28,9 @@ __all__ = [
 
 # Largest relative gap between the observed and expected totals of a fit.
 _SUM_RTOL = math.sqrt(np.finfo(float).eps)
+
+# Coverage of every bootstrap interval.
+_BOOTSTRAP_LEVEL = 0.95
 
 
 def _chi_square(observed: np.ndarray, expected: np.ndarray, dof: int) -> tuple[float, float]:
@@ -121,28 +122,25 @@ def one_sided_bound_check(successes: int, trials: int, bound: float, z: float = 
 def bootstrap_ratio_ci(
     a: np.ndarray,
     b: np.ndarray,
-    rng,
-    statistic=np.median,
+    gen: np.random.Generator,
     n_resamples: int = 10_000,
-    level: float = 0.95,
 ) -> tuple[float, float]:
-    """Seeded percentile bootstrap interval for statistic(a)/statistic(b).
+    """95% percentile bootstrap interval for median(a)/median(b), drawn from ``gen``.
 
     Samples are resampled independently; resamples whose denominator is zero
     are discarded (an error is raised if all of them are).
     """
-    gen = as_generator(rng)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size == 0 or b.size == 0:
         raise ValueError("cannot bootstrap an empty sample")
     ia = gen.integers(a.size, size=(n_resamples, a.size))
     ib = gen.integers(b.size, size=(n_resamples, b.size))
-    num = statistic(a[ia], axis=1)
-    den = statistic(b[ib], axis=1)
+    num = np.median(a[ia], axis=1)
+    den = np.median(b[ib], axis=1)
     keep = den != 0
     if not np.any(keep):
         raise ValueError("all bootstrap denominators are zero")
     ratios = num[keep] / den[keep]
-    lo = (1.0 - level) / 2.0
+    lo = (1.0 - _BOOTSTRAP_LEVEL) / 2.0
     return float(np.quantile(ratios, lo)), float(np.quantile(ratios, 1.0 - lo))

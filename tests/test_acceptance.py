@@ -79,7 +79,7 @@ def coupling_batch():
     traces = []
     for i in range(50_000):
         adv = last_value_adversary(domain, sigma)
-        traces.append(couple_adaptive(adv, cfg, RngStream(seed=1001, stream_id=i)))
+        traces.append(couple_adaptive(adv, cfg, RngStream(seed=1001, stream_id=i).generator()))
     return traces, time.time() - start
 
 
@@ -123,7 +123,9 @@ def test_acceptance_2_coupling_containment(coupling_batch, acceptance_report):
         exact = enumerate_containment_probability(last_value_adversary(domain2, 0.5), mcfg)
         hits = sum(
             couple_adaptive(
-                last_value_adversary(domain2, 0.5), mcfg, RngStream(seed=1002, stream_id=i)
+                last_value_adversary(domain2, 0.5),
+                mcfg,
+                RngStream(seed=1002, stream_id=i).generator(),
             ).contained
             for i in range(20_000)
         )
@@ -377,7 +379,9 @@ def test_acceptance_10_dispersion(acceptance_report):
     for name, adv in adversaries.items():
         within = 0
         for i in range(200):
-            sample = generate_discontinuities(adv, T, ell, sigma, RngStream(seed=1010, stream_id=i))
+            sample = generate_discontinuities(
+                adv, T, ell, sigma, RngStream(seed=1010, stream_id=i).generator()
+            )
             _, report = check_dispersed(sample, alpha=0.5, delta=0.05)
             within += int(report.total <= report.bound)
         rates[name] = within / 200

@@ -47,7 +47,6 @@ from smoothlab.domain import (
     SmoothPmf,
     UniformOnSet,
     ValidationError,
-    as_generator,
     decompose_smooth,
     min_support_size,
     random_smooth_pmf,
@@ -150,7 +149,7 @@ def test_adaptive_micro_case_enumeration_and_monte_carlo():
     n_trials = 100_000
     contained = 0
     for i in range(n_trials):
-        tr = couple_adaptive(adv, cfg, RngStream(seed=205, stream_id=i))
+        tr = couple_adaptive(adv, cfg, RngStream(seed=205, stream_id=i).generator())
         contained += int(tr.contained)
     rate = contained / n_trials
     assert abs(rate - exact) <= 3 * binomial_stderr(exact, n_trials)
@@ -175,7 +174,7 @@ def test_enumeration_guards_against_blowup():
 def test_adaptive_full_domain_never_fails():
     dom = FiniteDomain(8)
     adv = full_domain_adversary(dom)
-    tr = couple_adaptive(adv, CouplingConfig(T=16, k=2), RngStream(seed=206))
+    tr = couple_adaptive(adv, CouplingConfig(T=16, k=2), RngStream(seed=206).generator())
     assert tr.contained
     assert tr.contained_rounds.all()
 
@@ -188,7 +187,7 @@ def test_adaptive_failure_rate_below_union_bound():
     n_trials = 10_000
     failures = 0
     for i in range(n_trials):
-        tr = couple_adaptive(adv, cfg, RngStream(seed=207, stream_id=i))
+        tr = couple_adaptive(adv, cfg, RngStream(seed=207, stream_id=i).generator())
         failures += int(not tr.contained)
     bound = containment_bound(cfg.T, adv.sigma, cfg.k)
     assert failures / n_trials <= bound + 3 * binomial_stderr(bound, n_trials)
@@ -198,7 +197,7 @@ def test_adaptive_rejects_undersized_sets():
     dom = FiniteDomain(4)
     bad = SmoothAdversary(dom, 0.5, lambda xs: UniformOnSet(dom, (1,)), name="bad")
     with pytest.raises(UndersizedSetError):
-        couple_adaptive(bad, CouplingConfig(T=1, k=2), RngStream(seed=208))
+        couple_adaptive(bad, CouplingConfig(T=1, k=2), RngStream(seed=208).generator())
 
 
 def test_general_coupling_realized_marginal_matches_pmf():
@@ -210,7 +209,7 @@ def test_general_coupling_realized_marginal_matches_pmf():
     xs = np.empty((n_trials, cfg.T), dtype=int)
     contained = 0
     for i in range(n_trials):
-        tr = couple_adaptive(adv, cfg, RngStream(seed=209, stream_id=i))
+        tr = couple_adaptive(adv, cfg, RngStream(seed=209, stream_id=i).generator())
         xs[i] = tr.X
         contained += int(tr.contained)
     for t in range(cfg.T):
@@ -225,7 +224,7 @@ def test_general_coupling_uniform_pmf_never_fails():
     dom = FiniteDomain(4)
     pmf = SmoothPmf(dom, np.full(4, 0.25), sigma=1.0)
     adv = stationary_pmf_adversary(pmf)
-    tr = couple_adaptive(adv, CouplingConfig(T=8, k=1), RngStream(seed=210))
+    tr = couple_adaptive(adv, CouplingConfig(T=8, k=1), RngStream(seed=210).generator())
     assert tr.contained
 
 
@@ -234,14 +233,16 @@ def test_general_coupling_rejects_rough_pmf():
     rough = SmoothPmf(dom, np.array([0.6, 0.2, 0.1, 0.1]), sigma=0.25)
     adv = SmoothAdversary(dom, 0.5, lambda xs: rough, name="rough")
     with pytest.raises(ValidationError):
-        couple_adaptive(adv, CouplingConfig(T=1, k=1), RngStream(seed=211))
+        couple_adaptive(adv, CouplingConfig(T=1, k=1), RngStream(seed=211).generator())
 
 
 def test_verify_marginals_requires_enough_traces():
     dom = FiniteDomain(2)
     adv = stationary_set_adversary(dom, (1,))
     traces = [
-        couple_adaptive(adv, CouplingConfig(T=1, k=1), RngStream(seed=212, stream_id=i))
+        couple_adaptive(
+            adv, CouplingConfig(T=1, k=1), RngStream(seed=212, stream_id=i).generator()
+        )
         for i in range(10)
     ]
     X = np.stack([tr.X for tr in traces])
@@ -266,7 +267,8 @@ def test_verify_marginals_on_adaptive_traces():
     adv = last_value_adversary(dom, 0.5)
     cfg = CouplingConfig(T=2, k=3)
     traces = [
-        couple_adaptive(adv, cfg, RngStream(seed=217, stream_id=i)) for i in range(12_000)
+        couple_adaptive(adv, cfg, RngStream(seed=217, stream_id=i).generator())
+        for i in range(12_000)
     ]
     X = np.stack([tr.X for tr in traces])
     Z = np.stack([tr.Z for tr in traces])
@@ -285,7 +287,7 @@ def test_trace_jsonl_round_trip():
     adv = last_value_adversary(dom, 0.5)
     cfg = CouplingConfig(T=3, k=2)
     traces = [
-        couple_adaptive(adv, cfg, RngStream(seed=214, stream_id=i)) for i in range(5)
+        couple_adaptive(adv, cfg, RngStream(seed=214, stream_id=i).generator()) for i in range(5)
     ]
     text = traces_to_jsonl(traces)
     X, Z = traces_from_jsonl(text, n=4)
@@ -302,10 +304,9 @@ def test_trace_jsonl_round_trip():
 # fast path consumes exactly the same draws.
 
 
-def _oracle_single_round(S, k, rng):
+def _oracle_single_round(S, k, gen):
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    gen = as_generator(rng)
     n = S.domain.n
     members = np.asarray(S.members)
     y = gen.integers(1, n + 1, size=k)
@@ -345,8 +346,7 @@ def _oracle_last_value_rule(domain, sigma):
     return rule
 
 
-def _oracle_adaptive(rule, domain, sigma, cfg, rng):
-    gen = as_generator(rng)
+def _oracle_adaptive(rule, domain, sigma, cfg, gen):
     n = domain.n
     floor = min_support_size(sigma, n)
     past = []
@@ -369,8 +369,7 @@ def _oracle_adaptive(rule, domain, sigma, cfg, rng):
     return X, Z, flags
 
 
-def _oracle_general(adv, cfg, rng):
-    gen = as_generator(rng)
+def _oracle_general(adv, cfg, gen):
     past = []
     X = np.empty(cfg.T, dtype=np.int64)
     Z = np.empty((cfg.T, cfg.k), dtype=np.int64)
@@ -469,7 +468,9 @@ def test_general_matches_reference_draw_for_draw(n, sigma, k, T):
     cfg = CouplingConfig(T=T, k=k)
     for method in ("mixture", "capped"):
         pmfs = [
-            random_smooth_pmf(dom, sigma, RngStream(seed=2400 + n, stream_id=j), method=method)
+            random_smooth_pmf(
+                dom, sigma, RngStream(seed=2400 + n, stream_id=j).generator(), method=method
+            )
             for j in range(3)
         ]
         # Stationary, and adaptive: the pmf played depends on the last realized value.
@@ -487,11 +488,10 @@ def test_general_matches_reference_draw_for_draw(n, sigma, k, T):
                 _assert_same_run(trace, _oracle_general(adv, cfg, gen_b), gen_a, gen_b)
 
 
-def _oracle_mixed(adv, cfg, rng):
+def _oracle_mixed(adv, cfg, gen):
     # Replays a rule that emits sets and pmfs one round at a time: a set round
     # through _oracle_adaptive and a pmf round through _oracle_general, so only
     # pmf rounds spend the component pick's gen.random() call.
-    gen = as_generator(rng)
     past = []
     X = np.empty(cfg.T, dtype=np.int64)
     Z = np.empty((cfg.T, cfg.k), dtype=np.int64)
@@ -516,7 +516,8 @@ def test_mixed_set_and_pmf_rounds_match_reference_draw_for_draw(n, sigma, k, T):
     chase = last_value_adversary(dom, sigma).rule
     # The uniform pmf decomposes into one component and still spends the pick.
     pmfs = [SmoothPmf(dom, np.full(n, 1.0 / n), sigma=1.0)] + [
-        random_smooth_pmf(dom, sigma, RngStream(seed=2600 + n, stream_id=j)) for j in range(2)
+        random_smooth_pmf(dom, sigma, RngStream(seed=2600 + n, stream_id=j).generator())
+        for j in range(2)
     ]
 
     def rule(xs):
@@ -545,7 +546,7 @@ def test_fresh_pmf_each_round_gets_its_own_decomposition():
 
     adv = SmoothAdversary(dom, 0.5, rule, name="fresh")
     for stream in range(4):
-        tr = couple_adaptive(adv, CouplingConfig(T=300, k=2), RngStream(221, stream))
+        tr = couple_adaptive(adv, CouplingConfig(T=300, k=2), RngStream(221, stream).generator())
         assert all(x in supports[t % 5] for t, x in enumerate(tr.X.tolist()))
 
 
@@ -560,14 +561,14 @@ def test_fresh_pmf_each_round_gets_its_own_decomposition():
 def test_adaptive_rejects_wrong_domain(emitted):
     adv = SmoothAdversary(FiniteDomain(4), 0.5, lambda xs: emitted, name="elsewhere")
     with pytest.raises(ValidationError, match="wrong domain"):
-        couple_adaptive(adv, CouplingConfig(T=1, k=2), RngStream(seed=219))
+        couple_adaptive(adv, CouplingConfig(T=1, k=2), RngStream(seed=219).generator())
 
 
 def test_adaptive_rejects_other_emitted_types():
     dom = FiniteDomain(4)
     adv = SmoothAdversary(dom, 0.5, lambda xs: (1, 2), name="tuple")
     with pytest.raises(ValidationError, match="not a UniformOnSet or SmoothPmf"):
-        couple_adaptive(adv, CouplingConfig(T=1, k=2), RngStream(seed=220))
+        couple_adaptive(adv, CouplingConfig(T=1, k=2), RngStream(seed=220).generator())
 
 
 def test_rule_that_writes_into_the_history_raises():
@@ -581,7 +582,7 @@ def test_rule_that_writes_into_the_history_raises():
 
     adv = SmoothAdversary(dom, 1.0, scribble, name="scribble")
     with pytest.raises(ValueError, match="read-only"):
-        couple_adaptive(adv, CouplingConfig(T=3, k=2), RngStream(seed=221))
+        couple_adaptive(adv, CouplingConfig(T=3, k=2), RngStream(seed=221).generator())
 
 
 def test_enumeration_rejects_pmf_rules():
@@ -627,7 +628,10 @@ def test_window_adversaries_emit_reference_sets():
 def test_trace_jsonl_bytes_match_reference():
     dom = FiniteDomain(8)
     adv = last_value_adversary(dom, 0.25)
-    traces = [couple_adaptive(adv, CouplingConfig(T=4, k=6), RngStream(215, i)) for i in range(40)]
+    traces = [
+        couple_adaptive(adv, CouplingConfig(T=4, k=6), RngStream(215, i).generator())
+        for i in range(40)
+    ]
     assert not all(tr.contained for tr in traces)
     text = traces_to_jsonl(traces)
     assert text == _oracle_traces_to_jsonl(traces)
@@ -644,7 +648,9 @@ def test_trace_jsonl_bytes_match_reference():
 
 def test_trace_jsonl_rejects_flag_mismatch():
     dom = FiniteDomain(4)
-    tr = couple_adaptive(full_domain_adversary(dom), CouplingConfig(T=2, k=2), RngStream(216))
+    tr = couple_adaptive(
+        full_domain_adversary(dom), CouplingConfig(T=2, k=2), RngStream(216).generator()
+    )
     obj = json.loads(traces_to_jsonl([tr]))
     obj["contained"] = not obj["contained"]
     with pytest.raises(ValidationError, match="mismatch"):

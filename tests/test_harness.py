@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import inspect
 import json
 import math
 import pkgutil
@@ -160,7 +161,9 @@ def test_make_config_raises_what_a_trial_would():
             "dispersion",
             {"T": 10, "ell": 2, "sigma": 0.2, "k": -5.0},
             lambda: check_dispersed(
-                generate_discontinuities(iid_uniform_adversary(), 10, 2, 0.2, RngStream(seed=0)),
+                generate_discontinuities(
+                    iid_uniform_adversary(), 10, 2, 0.2, RngStream(seed=0).generator()
+                ),
                 k=-5.0,
             ),
         ),
@@ -326,11 +329,14 @@ def test_summary_recompute_matches_emitted(tmp_path):
 
 def test_trial_error_is_recorded_and_run_continues(tmp_path, monkeypatch):
     real = harness.couple_adaptive
+    calls = []
 
-    def flaky(adv, cfg, rng):
-        if rng.stream_id == 2:
+    # A serial run plays its trials in order, so the third call is trial 2.
+    def flaky(adv, cfg, gen):
+        calls.append(None)
+        if len(calls) == 3:
             raise RuntimeError("injected trial fault")
-        return real(adv, cfg, rng)
+        return real(adv, cfg, gen)
 
     monkeypatch.setattr(harness, "couple_adaptive", flaky)
     cfg = make_config("coupling", {"n": 4, "sigma": 0.5, "T": 2}, trials=5, seed=0)
@@ -665,15 +671,42 @@ def test_readme_kinds_table_matches_registry():
     assert set(subparsers.choices) == commands | {"compare"}
 
 
-def test_every_all_entry_resolves():
+def _package_modules():
     import smoothlab
 
-    modules = [smoothlab] + [
+    return [smoothlab] + [
         importlib.import_module(f"smoothlab.{info.name}")
         for info in pkgutil.iter_modules(smoothlab.__path__)
     ]
-    checked = [module for module in modules if hasattr(module, "__all__")]
+
+
+def test_every_all_entry_resolves():
+    checked = [module for module in _package_modules() if hasattr(module, "__all__")]
     assert len(checked) >= 7
     for module in checked:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], module.__name__
+
+
+def test_no_public_parameter_takes_either_a_stream_or_a_generator():
+    # A function that records its stream takes an RngStream; every other
+    # drawing function takes its caller's Generator.  None takes both.
+    public = {
+        f"{module.__name__}.{name}": getattr(module, name)
+        for module in _package_modules()
+        for name in getattr(module, "__all__", ())
+    }
+    # Exception classes have no signature of their own to inspect.
+    callables = {
+        where: obj
+        for where, obj in public.items()
+        if inspect.isfunction(obj) or (inspect.isclass(obj) and not issubclass(obj, Exception))
+    }
+    assert "smoothlab.coupling.couple_adaptive" in callables
+    either = [
+        f"{where}({param.name})"
+        for where, obj in callables.items()
+        for param in inspect.signature(obj).parameters.values()
+        if "RngStream" in str(param.annotation) and "Generator" in str(param.annotation)
+    ]
+    assert either == []

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothlab import learning
-from smoothlab.domain import RngStream, ValidationError, as_generator
+from smoothlab.domain import RngStream, ValidationError
 from smoothlab.harness import make_config
 from smoothlab.learning import (
     BlockMistakeTracker,
@@ -501,7 +501,7 @@ def _oracle_learning_game(learner, adv, cover, T, rng, gamma_matrix):
     # (N, d) threshold matrix and samples an expert with gen.choice(N, p).
     pick = _ORACLE_PICKS[learner]
     cls = cover.cls
-    gen = as_generator(rng)
+    gen = rng.generator()
     state = make_hedge(cover.size, T=T)
     tracker = BlockMistakeTracker(cls)
     xs, ys, predictions, bih = [], [], [], []

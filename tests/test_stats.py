@@ -165,5 +165,7 @@ def test_one_sided_bound_check():
 def test_bootstrap_ratio_ci_identical_samples_covers_one():
     gen = RngStream(seed=109).generator()
     values = gen.normal(5.0, 1.0, size=150)
-    lo, hi = bootstrap_ratio_ci(values, values.copy(), RngStream(seed=6), n_resamples=2000)
+    lo, hi = bootstrap_ratio_ci(
+        values, values.copy(), RngStream(seed=6).generator(), n_resamples=2000
+    )
     assert lo <= 1.0 <= hi
