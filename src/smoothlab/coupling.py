@@ -215,16 +215,18 @@ def couple_single_round(
     ``integers(1, n + 1, size=k)`` for the replicas, then, when h >= 1
     replicas hit, ``integers(S.size, size=h)`` for their resampled values
     followed by ``integers(h)`` for the pick; when none hits, the single call
-    ``integers(S.size)``.
+    ``integers(S.size)``.  Each size goes in as a 0-d array: ``integers``
+    tests ``np.prod(size)`` in Python, and ``np.prod`` is quickest on an
+    ndarray.  The count, and so every draw, is the same.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     members = S.members_array
-    z = gen.integers(1, S.domain.n + 1, size=k)
+    z = gen.integers(1, S.domain.n + 1, size=np.array(k))
     hit = S.member_mask[z]
     n_hits = int(np.count_nonzero(hit))
     if n_hits > 0:
-        w = members[gen.integers(S.size, size=n_hits)]
+        w = members[gen.integers(S.size, size=np.array(n_hits))]
         z[hit] = w
         x = int(w[gen.integers(n_hits)])
     else:
@@ -256,15 +258,21 @@ def couple_adaptive(
     # decompose it once.  Each entry holds its pmf, so no later pmf can be
     # allocated at a freed one's address and inherit its decomposition by id.
     memo: dict[int, tuple[SmoothPmf, np.ndarray, tuple]] = {}
+    # Rules that revisit a set return the same object; check each object once.
+    # The dict holds the set itself, for the same reason as the pmf memo.
+    checked: dict[int, UniformOnSet] = {}
     for t in range(cfg.T):
         dist = adv.rule(realized[:t])
         if isinstance(dist, UniformOnSet):
-            if dist.domain != adv.domain:
-                raise ValidationError("adversary emitted a set on the wrong domain")
-            if dist.size < floor:
-                raise UndersizedSetError(
-                    f"round {t + 1}: set size {dist.size} below floor {floor} for sigma={adv.sigma}"
-                )
+            if id(dist) not in checked:
+                if dist.domain != adv.domain:
+                    raise ValidationError("adversary emitted a set on the wrong domain")
+                if dist.size < floor:
+                    raise UndersizedSetError(
+                        f"round {t + 1}: set size {dist.size} below floor {floor} "
+                        f"for sigma={adv.sigma}"
+                    )
+                checked[id(dist)] = dist
             S = dist
         elif isinstance(dist, SmoothPmf):
             if dist.domain != adv.domain:
@@ -433,10 +441,11 @@ def verify_marginals(
 
 def traces_to_jsonl(traces: list[CouplingTrace]) -> str:
     """Serialize traces, one JSON object per line: {"X", "Z", "contained"}."""
-    lines = [
-        json.dumps({"X": tr.X.tolist(), "Z": tr.Z.tolist(), "contained": tr.contained})
-        for tr in traces
-    ]
+    # Python prints a list of ints exactly as json.dumps writes it.
+    lines = []
+    for tr in traces:
+        flag = "true" if tr.contained else "false"
+        lines.append(f'{{"X": {tr.X.tolist()}, "Z": {tr.Z.tolist()}, "contained": {flag}}}')
     return "\n".join(lines) + "\n"
 
 

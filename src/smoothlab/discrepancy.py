@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import betainc, betaincinv
 
 from smoothlab.domain import RngStream, ValidationError, require_stream
 from smoothlab.stats import binomial_stderr
@@ -425,6 +424,8 @@ def slab_adversary_next(d: np.ndarray, n: int, T: int, gen: np.random.Generator)
         return uniform_ball(n, gen)
     if n == 1:
         return np.array([gen.uniform(-tau, tau)])
+    from scipy.special import betainc, betaincinv
+
     dhat = d / nrm
     a, b = 0.5, (n + 1) / 2.0
     mass = float(betainc(a, b, tau * tau))

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+# numpy loads np.random on first use; load it with the package, since every trial draws.
+import numpy.random  # noqa: F401
 
 __all__ = [
     "ValidationError",

@@ -25,12 +25,13 @@ import json
 import math
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
+# np.median loads numpy.ma on its first call, and every summarize takes medians.
+import numpy.ma  # noqa: F401
 
 from .coupling import (
     MARGINAL_MIN_TRACES,
@@ -276,11 +277,13 @@ def _coupling_game(params: dict):
 
     def play(rng: RngStream, keep_raw: bool):
         trace = couple_adaptive(adv, cfg, rng.generator())
-        missed = np.flatnonzero(~trace.contained_rounds)
+        # Plain list operations: three numpy reductions cost more at these sizes.
+        rounds = trace.contained_rounds.tolist()
+        contained = all(rounds)
         metrics = {
-            "contained": bool(trace.contained),
-            "failed_round": int(missed[0]) + 1 if missed.size else -1,
-            "n_contained_rounds": int(trace.contained_rounds.sum()),
+            "contained": contained,
+            "failed_round": -1 if contained else rounds.index(False) + 1,
+            "n_contained_rounds": sum(rounds),
         }
         return metrics, (traces_to_jsonl([trace]),) if keep_raw else ()
 
@@ -704,6 +707,8 @@ def run_experiment(
     if parallelism == 1 or cfg.trials == 1:
         results = [_run_single_trial(job) for job in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         # A forked pool starts every worker up front, so cap it at the trials.
         workers = min(parallelism, cfg.trials)
         chunk = max(1, cfg.trials // (parallelism * 4))

@@ -4,7 +4,8 @@ Pearson chi-square tests computed from their formulas, with p-values from
 ``scipy.special.chdtrc``, plus the conventions used throughout the
 laboratory: one-sided bound checks use the model probability q as the
 variance scale (stderr = sqrt(q(1-q)/N)), and bootstrap intervals are seeded
-percentile intervals with 10^4 resamples.
+percentile intervals with 10^4 resamples.  ``chdtrc`` is imported by the
+first chi-square test, so a process that computes none never loads scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 __all__ = [
     "chi_square_uniform",
@@ -35,6 +35,8 @@ _BOOTSTRAP_LEVEL = 0.95
 
 def _chi_square(observed: np.ndarray, expected: np.ndarray, dof: int) -> tuple[float, float]:
     """Pearson's statistic sum((o - e)^2 / e) and its upper chi-square tail at dof."""
+    from scipy.special import chdtrc
+
     stat = ((observed - expected) ** 2 / expected).sum()
     return float(stat), float(chdtrc(dof, stat))
 

@@ -200,6 +200,30 @@ def test_adaptive_rejects_undersized_sets():
         couple_adaptive(bad, CouplingConfig(T=1, k=2), RngStream(seed=208).generator())
 
 
+def _switching_adversary(dom, good_rounds, later):
+    """Plays one valid set object for ``good_rounds`` rounds, then ``later()``."""
+    good = UniformOnSet(dom, (1, 2))
+    return SmoothAdversary(
+        dom, 0.5, lambda xs: good if len(xs) < good_rounds else later(), name="switch"
+    )
+
+
+# couple_adaptive checks each set object once; a new set after rounds of a
+# checked one is checked in turn.
+def test_checked_set_memo_still_rejects_a_later_undersized_set():
+    dom = FiniteDomain(4)
+    adv = _switching_adversary(dom, 3, lambda: UniformOnSet(dom, (3,)))
+    with pytest.raises(UndersizedSetError, match="round 4: set size 1 below floor 2"):
+        couple_adaptive(adv, CouplingConfig(T=6, k=2), RngStream(seed=208).generator())
+
+
+def test_checked_set_memo_still_rejects_a_later_wrong_domain_set():
+    dom = FiniteDomain(4)
+    adv = _switching_adversary(dom, 3, lambda: UniformOnSet(FiniteDomain(5), (1, 2)))
+    with pytest.raises(ValidationError, match="wrong domain"):
+        couple_adaptive(adv, CouplingConfig(T=6, k=2), RngStream(seed=208).generator())
+
+
 def test_general_coupling_realized_marginal_matches_pmf():
     dom = FiniteDomain(4)
     pmf = SmoothPmf(dom, np.array([0.5, 0.3, 0.1, 0.1]), sigma=0.5)

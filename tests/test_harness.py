@@ -9,6 +9,7 @@ persisted files must reproduce summary.json exactly.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import importlib
 import inspect
 import json
@@ -372,7 +373,8 @@ def test_pool_starts_no_more_workers_than_trials(tmp_path, monkeypatch):
         def map(self, fn, jobs, chunksize=1):
             return map(fn, jobs)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    # run_experiment imports the pool class only when it starts one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     cfg = make_config("coupling", {"n": 4, "sigma": 0.5, "T": 2}, trials=2, seed=0)
     run_experiment(cfg, tmp_path / "p8", parallelism=8)
     run_experiment(cfg, tmp_path / "p1", parallelism=1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 
@@ -140,6 +141,58 @@ def test_importing_the_package_loads_no_scipy_stats():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
     )
     assert out.stdout.strip() == "False"
+
+
+_SCIPY_AFTER = """
+import json, sys, tempfile
+import smoothlab, smoothlab.harness, smoothlab.cli
+from smoothlab.harness import make_config, run_experiment
+with tempfile.TemporaryDirectory() as tmp:
+    for i, (kind, params, trials) in enumerate(json.loads(sys.argv[1])):
+        run_experiment(make_config(kind, params, trials, seed=0), f"{tmp}/{i}")
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+"""
+
+
+def _scipy_modules_after(runs: list) -> list[str]:
+    """The scipy modules loaded by a fresh process that imports the package and
+    makes the given (kind, params, trials) runs."""
+    out = subprocess.run(
+        [sys.executable, "-c", _SCIPY_AFTER, json.dumps(runs)],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    )
+    return json.loads(out.stdout)
+
+
+def test_runs_that_need_no_special_function_load_no_scipy():
+    # Only the chi-square marginals and the slab sampler call into scipy, and
+    # each imports it where it is called.
+    shell = {"n": 4, "T": 32, "adversary": "adaptive-shell", "sigma": 0.25}
+    runs = [
+        ["discrepancy", {**shell, "algorithm": "potential", "M": 16}, 2],
+        ["discrepancy", {**shell, "algorithm": "selfbalancing"}, 2],
+        ["learning", {"m": 8, "d": 2, "T": 32}, 2],
+        ["learning", {"m": 8, "d": 2, "T": 32, "adversary": "mistake-tree"}, 2],
+        ["dispersion", {"T": 10, "ell": 2, "sigma": 0.2, "adversary": "densest-window"}, 2],
+        ["coupling", {"n": 4, "sigma": 0.5, "T": 2, "adversary": "last-value"}, 9_999],
+    ]
+    assert _scipy_modules_after(runs) == []
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        # The slab sampler inverts an incomplete beta function.
+        ["discrepancy-lowerbound", {"n": 4, "T": 16}, 2],
+        # 10,000 traces: summarize runs the chi-square marginals.
+        ["coupling", {"n": 4, "sigma": 0.5, "T": 2, "k": 3, "adversary": "last-value"}, 10_000],
+    ],
+)
+def test_runs_that_need_a_special_function_load_scipy_special(run):
+    assert "scipy.special" in _scipy_modules_after([run])
 
 
 def test_wilson_interval_contains_point_estimate():
