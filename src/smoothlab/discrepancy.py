@@ -83,7 +83,7 @@ class PotentialOverflowError(OverflowError):
 
 
 class AdversaryViolationError(ValidationError):
-    """The adversary emitted a vector with ||x||_2 > 1."""
+    """The adversary emitted a vector with ||x||_2 > 1 or a NaN norm."""
 
 
 class Failure:
@@ -196,13 +196,19 @@ class ProbePool:
         return int(self.ball.shape[0])
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v||_2 of a 1-D float vector: the sqrt(v.dot(v)) that np.linalg.norm
+    computes for it, bit for bit, without that function's dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 def _shell_draw(n: int, inner: float, gen: np.random.Generator) -> np.ndarray:
     """One draw uniform in the shell {inner <= ||x|| <= 1}; radius^n is uniform on [inner^n, 1]."""
     g = gen.standard_normal(n)
-    nrm = float(np.linalg.norm(g))
+    nrm = _norm(g)
     while nrm == 0.0:
         g = gen.standard_normal(n)
-        nrm = float(np.linalg.norm(g))
+        nrm = _norm(g)
     rho = (inner**n + gen.random() * (1.0 - inner**n)) ** (1.0 / n)
     return (rho / nrm) * g
 
@@ -244,7 +250,7 @@ def _phi_pair(
     np.add(S, X, out=buf[0])
     np.subtract(S, X, out=buf[1])
     buf *= lam
-    if float(np.abs(buf).max(initial=0.0)) > COSH_ARG_LIMIT:
+    if buf.max(initial=0.0) > COSH_ARG_LIMIT or buf.min(initial=0.0) < -COSH_ARG_LIMIT:
         raise PotentialOverflowError("a probe argument exceeded the cosh overflow limit")
     np.cosh(buf, out=buf)
     # Row sums divided as Python floats: the same bits as each row's .mean().
@@ -294,9 +300,9 @@ def _state_d(state) -> np.ndarray:
 
 def _check_input_vector(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    nrm = float(np.linalg.norm(x))
-    if nrm > 1.0 + 1e-9:
-        raise AdversaryViolationError(f"input vector has norm {nrm!r} > 1")
+    nrm = _norm(x)
+    if not (nrm <= 1.0 + 1e-9):
+        raise AdversaryViolationError(f"input vector has norm {nrm!r}, not <= 1")
     return x
 
 
@@ -418,7 +424,7 @@ def slab_adversary_next(d: np.ndarray, n: int, T: int, gen: np.random.Generator)
     cross-section at s is a uniform (n-1)-ball of radius sqrt(1 - s^2).
     """
     d = np.asarray(d, dtype=float)
-    nrm = float(np.linalg.norm(d))
+    nrm = _norm(d)
     tau = 1.0 / (n * n * T * T)
     if nrm == 0.0 or tau >= 1.0:
         return uniform_ball(n, gen)
@@ -435,11 +441,11 @@ def slab_adversary_next(d: np.ndarray, n: int, T: int, gen: np.random.Generator)
     # Uniform direction orthogonal to dhat.
     w = gen.standard_normal(n)
     w -= (w @ dhat) * dhat
-    wn = float(np.linalg.norm(w))
+    wn = _norm(w)
     while wn < 1e-12:
         w = gen.standard_normal(n)
         w -= (w @ dhat) * dhat
-        wn = float(np.linalg.norm(w))
+        wn = _norm(w)
     w /= wn
     radius = math.sqrt(max(0.0, 1.0 - s * s)) * gen.random() ** (1.0 / (n - 1))
     return s * dhat + radius * w
@@ -458,7 +464,7 @@ def slab_adversary_next_rejection(
     the exact sampler; expected proposals scale with n^2 T^2.
     """
     d = np.asarray(d, dtype=float)
-    nrm = float(np.linalg.norm(d))
+    nrm = _norm(d)
     tau = 1.0 / (n * n * T * T)
     if nrm == 0.0 or tau >= 1.0:
         return uniform_ball(n, gen), 1
@@ -624,7 +630,7 @@ def run_discrepancy(
         d = S[:n].copy() if potential else d + sign * x
         signs[t - 1] = sign
         inf_norms[t - 1] = float(np.abs(d).max())
-        two_norms[t - 1] = float(np.linalg.norm(d))
+        two_norms[t - 1] = _norm(d)
         X[t - 1] = x
         t_done = t
 

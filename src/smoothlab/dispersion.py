@@ -90,53 +90,61 @@ class _DensestWindowRule:
     i = ``searchsorted(xs, p, "right")``; the anchors before it whose window
     reaches p, from j = ``searchsorted(edges, p, "left")`` on, gain one.
 
-    ``seen`` keeps the points in draw order.  A call whose ``pts`` does not
-    extend that prefix bit for bit starts over from empty, so the answer is a
-    function of ``pts`` alone even when one rule serves several sequences.
+    Making room at i shifts the tails of the three arrays up by one slot.
+    Each shift goes through a memoryview of its array: numpy copies an
+    overlapping slice assignment through a temporary buffer, while a
+    memoryview assignment is one memmove.
+
+    ``seen`` holds the raw float64 bytes of the points in draw order.  A call
+    whose ``pts`` does not start with those bytes starts over from empty, so
+    the answer is a function of ``pts`` alone even when one rule serves
+    several sequences.  The test is bitwise: -0.0 differs from 0.0, and a NaN
+    matches only a NaN with the same bits.
     """
 
     def __init__(self, sigma: float) -> None:
         self.sigma = sigma
         self.n = 0
-        self.seen = np.empty(0)
+        self.seen = b""
         self.xs = np.empty(0)
         self.edges = np.empty(0)
         self.counts = np.empty(0, dtype=np.int64)
+        self.views = ()
 
     def __call__(self, pts: np.ndarray, step: int, gen: np.random.Generator) -> tuple[float, float]:
         pts = np.asarray(pts, dtype=float)
         if pts.size == 0:
             return 0.0, self.sigma
-        n = self.n
-        if pts.size < n or (pts[:n].view(np.int64) != self.seen[:n].view(np.int64)).any():
-            n = 0
-        if pts.size > self.seen.size:
-            self._reserve(max(pts.size, 2 * self.seen.size))
+        raw = pts.tobytes()
+        n = self.n if raw.startswith(self.seen) else 0
+        if pts.size > self.xs.size:
+            self._reserve(max(pts.size, 2 * self.xs.size))
         for p in pts[n:].tolist():
             self._insert(p, n)
             n += 1
         self.n = n
+        self.seen = raw
         anchor = int(self.counts[:n].argmax())
         return min(max(float(self.xs[anchor]), 0.0), 1.0 - self.sigma), self.sigma
 
     def _reserve(self, capacity: int) -> None:
-        for name in ("seen", "xs", "edges", "counts"):
+        for name in ("xs", "edges", "counts"):
             old = getattr(self, name)
             grown = np.empty(capacity, dtype=old.dtype)
             grown[: self.n] = old[: self.n]
             setattr(self, name, grown)
+        self.views = tuple(memoryview(arr) for arr in (self.xs, self.edges, self.counts))
 
     def _insert(self, p: float, n: int) -> None:
         xs, edges, counts = self.xs, self.edges, self.counts
         i = int(xs[:n].searchsorted(p, "right"))
         j = int(edges[:n].searchsorted(p, "left"))
         counts[j:i] += 1
-        for arr in (xs, edges, counts):
-            arr[i + 1 : n + 1] = arr[i:n]
+        for view in self.views:
+            view[i + 1 : n + 1] = view[i:n]
         xs[i] = p
         edges[i] = p + self.sigma
         counts[i] = int(xs[: n + 1].searchsorted(edges[i], "right")) - i
-        self.seen[n] = p
 
 
 def densest_window_adversary(sigma: float) -> IntervalAdversary:
@@ -144,7 +152,8 @@ def densest_window_adversary(sigma: float) -> IntervalAdversary:
 
     The interval starts at the first sorted point whose closed width-sigma
     window holds the most points (clamped into [0, 1 - sigma]).  The rule keeps
-    the points sorted as they arrive, so a step costs one O(n) shift, not a sort.
+    the points sorted as they arrive, so a step costs a few O(n) memmoves and
+    one byte compare of the history, not a sort.
     """
     if not (0.0 < sigma <= 1.0):
         raise ValidationError(f"sigma must lie in (0, 1], got {sigma!r}")
@@ -193,7 +202,8 @@ def generate_discontinuities(
 
     The adversary sees a read-only view of every point drawn so far
     (flattened, in draw order) and must emit an interval of width >= sigma
-    inside [0, 1]; narrower or escaping intervals raise.  Its own declared
+    inside [0, 1]; narrower or escaping intervals raise, and so does a NaN
+    ``lo`` or ``width``, at the step that emits it.  Its own declared
     sigma may exceed the floor (a 1-smooth source is also sigma-smooth for any
     smaller sigma).
     """
@@ -208,12 +218,12 @@ def generate_discontinuities(
         lo, width = adv.rule(drawn[:step], step, gen)
         lo = float(lo)
         width = float(width)
-        if width < sigma - 1e-12:
+        if not (width >= sigma - 1e-12):
             raise ValidationError(
                 f"adversary {adv.name!r} emitted width {width!r} below the "
                 f"smoothness floor {sigma!r} at step {step}"
             )
-        if lo < -1e-12 or lo + width > 1.0 + 1e-12:
+        if not (lo >= -1e-12 and lo + width <= 1.0 + 1e-12):
             raise ValidationError(
                 f"adversary {adv.name!r} emitted [{lo!r}, {lo + width!r}] "
                 f"escaping [0, 1] at step {step}"
@@ -275,6 +285,11 @@ def max_interval_count(points, w: float, fn_index=None) -> tuple[int, int]:
             if counts[f] == 1:
                 distinct += 1
             right += 1
+        if right == left:
+            # xs[left] + w rounded to xs[left] (w under half an ulp), so the
+            # window is empty: pass over xs[left] without adding it.
+            right += 1
+            continue
         split = max(split, distinct)
         f = int(fns[left])
         counts[f] -= 1

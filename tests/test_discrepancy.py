@@ -32,6 +32,7 @@ from smoothlab.discrepancy import (
     RandomSign,
     SelfBalancingConfig,
     VectorAdversary,
+    _norm,
     adaptive_shell_adversary,
     build_probe_pool,
     check_isotropy,
@@ -255,6 +256,33 @@ def test_run_discrepancy_validates_inputs():
     )
     with pytest.raises(AdversaryViolationError):
         run_discrepancy(RandomSign(), long_adv, 4, RngStream(seed=312))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_input_vector_is_rejected_in_its_round(bad):
+    # A NaN norm fails every comparison, so the check must be "not (norm <= 1)".
+    def next_fn(d, t, g):
+        return np.array([bad, 0.0]) if t == 3 else np.array([0.5, 0.0])
+
+    adv = VectorAdversary(n=2, sigma=1.0, next_fn=next_fn)
+    rules = (PotentialConfig(lam=0.1, M=4, k=1), SelfBalancingConfig(c=10.0, delta=0.1), RandomSign())
+    for rule in rules:
+        with pytest.raises(AdversaryViolationError, match=repr(bad)):
+            run_discrepancy(rule, adv, 5, RngStream(seed=316))
+    with pytest.raises(AdversaryViolationError):
+        choose_sign_potential(
+            np.zeros(2), np.array([bad, 0.0]), PotentialConfig(lam=1.0, M=0, k=1), _empty_pool(2)
+        )
+
+
+def test_vector_norm_is_numpys_bit_for_bit():
+    gen = RngStream(seed=317).generator()
+    vectors = [np.zeros(0), np.zeros(3), np.array([1e-200, 1e-200]), np.array([1e200, -3e154])]
+    for n in gen.integers(1, 40, 200).tolist():
+        vectors.append(gen.standard_normal(n) * float(gen.choice([1e-3, 1.0, 1e3])))
+    with np.errstate(over="ignore"):
+        for v in vectors:
+            assert repr(_norm(v)) == repr(float(np.linalg.norm(v)))
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
@@ -147,6 +147,39 @@ def test_reused_densest_window_adversary_draws_as_the_reference():
         assert sample.points.tobytes() == expected.points.tobytes()
 
 
+def test_densest_window_rule_on_a_long_sequence_with_a_restart():
+    # 5,000 points the rule aimed itself, so most of them crowd one window.
+    # Played one prefix at a time from empty, the arrays grow through 13
+    # doublings; a call with an unrelated sequence at step 2,500 forces a
+    # rebuild of all 2,500 points when the long sequence resumes.
+    sigma = 0.1
+    pts = generate_discontinuities(
+        densest_window_adversary(sigma), 1000, 5, sigma, RngStream(seed=519).generator()
+    ).points.ravel()
+    rule = densest_window_adversary(sigma).rule
+    reference = _densest_reference(sigma)
+    other = RngStream(seed=520).generator().random(40)
+    checked = set(range(0, pts.size + 1, 250)) | {1, 2, 3, 2499, 2500, 2501}
+    for step in range(pts.size + 1):
+        if step == 2500:
+            assert rule(other, 40, None) == reference(other, 40, None)
+        got = rule(pts[:step], step, None)
+        if step in checked:
+            assert got == reference(pts[:step], step, None), step
+    assert rule.xs.size == 8192
+
+
+def test_densest_window_rule_restarts_on_a_signed_zero():
+    # -0.0 == 0.0, but the history check compares bits: the second call
+    # starts over, and the anchor it reports is the -0.0 it was given.
+    rule = densest_window_adversary(0.1).rule
+    plus, minus = np.array([0.0, 0.05]), np.array([-0.0, 0.05])
+    assert repr(rule(plus, 2, None)[0]) == "0.0"
+    lo = rule(minus, 2, None)[0]
+    assert repr(lo) == repr(_densest_reference(0.1)(minus, 2, None)[0]) == "-0.0"
+    assert repr(rule(plus, 2, None)[0]) == "0.0"
+
+
 def test_rule_that_writes_into_the_history_raises():
     def scribble(pts, step, gen):
         if step:
@@ -173,6 +206,16 @@ def test_generate_rejects_narrow_or_escaping_intervals():
         generate_discontinuities(
             iid_uniform_adversary(), 2, 2, 1.5, RngStream(seed=505).generator()
         )
+
+
+@pytest.mark.parametrize("interval", [(math.nan, 0.5), (0.0, math.nan), (math.nan, math.nan)])
+def test_generate_rejects_nan_intervals_at_their_step(interval):
+    def rule(pts, step, gen):
+        return interval if step == 3 else (0.0, 0.5)
+
+    adv = IntervalAdversary(sigma=0.5, rule=rule, name="nan")
+    with pytest.raises(ValidationError, match="at step 3"):
+        generate_discontinuities(adv, 3, 2, 0.5, RngStream(seed=505).generator())
 
 
 def test_generate_is_reproducible():
@@ -236,6 +279,32 @@ def test_sweep_matches_brute_force():
         assert max_interval_count(x, w, fn_index=fn) == max_interval_count_brute(
             x, w, fn_index=fn
         )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(
+            st.one_of(st.floats(0.0, 1.0), st.integers(0, 12).map(lambda k: k / 12)),
+            st.integers(0, 5),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    w=st.one_of(
+        # From below half an ulp of every nonzero point up to a few ulps.
+        st.sampled_from([1e-300, 1e-20, 1e-17, 5e-17, 1e-16, 3e-16]),
+        st.floats(1e-17, 1.0),
+    ),
+)
+# 0.5 + 1e-17 == 0.5, so the half-open window at 0.5 is empty: (1, 0), and
+# (1, 1) once 0.0, whose window is not empty, joins.
+@example(pairs=[(0.5, 0), (0.7, 1)], w=1e-17)
+@example(pairs=[(0.0, 0), (0.5, 1), (0.7, 2)], w=1e-17)
+def test_sweep_matches_brute_force_down_to_sub_ulp_windows(pairs, w):
+    x = [p for p, _ in pairs]
+    fn = [f for _, f in pairs]
+    assert max_interval_count(x, w, fn_index=fn) == max_interval_count_brute(x, w, fn_index=fn)
 
 
 def test_counts_monotone_in_window_width():
