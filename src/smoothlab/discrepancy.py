@@ -286,7 +286,7 @@ def potential_value(d: np.ndarray, lam: float, pool: ProbePool) -> float:
     cosh(lam d_i) over coordinates.  Arguments beyond ``COSH_ARG_LIMIT``
     raise PotentialOverflowError.
     """
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValidationError(f"lam must be >= 0, got {lam!r}")
     d = np.asarray(d, dtype=float)
     S = _with_projections(d, pool.ball)

@@ -25,6 +25,7 @@ import json
 import math
 import os
 import re
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -635,21 +636,6 @@ def _run_single_trial(job: tuple) -> tuple[dict, dict]:
     return metrics, dict(zip(names, contents))
 
 
-def _merge_parts(name: str, parts: list[str]) -> str:
-    """Combine per-trial fragments of a shared file, in trial order.
-
-    CSV fragments each carry the header; the merged file keeps only the first.
-    JSONL fragments concatenate directly.
-    """
-    if len(parts) == 1:
-        return parts[0]
-    if name.endswith(".csv"):
-        header, _, first_body = parts[0].partition("\n")
-        bodies = [first_body] + [p.partition("\n")[2] for p in parts[1:]]
-        return header + "\n" + "".join(bodies)
-    return "".join(parts)
-
-
 # Every file run_experiment writes.  A reused run directory is cleared of
 # these first, so no raw file of an earlier config reaches summarize(); any
 # other file in the directory is left alone.
@@ -690,8 +676,13 @@ def run_experiment(
 
     Trial i draws from RngStream(cfg.seed, i), so the persisted bytes are
     identical for any parallelism degree.  Files are always written by the
-    parent process in trial order.  When ``out_dir`` is reused, the files an
-    earlier run wrote there are removed first; other files are kept.
+    parent process, trial by trial in trial order, as each result arrives:
+    a shared raw file stays open for the run and takes each trial's part
+    (a CSV part without its header after the first), and a per-trial file
+    is written and closed at once.  An interrupted run leaves a partial
+    metrics.jsonl and raw files, and no summary.json.  When ``out_dir`` is
+    reused, the files an earlier run wrote there are removed first; other
+    files are kept.
     """
     if parallelism < 1:
         raise ValidationError(f"parallelism must be >= 1, got {parallelism}")
@@ -703,31 +694,31 @@ def run_experiment(
     _clear_owned_files(run_dir)
     (run_dir / "config.json").write_text(resolved.to_json())
 
-    jobs = [(cfg.kind, resolved.params, cfg.seed, i, write_traces) for i in range(cfg.trials)]
-    if parallelism == 1 or cfg.trials == 1:
-        results = [_run_single_trial(job) for job in jobs]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+    raw_files = KINDS[cfg.kind].raw_files
+    jobs = ((cfg.kind, resolved.params, cfg.seed, i, write_traces) for i in range(cfg.trials))
+    with ExitStack() as stack:
+        if parallelism == 1 or cfg.trials == 1:
+            results = map(_run_single_trial, jobs)
+        else:
+            from concurrent.futures import ProcessPoolExecutor
 
-        # A forked pool starts every worker up front, so cap it at the trials.
-        workers = min(parallelism, cfg.trials)
-        chunk = max(1, cfg.trials // (parallelism * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_single_trial, jobs, chunksize=chunk))
-
-    lines = [
-        json.dumps({"trial": i, **metrics}, sort_keys=True)
-        for i, (metrics, _) in enumerate(results)
-    ]
-    (run_dir / "metrics.jsonl").write_text("\n".join(lines) + "\n")
-
-    if write_traces:
-        parts: dict[str, list[str]] = {}
-        for _, raw in results:
-            for name in sorted(raw):
-                parts.setdefault(name, []).append(raw[name])
-        for name in sorted(parts):
-            (run_dir / name).write_text(_merge_parts(name, parts[name]))
+            # A forked pool starts every worker up front, so cap it at the trials.
+            workers = min(parallelism, cfg.trials)
+            chunk = max(1, cfg.trials // (parallelism * 4))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(_run_single_trial, jobs, chunksize=chunk)
+        metrics_file = stack.enter_context(open(run_dir / "metrics.jsonl", "w"))
+        shared = {}
+        for i, (metrics, raw) in enumerate(results):
+            metrics_file.write(json.dumps({"trial": i, **metrics}, sort_keys=True) + "\n")
+            for name, text in raw.items():
+                if name in shared:
+                    shared[name].write(text.partition("\n")[2] if name.endswith(".csv") else text)
+                elif name in raw_files:  # no NNNN in the name: one file for every trial
+                    shared[name] = stack.enter_context(open(run_dir / name, "w"))
+                    shared[name].write(text)
+                else:
+                    (run_dir / name).write_text(text)
 
     summary = summarize(run_dir)
     (run_dir / "summary.json").write_text(summary_to_json(summary))

@@ -247,7 +247,7 @@ def make_hedge(n_experts: int, T: int | None = None, eta: float | None = None) -
         if T is None or T < 1:
             raise ValidationError("provide T >= 1 to derive eta, or pass eta explicitly")
         eta = _default_eta(n_experts, T)
-    if eta < 0.0:
+    if not eta >= 0.0:
         raise ValidationError(f"eta must be >= 0, got {eta!r}")
     return HedgeState(
         log_w=np.zeros(n_experts), eta=float(eta), cum_losses=np.zeros(n_experts)
@@ -261,7 +261,7 @@ def hedge_step(state: HedgeState, losses: np.ndarray) -> tuple[np.ndarray, Hedge
         raise ValidationError(
             f"losses must have shape ({state.n_experts},), got {losses.shape}"
         )
-    if losses.min(initial=0.0) < 0.0 or losses.max(initial=0.0) > 1.0:
+    if not (losses.min(initial=0.0) >= 0.0 and losses.max(initial=0.0) <= 1.0):
         raise ValidationError("losses must lie in [0, 1]")
     probs = state.probs()
     new_state = HedgeState(

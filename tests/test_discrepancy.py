@@ -145,6 +145,12 @@ def test_potential_overflow_raises():
         potential_value(np.array([2.0, 0.0]), 400.0, pool)
 
 
+@pytest.mark.parametrize("lam", [-0.1, math.nan])
+def test_potential_rejects_negative_or_nan_lambda(lam):
+    with pytest.raises(ValidationError):
+        potential_value(np.array([1.0, 0.0]), lam, _empty_pool(2))
+
+
 def test_choose_sign_potential_prefers_cancellation():
     pool = _empty_pool(2)
     cfg = PotentialConfig(lam=1.0, M=0, k=1)

@@ -16,6 +16,8 @@ import json
 import math
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -468,6 +470,94 @@ def test_dispersion_reports_csv_merges_one_header(tmp_path):
         "points_0003.jsonl",
         "reports.csv",
     }
+
+
+def test_streamed_merge_when_the_first_trial_errors(tmp_path, monkeypatch):
+    params = {"T": 10, "ell": 2, "sigma": 0.2}
+    cfg = make_config("dispersion", params, trials=4, seed=1)
+    run_experiment(cfg, tmp_path / "clean", parallelism=1)
+    real = harness.generate_discontinuities
+    calls = []
+
+    # A serial run plays its trials in order, so the first call is trial 0.
+    def flaky(*args):
+        calls.append(None)
+        if len(calls) == 1:
+            raise RuntimeError("injected trial fault")
+        return real(*args)
+
+    monkeypatch.setattr(harness, "generate_discontinuities", flaky)
+    run_experiment(cfg, tmp_path / "faulty", parallelism=1)
+    clean = (tmp_path / "clean" / "reports.csv").read_text().splitlines(keepends=True)
+    faulty = (tmp_path / "faulty" / "reports.csv").read_text()
+    # Trial 1's part now opens the file, so its header is the only one.
+    assert faulty.count("w,total,split,bound,pass") == 1
+    assert faulty == clean[0] + "".join(clean[2:])
+    assert not (tmp_path / "faulty" / "points_0000.jsonl").exists()
+
+    # A per-trial kind: the errored trial leaves no file of its own.
+    real_run = harness.run_discrepancy
+    calls.clear()
+
+    def flaky_run(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("injected trial fault")
+        return real_run(*args)
+
+    monkeypatch.setattr(harness, "run_discrepancy", flaky_run)
+    cfg = make_config("discrepancy", {"algorithm": "random-sign", "n": 4, "T": 30}, trials=3, seed=2)
+    run_experiment(cfg, tmp_path / "disc", parallelism=1)
+    names = {p.name for p in (tmp_path / "disc").iterdir()}
+    assert {"trace_0000.csv", "run_0000.json", "trace_0002.csv", "run_0002.json"} <= names
+    assert not names & {"trace_0001.csv", "run_0001.json"}
+
+
+_PEAK_AT_SUMMARIZE = """
+import os, resource, sys, tempfile
+
+# ru_maxrss survives fork and exec, so this process carries the peak of the
+# test runner that started it.  A child forked now starts from this process's
+# own small size.
+pid = os.fork()
+if pid:
+    sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+
+from smoothlab import harness
+peaks = []
+summarize = harness.summarize
+
+def probed(run_dir):
+    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    return summarize(run_dir)
+
+harness.summarize = probed
+params = {"n": 16, "sigma": 0.25, "T": 8, "k": 16, "adversary": "last-value"}
+cfg = harness.make_config("coupling", params, trials=int(sys.argv[1]), seed=0)
+with tempfile.TemporaryDirectory() as tmp:
+    harness.run_experiment(cfg, tmp)
+print(peaks[0] * (1 if sys.platform == "darwin" else 1024))
+"""
+
+
+def test_peak_memory_does_not_grow_with_the_trial_count():
+    # The peak resident size when summarize() is entered: every trial has been
+    # played and written, and nothing has been read back yet.  Both runs stay
+    # below MARGINAL_MIN_TRACES, so summarize() imports no scipy.
+    pytest.importorskip("resource")
+    peaks = [
+        int(
+            subprocess.run(
+                [sys.executable, "-c", _PEAK_AT_SUMMARIZE, str(trials)],
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            ).stdout
+        )
+        for trials in (1_000, 5_000)
+    ]
+    assert peaks[1] - peaks[0] < 2 * 2**20, peaks
 
 
 def test_compare_identical_runs_gives_ratio_exactly_one(tmp_path):

@@ -200,6 +200,19 @@ def test_hedge_validation():
         hedge_step(state, np.array([0.0, 0.0, 0.0, 1.5]))
 
 
+def test_hedge_rejects_nan_eta():
+    with pytest.raises(ValidationError):
+        make_hedge(2, eta=math.nan)
+
+
+def test_hedge_step_rejects_nan_losses():
+    # A NaN loss once passed the range check and turned every weight into NaN.
+    state = make_hedge(2, eta=0.5)
+    for losses in ([math.nan, 0.0], [0.0, math.nan], [math.nan, math.nan]):
+        with pytest.raises(ValidationError):
+            hedge_step(state, np.array(losses))
+
+
 def test_hedge_regret_bound_on_random_tables():
     gen = RngStream(seed=404).generator()
     for _ in range(20):
