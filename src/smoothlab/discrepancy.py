@@ -24,6 +24,13 @@ drawn uniformly from the thin slab {||x||_2 <= 1, |<x, d>| <= n^-2 T^-2
 The slab is sampled exactly by inverting the one-dimensional marginal of a
 ball coordinate (a regularized incomplete beta function); a from-scratch
 rejection sampler is kept as the distributional oracle.
+
+A potential round whose cosh argument passes ``COSH_ARG_LIMIT`` blows up
+(PotentialOverflowError).  ``_phi_pair`` checks this through the row sums it
+already takes: every cosh term is >= 1 and a rounded sum of non-negative
+terms is >= each of them, so a row total <= 1e300 < cosh(700) proves every
+argument of that row in range.  Only a larger total (or a NaN) pays for the
+exact max/min test on the arguments.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -76,6 +83,9 @@ __all__ = [
 ]
 
 COSH_ARG_LIMIT = 700.0  # beyond this cosh overflows float64; treated as blow-up
+# A row of cosh terms summing to at most this has no argument beyond
+# COSH_ARG_LIMIT, since cosh(700) is about 5.07e303 (see ``_phi_pair``).
+_ROW_TOTAL_LIMIT = 1e300
 
 
 class PotentialOverflowError(OverflowError):
@@ -234,35 +244,65 @@ def build_probe_pool(n: int, M: int, rng: RngStream) -> ProbePool:
     return ProbePool(n=n, ball=ball, descriptor=("stream", rng.seed, rng.stream_id))
 
 
-def _phi_pair(
-    buf: np.ndarray, S: np.ndarray, X: np.ndarray, lam: float, n: int
-) -> tuple[float, float]:
-    """Phi(d + x) and Phi(d - x) in one pass over the (2, n + M) buffer ``buf``.
+class _PhiBuffer(NamedTuple):
+    """The (2, n + M) work buffer of ``_phi_pair`` with its views, bound once."""
+
+    buf: np.ndarray
+    plus: np.ndarray  # buf[0]
+    minus: np.ndarray  # buf[1]
+    basis: np.ndarray  # buf[:, :n]
+    ball: np.ndarray  # buf[:, n:]
+    n: int
+    M: int
+
+
+def _phi_buffer(n: int, M: int) -> _PhiBuffer:
+    buf = np.empty((2, n + M))
+    return _PhiBuffer(buf, buf[0], buf[1], buf[:, :n], buf[:, n:], n, M)
+
+
+def _phi_pair(work: _PhiBuffer, S: np.ndarray, X: np.ndarray, lam: float) -> tuple[float, float]:
+    """Phi(d + x) and Phi(d - x) in one pass over the buffer ``work``.
 
     ``S`` is [d, ball @ d] and ``X`` is [x, ball @ x]: the first n entries are
     the basis arguments, the other M the ball-probe projections.  Row 0 of
-    ``buf`` becomes lam (S + X) and row 1 lam (S - X); each row's Phi is half
-    its mean cosh over the basis entries and half over the ball entries.  With
-    no ball probes (M = 0) the basis mean carries full weight, and with no
-    basis entries (n = 0) it is 1.  Any argument beyond ``COSH_ARG_LIMIT``, on
-    either row, raises PotentialOverflowError.
+    the buffer becomes cosh(lam (S + X)) and row 1 cosh(lam (S - X)); each
+    row's Phi is half its mean over the basis entries and half over the ball
+    entries.  With no ball probes (M = 0) the basis mean carries full weight,
+    and with no basis entries (n = 0) it is 1.
+
+    Any argument beyond ``COSH_ARG_LIMIT``, on either row, raises
+    PotentialOverflowError.  The check runs after cosh, on the row sums: a
+    term with |argument| > 700 is at least cosh(700) ~ 5.07e303 (or inf), and
+    a rounded sum of terms >= 1 is at least each term, so such a row's total
+    is never <= 1e300.  Only when a row's total is not <= 1e300 (NaN
+    included) are the arguments recomputed for the exact max/min test; if
+    that passes, the sums already taken stand.  cosh overflows to inf past
+    about 710.4, so callers run this under ``np.errstate(over="ignore")``.
     """
-    np.add(S, X, out=buf[0])
-    np.subtract(S, X, out=buf[1])
+    buf, plus, minus, basis, ball, n, M = work
+    np.add(S, X, out=plus)
+    np.subtract(S, X, out=minus)
     buf *= lam
-    if buf.max(initial=0.0) > COSH_ARG_LIMIT or buf.min(initial=0.0) < -COSH_ARG_LIMIT:
-        raise PotentialOverflowError("a probe argument exceeded the cosh overflow limit")
     np.cosh(buf, out=buf)
     # Row sums divided as Python floats: the same bits as each row's .mean().
+    basis_plus = basis_minus = ball_plus = ball_minus = 0.0
+    if n:
+        basis_plus, basis_minus = np.add.reduce(basis, axis=1).tolist()
+    if M:
+        ball_plus, ball_minus = np.add.reduce(ball, axis=1).tolist()
+    if not (
+        basis_plus + ball_plus <= _ROW_TOTAL_LIMIT and basis_minus + ball_minus <= _ROW_TOTAL_LIMIT
+    ):
+        args = np.concatenate([S + X, S - X]) * lam
+        if args.max(initial=0.0) > COSH_ARG_LIMIT or args.min(initial=0.0) < -COSH_ARG_LIMIT:
+            raise PotentialOverflowError("a probe argument exceeded the cosh overflow limit")
     phi_plus = phi_minus = 1.0
     if n:
-        sum_plus, sum_minus = np.add.reduce(buf[:, :n], axis=1).tolist()
-        phi_plus, phi_minus = sum_plus / n, sum_minus / n
-    M = buf.shape[1] - n
+        phi_plus, phi_minus = basis_plus / n, basis_minus / n
     if M:
-        sum_plus, sum_minus = np.add.reduce(buf[:, n:], axis=1).tolist()
-        phi_plus = 0.5 * phi_plus + 0.5 * (sum_plus / M)
-        phi_minus = 0.5 * phi_minus + 0.5 * (sum_minus / M)
+        phi_plus = 0.5 * phi_plus + 0.5 * (ball_plus / M)
+        phi_minus = 0.5 * phi_minus + 0.5 * (ball_minus / M)
     return phi_plus, phi_minus
 
 
@@ -288,32 +328,45 @@ def potential_value(d: np.ndarray, lam: float, pool: ProbePool) -> float:
     """
     if not lam >= 0.0:
         raise ValidationError(f"lam must be >= 0, got {lam!r}")
-    d = np.asarray(d, dtype=float)
+    d = _state_d(d, pool.n)
     S = _with_projections(d, pool.ball)
     # With x = 0 both rows of the kernel are Phi(d).
-    return _phi_pair(np.empty((2, S.size)), S, np.zeros_like(S), lam, d.size)[0]
+    with np.errstate(over="ignore"):
+        return _phi_pair(_phi_buffer(pool.n, pool.M), S, np.zeros_like(S), lam)[0]
 
 
-def _state_d(state) -> np.ndarray:
-    return np.asarray(state, dtype=float)
+def _state_d(state, n: int) -> np.ndarray:
+    d = np.asarray(state, dtype=float)
+    if d.shape != (n,):
+        raise ValidationError(f"state d has shape {d.shape}, not ({n},)")
+    return d
 
 
-def _check_input_vector(x: np.ndarray) -> np.ndarray:
+def _check_input_vector(x: np.ndarray, n: int, t: int = 0) -> np.ndarray:
+    """x as a float array, checked to have shape (n,) and ||x||_2 <= 1; a
+    nonzero ``t`` names the round in the error."""
     x = np.asarray(x, dtype=float)
-    nrm = _norm(x)
-    if not (nrm <= 1.0 + 1e-9):
-        raise AdversaryViolationError(f"input vector has norm {nrm!r}, not <= 1")
-    return x
+    if x.shape != (n,):
+        problem = f"shape {x.shape}, not ({n},)"
+    else:
+        nrm = _norm(x)
+        if nrm <= 1.0 + 1e-9:
+            return x
+        problem = f"norm {nrm!r}, not <= 1"
+    raise AdversaryViolationError((f"round {t}: " if t else "") + f"input vector has {problem}")
 
 
 def choose_sign_potential(state, x: np.ndarray, cfg: PotentialConfig, pool: ProbePool) -> int:
     """Greedy sign minimizing the potential, ties within 1e-12 to +1; the single-step
     twin of the ``run_discrepancy`` loop, tested sign for sign against it."""
-    d = _state_d(state)
-    x = _check_input_vector(x)
+    if cfg.M != pool.M:
+        raise ValidationError(f"config has M={cfg.M} but the probe pool has {pool.M} ball probes")
+    d = _state_d(state, pool.n)
+    x = _check_input_vector(x, pool.n)
     S = _with_projections(d, pool.ball)
     X = _with_projections(x, pool.ball)
-    return _lower_sign(*_phi_pair(np.empty((2, S.size)), S, X, cfg.lam, d.size))[0]
+    with np.errstate(over="ignore"):
+        return _lower_sign(*_phi_pair(_phi_buffer(pool.n, pool.M), S, X, cfg.lam))[0]
 
 
 def choose_sign_selfbalancing(
@@ -325,8 +378,8 @@ def choose_sign_selfbalancing(
     current inner product is out of range (|<d, x>| > c); otherwise eps = +1
     with probability 1/2 - <d, x>/(2c).
     """
-    d = _state_d(state)
-    x = _check_input_vector(x)
+    d = np.asarray(state, dtype=float)
+    x = _check_input_vector(x, d.size)
     if float(np.abs(d).max(initial=0.0)) >= cfg.c:
         return FAILURE
     ip = float(d @ x)
@@ -569,11 +622,14 @@ def run_discrepancy(
     if potential:
         pool = build_probe_pool(n, rule.M, rng.substream(1))
         ball = pool.ball
+        lam = rule.lam
         # S = [d, ball @ d] is kept incrementally: a fresh matvec of
         # ball @ (d +- x) is not bitwise equal and could flip near-ties.
         S = np.zeros(n + pool.M)
         Xp = np.empty(n + pool.M)  # [x, ball @ x]
-        buf = np.empty((2, n + pool.M))
+        # Views bound once per trial, not once per round.
+        S_basis, Xp_basis, Xp_ball = S[:n], Xp[:n], Xp[n:]
+        work = _phi_buffer(n, pool.M)
         header.update({"lam": rule.lam, "M": pool.M, "k": rule.k, "pool": list(pool.descriptor)})
     elif selfbalancing:
         header.update({"c": rule.c, "delta": rule.delta})
@@ -594,45 +650,49 @@ def run_discrepancy(
     phi_cross_round = -1
     blown_up = False
     t_done = 0
+    next_vector = adv.next_vector
 
-    for t in range(1, T + 1):
-        x = adv.next_vector(d, t, gen)
-        x = _check_input_vector(x)
-        ips[t - 1] = float(d @ x)
+    # cosh overflows to inf past about 710.4; _phi_pair checks the row sums
+    # for that, so numpy's overflow warning is silenced once for the trial.
+    with np.errstate(over="ignore"):
+        for t in range(1, T + 1):
+            x = _check_input_vector(next_vector(d, t, gen), n, t)
+            ips[t - 1] = float(d @ x)
 
-        if potential:
-            Xp[:n] = x
-            np.matmul(ball, x, out=Xp[n:])
-            try:
-                sign, phi_t = _lower_sign(*_phi_pair(buf, S, Xp, rule.lam, n))
-            except PotentialOverflowError:
-                blown_up = True
-                phi_cross_round = t if phi_cross_round == -1 else phi_cross_round
-                break
-            phis[t] = phi_t
-            if phi_t > phi_limit and phi_cross_round == -1:
-                phi_cross_round = t
-            if sign > 0:
-                S += Xp
+            if potential:
+                Xp_basis[:] = x
+                np.matmul(ball, x, out=Xp_ball)
+                try:
+                    sign, phi_t = _lower_sign(*_phi_pair(work, S, Xp, lam))
+                except PotentialOverflowError:
+                    blown_up = True
+                    phi_cross_round = t if phi_cross_round == -1 else phi_cross_round
+                    break
+                phis[t] = phi_t
+                if phi_t > phi_limit and phi_cross_round == -1:
+                    phi_cross_round = t
+                if sign > 0:
+                    S += Xp
+                else:
+                    S -= Xp
+            elif selfbalancing:
+                outcome = choose_sign_selfbalancing(d, x, rule, gen)
+                if outcome is FAILURE:
+                    failed = True
+                    failed_round = t
+                    break
+                sign = int(outcome)
             else:
-                S -= Xp
-        elif selfbalancing:
-            outcome = choose_sign_selfbalancing(d, x, rule, gen)
-            if outcome is FAILURE:
-                failed = True
-                failed_round = t
-                break
-            sign = int(outcome)
-        else:
-            sign = +1 if gen.random() < 0.5 else -1
+                sign = +1 if gen.random() < 0.5 else -1
 
-        # d stays a fresh array each round: the adversary may keep the d it saw.
-        d = S[:n].copy() if potential else d + sign * x
-        signs[t - 1] = sign
-        inf_norms[t - 1] = float(np.abs(d).max())
-        two_norms[t - 1] = _norm(d)
-        X[t - 1] = x
-        t_done = t
+            # d stays a fresh array each round: the adversary may keep the d it saw.
+            d = S_basis.copy() if potential else d + sign * x
+            signs[t - 1] = sign
+            # Every x passed the norm check, so d is finite: the same bits as np.abs(d).max().
+            inf_norms[t - 1] = max(map(abs, d.tolist()))
+            two_norms[t - 1] = _norm(d)
+            X[t - 1] = x
+            t_done = t
 
     if phis is not None:
         header["mean_phi_increment"] = (
@@ -754,14 +814,16 @@ def make_potential_tail_threshold(cfg: PotentialConfig, delta: float):
 
 
 def trace_to_csv(trace: DiscrepancyTrace) -> str:
-    """CSV rows t, sign, d_inf_norm, d_2_norm, phi, failed (phi blank unless potential)."""
+    """CSV rows t, sign, d_inf_norm, d_2_norm, phi, failed (phi blank unless potential).
+
+    The norm cells are written as numpy 2 prints a float64 scalar's repr,
+    ``np.float64(0.41...)``; the phi cell is a plain float repr.
+    """
     lines = ["t,sign,d_inf_norm,d_2_norm,phi,failed"]
-    for i in range(trace.t_done):
-        phi = repr(float(trace.phis[i + 1])) if trace.phis is not None else ""
-        lines.append(
-            f"{i + 1},{int(trace.signs[i])},{trace.inf_norms[i]!r},"
-            f"{trace.two_norms[i]!r},{phi},0"
-        )
+    phis = map(repr, trace.phis[1:].tolist()) if trace.phis is not None else [""] * trace.t_done
+    rows = zip(trace.signs.tolist(), trace.inf_norms.tolist(), trace.two_norms.tolist(), phis)
+    for t, (sign, inf_norm, two_norm, phi) in enumerate(rows, 1):
+        lines.append(f"{t},{sign},np.float64({inf_norm!r}),np.float64({two_norm!r}),{phi},0")
     if trace.failed:
         lines.append(f"{trace.failed_round},0,,,,1")
     return "\n".join(lines) + "\n"

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,12 +24,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+import smoothlab.discrepancy as discrepancy
 from smoothlab.discrepancy import (
     COSH_ARG_LIMIT,
     FAILURE,
     AdversaryViolationError,
+    DiscrepancyTrace,
     PotentialConfig,
     PotentialOverflowError,
+    ProbePool,
     RandomSign,
     SelfBalancingConfig,
     VectorAdversary,
@@ -64,6 +68,9 @@ from smoothlab.learning import (
     stationary_smooth_adversary,
 )
 from smoothlab.stats import binomial_stderr
+
+# cosh overflows to inf past about 710.4; no code path may let numpy warn about it.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _empty_pool(n: int) -> "ProbePool":
@@ -279,6 +286,33 @@ def test_non_finite_input_vector_is_rejected_in_its_round(bad):
         choose_sign_potential(
             np.zeros(2), np.array([bad, 0.0]), PotentialConfig(lam=1.0, M=0, k=1), _empty_pool(2)
         )
+
+
+def test_wrong_length_vector_is_rejected_in_its_round():
+    def next_fn(d, t, g):
+        return np.array([0.5, 0.0]) if t == 2 else np.array([0.5, 0.0, 0.0])
+
+    adv = VectorAdversary(n=3, sigma=1.0, next_fn=next_fn)
+    rules = (PotentialConfig(lam=0.1, M=4, k=1), SelfBalancingConfig(c=10.0, delta=0.1), RandomSign())
+    for rule in rules:
+        with pytest.raises(
+            AdversaryViolationError, match=r"round 2: input vector has shape \(2,\), not \(3,\)"
+        ):
+            run_discrepancy(rule, adv, 4, RngStream(seed=342))
+
+
+def test_potential_twins_reject_mismatched_shapes():
+    pool = build_probe_pool(3, 16, RngStream(seed=343))
+    cfg = PotentialConfig(lam=0.1, M=16, k=1)
+    for d in (np.zeros(2), np.zeros((1, 3)), 0.0):
+        with pytest.raises(ValidationError, match="shape"):
+            potential_value(d, 0.1, pool)
+        with pytest.raises(ValidationError, match="shape"):
+            choose_sign_potential(d, np.zeros(3), cfg, pool)
+        with pytest.raises(AdversaryViolationError, match="shape"):
+            choose_sign_potential(np.zeros(3), d, cfg, pool)
+    with pytest.raises(ValidationError, match="M=99"):
+        choose_sign_potential(np.zeros(3), np.zeros(3), PotentialConfig(lam=0.1, M=99, k=1), pool)
 
 
 def test_vector_norm_is_numpys_bit_for_bit():
@@ -506,6 +540,50 @@ def test_run_discrepancy_blowup_is_flagged():
     assert tr.t_done == 1
 
 
+# One ball probe w = (1/2, 1/2, 1/2, 1/2), so <w, v> is exact for the vectors below.
+_BOUNDARY_POOL = ProbePool(n=4, ball=np.full((1, 4), 0.5), descriptor=("stream", 0, 0))
+_E1 = np.array([0.5, 0.0, 0.0, 0.0])
+_FLAT = np.full(4, 0.25)
+
+
+@pytest.mark.parametrize("via", ["run", "potential_value", "choose_sign_potential"])
+@pytest.mark.parametrize("row", [+1, -1], ids=["plus", "minus"])
+@pytest.mark.parametrize("entry", ["basis", "ball"])
+@pytest.mark.parametrize(
+    "lam, blows_up",
+    [(700.0, False), (float(np.nextafter(700.0, np.inf)), True), (711.0, True)],
+    ids=["at-limit", "next-float", "cosh-overflows"],
+)
+def test_overflow_boundary_is_exact(via, row, entry, lam, blows_up, monkeypatch):
+    # State d and vector x with d + row * x = 1 in one entry of that row's
+    # [v, <w, v>] (the first basis coordinate, or the ball projection), so its
+    # argument is exactly lam; the other row's arguments are 0 and every other
+    # argument is lam / 2.  The cosh limit is 700: 700 itself passes, the next
+    # float up blows up, and past 710.4 cosh is inf, with no numpy warning.
+    d = _E1 if entry == "basis" else _FLAT
+    x = row * d
+    if via == "run":
+        monkeypatch.setattr(discrepancy, "build_probe_pool", lambda n, M, rng: _BOUNDARY_POOL)
+        # Round 1 plays d from the origin (a tie, so +1); round 2 plays x.
+        adv = VectorAdversary(n=4, sigma=1.0, next_fn=lambda dd, t, g: (d, x)[t - 1])
+        tr = run_discrepancy(PotentialConfig(lam=lam, M=1, k=1), adv, 2, RngStream(seed=344))
+        assert tr.signs[0] == 1
+        assert tr.blown_up == blows_up
+        assert tr.t_done == (1 if blows_up else 2)
+        return
+    call = {
+        "potential_value": lambda: potential_value(d + row * x, lam, _BOUNDARY_POOL),
+        "choose_sign_potential": lambda: choose_sign_potential(
+            d, x, PotentialConfig(lam=lam, M=1, k=1), _BOUNDARY_POOL
+        ),
+    }[via]
+    if blows_up:
+        with pytest.raises(PotentialOverflowError):
+            call()
+    else:
+        call()
+
+
 def test_selfbalancing_run_never_fails_at_default_threshold():
     adv = uniform_ball_adversary(8)
     c = None
@@ -713,6 +791,55 @@ def test_failed_run_truncates_trace():
     assert tr is not None and tr.failed
     assert tr.failed_round == tr.t_done + 1
     assert trace_to_csv(tr).strip().split("\n")[-1].endswith(",1")
+
+
+def _reference_trace_csv(trace: DiscrepancyTrace) -> str:
+    """``trace_to_csv`` as first written: each norm cell is the repr of a numpy scalar."""
+    lines = ["t,sign,d_inf_norm,d_2_norm,phi,failed"]
+    for i in range(trace.t_done):
+        phi = repr(float(trace.phis[i + 1])) if trace.phis is not None else ""
+        lines.append(
+            f"{i + 1},{int(trace.signs[i])},{trace.inf_norms[i]!r},"
+            f"{trace.two_norms[i]!r},{phi},0"
+        )
+    if trace.failed:
+        lines.append(f"{trace.failed_round},0,,,,1")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.floats(min_value=0.0, allow_infinity=False), max_size=12),
+    potential=st.booleans(),
+    failed=st.booleans(),
+)
+@example(values=[0.0, 5e-324, 1e-5, 1e-4, 1e16, sys.float_info.max], potential=True, failed=False)
+@example(values=[0.0, 5e-324, 1e-5, 1e-4, 1e16, sys.float_info.max], potential=False, failed=True)
+def test_trace_csv_cells_match_numpy_repr(values, potential, failed):
+    t_done = len(values)
+    inf_norms = np.array(values, dtype=float)
+    two_norms = inf_norms[::-1].copy()
+    trace = DiscrepancyTrace(
+        n=1,
+        T=t_done + 1,
+        signs=np.array([(-1) ** i for i in range(t_done)], dtype=np.int8),
+        d_final=np.zeros(1),
+        inf_norms=inf_norms,
+        two_norms=two_norms,
+        ips=np.zeros(t_done),
+        phis=np.concatenate([[1.0], two_norms]) if potential else None,
+        failed=failed,
+        failed_round=t_done + 1 if failed else -1,
+        phi_cross_round=-1,
+        blown_up=False,
+        X=np.zeros((t_done, 1)),
+        header={},
+    )
+    text = trace_to_csv(trace)
+    rows = [line.split(",") for line in text.splitlines()[1 : t_done + 1]]
+    assert [row[2] for row in rows] == [repr(v) for v in inf_norms]
+    assert [row[3] for row in rows] == [repr(v) for v in two_norms]
+    assert text == _reference_trace_csv(trace)
 
 
 def test_uniform_ball_batch_matches_scalar_law():
