@@ -2,17 +2,19 @@
 
 Each round, an adaptive ``SmoothAdversary`` emits a smooth distribution that
 may depend on everything realized so far: a uniform set of at least
-ceil(sigma*n) elements, or any sigma-smooth pmf.  A pmf is a mixture of such
-uniform sets, so the coupling first picks one component by its weight and
-then treats it like an emitted set.  The coupling draws k independent uniform
-replicas Y_1..Y_k from the whole domain and produces:
+ceil(sigma*n) elements, or any sigma-smooth pmf.  The coupling draws k
+independent uniform replicas from the whole domain and produces:
 
-- Z_1..Z_k: the replicas with every in-set hit resampled uniformly inside the
-  adversary's set (so each Z_i is again uniform on the domain, i.i.d.), and
-- X: the round's realized element, uniform on the adversary's set.
+- Z_1..Z_k: uniform on the domain, i.i.d.  A set round resamples every
+  replica that hits the set uniformly inside it; a pmf round keeps the
+  replicas as drawn.
+- X: the round's realized element, with the emitted distribution.  A set
+  round picks it uniformly among the resampled replicas.  A pmf round
+  accepts replica Z_i with probability D(Z_i)/max D and takes the first one
+  accepted (rejection sampling, which needs only the density bound 1/sigma).
 
-X lands inside {Z_1..Z_k} unless none of the k replicas hits the set, which
-happens with probability (1 - sigma)^k per round for a set of density sigma.
+X lands inside {Z_1..Z_k} unless no replica hits the set, or none is
+accepted, which happens with probability at most (1 - sigma)^k per round.
 Over T rounds the union bound gives failure probability at most
 T*(1-sigma)^k; ``default_k`` sizes k as ceil(10*ln(T)/sigma) to drive that
 below any polynomial.
@@ -40,7 +42,6 @@ from smoothlab.domain import (
     SmoothPmf,
     UniformOnSet,
     ValidationError,
-    decompose_smooth,
     min_support_size,
     validate_smooth,
 )
@@ -240,13 +241,14 @@ def couple_adaptive(
     """Run the coupling for T rounds against an adaptive smooth adversary.
 
     An emitted set must hold at least ceil(sigma*n) elements and is coupled
-    as is.  An emitted pmf must be sigma-smooth; it is decomposed into a
-    mixture of uniform sets, one ``gen.random()`` call picks a component by
-    its weight, and the component is coupled.  The realized X then has the
-    emitted distribution as its marginal while the Z grid stays i.i.d.
-    uniform.  The path follows the emitted type alone, so a set round never
-    spends the component draw, and a pmf round always does.  The rule sees a
-    read-only view of X's realized prefix.
+    by ``couple_single_round``.  An emitted pmf D must be sigma-smooth and is
+    coupled by rejection, with three groups of draws: the replicas Z through
+    the set round's first call, ``integers(1, n + 1, size=k)``; k acceptance
+    coins through ``random(k)``, where Z_i is accepted iff
+    ``coin_i * max(D) < D(Z_i)``; and, only when none is accepted, one
+    ``random()`` u, with X the cell where ``cumsum(D) / total`` first exceeds
+    u.  Otherwise X is the first accepted Z_i.  Either way X ~ D while Z stays
+    i.i.d. uniform.  The rule sees a read-only view of X's realized prefix.
     """
     n = adv.domain.n
     floor = min_support_size(adv.sigma, n)
@@ -254,17 +256,14 @@ def couple_adaptive(
     realized = X.view()
     realized.flags.writeable = False
     Z = np.empty((cfg.T, cfg.k), dtype=np.int64)
-    # Stationary rules return the same pmf object every round; validate and
-    # decompose it once.  Each entry holds its pmf, so no later pmf can be
-    # allocated at a freed one's address and inherit its decomposition by id.
-    memo: dict[int, tuple[SmoothPmf, np.ndarray, tuple]] = {}
-    # Rules that revisit a set return the same object; check each object once.
-    # The dict holds the set itself, for the same reason as the pmf memo.
-    checked: dict[int, UniformOnSet] = {}
+    # Rules that revisit a set or pmf return the same object; check each
+    # object once.  The dict holds the object itself, so no later one can be
+    # allocated at a freed one's address and skip its check by id.
+    checked: dict[int, UniformOnSet | SmoothPmf] = {}
     for t in range(cfg.T):
         dist = adv.rule(realized[:t])
-        if isinstance(dist, UniformOnSet):
-            if id(dist) not in checked:
+        if id(dist) not in checked:
+            if isinstance(dist, UniformOnSet):
                 if dist.domain != adv.domain:
                     raise ValidationError("adversary emitted a set on the wrong domain")
                 if dist.size < floor:
@@ -272,29 +271,28 @@ def couple_adaptive(
                         f"round {t + 1}: set size {dist.size} below floor {floor} "
                         f"for sigma={adv.sigma}"
                     )
-                checked[id(dist)] = dist
-            S = dist
-        elif isinstance(dist, SmoothPmf):
-            if dist.domain != adv.domain:
-                raise ValidationError("adversary emitted a pmf on the wrong domain")
-            cached = memo.get(id(dist))
-            if cached is None:
+            elif isinstance(dist, SmoothPmf):
+                if dist.domain != adv.domain:
+                    raise ValidationError("adversary emitted a pmf on the wrong domain")
                 if not validate_smooth(dist.mass, adv.sigma):
                     raise ValidationError(f"round {t + 1}: emitted pmf is not {adv.sigma}-smooth")
-                mix = decompose_smooth(dist)
-                cumweights = np.cumsum([w for w, _ in mix.components])
-                cached = (dist, cumweights, tuple(comp for _, comp in mix.components))
-                memo[id(dist)] = cached
-            _, cumweights, comps = cached
-            S = comps[int(np.searchsorted(cumweights, gen.random() * cumweights[-1], side="right"))]
+            else:
+                raise ValidationError(
+                    f"round {t + 1}: adversary emitted {type(dist).__name__}, "
+                    "not a UniformOnSet or SmoothPmf"
+                )
+            checked[id(dist)] = dist
+        if isinstance(dist, UniformOnSet):
+            X[t], Z[t] = couple_single_round(dist, cfg.k, gen)
         else:
-            raise ValidationError(
-                f"round {t + 1}: adversary emitted {type(dist).__name__}, "
-                "not a UniformOnSet or SmoothPmf"
-            )
-        x, z = couple_single_round(S, cfg.k, gen)
-        X[t] = x
-        Z[t] = z
+            mass = dist.mass
+            Z[t] = gen.integers(1, n + 1, size=np.array(cfg.k))
+            accepted = np.flatnonzero(gen.random(cfg.k) * mass.max() < mass[Z[t] - 1])
+            if accepted.size:
+                X[t] = Z[t, accepted[0]]
+            else:
+                cdf = mass.cumsum()
+                X[t] = np.searchsorted(cdf / cdf[-1], gen.random(), side="right") + 1
     return CouplingTrace(n=n, X=X, Z=Z, contained_rounds=(Z == X[:, None]).any(axis=1))
 
 
@@ -398,7 +396,8 @@ def verify_marginals(
     pairs: list[tuple[tuple[int, int], tuple[int, int]]] = []
     want_cross = n_pairs // 2 if T > 1 else 0
     guard = 0
-    while len(pairs) < n_pairs and guard < 10_000:
+    # A lone cell makes no pair.
+    while len(all_cells) > 1 and len(pairs) < n_pairs and guard < 10_000:
         guard += 1
         a, b = gen.choice(len(all_cells), size=2, replace=False)
         ca, cb = all_cells[a], all_cells[b]

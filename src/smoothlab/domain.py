@@ -60,10 +60,6 @@ class FiniteDomain:
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValidationError(f"domain size must be a positive integer, got {self.n!r}")
 
-    @property
-    def elements(self) -> range:
-        return range(1, self.n + 1)
-
 
 @dataclass(frozen=True)
 class RngStream:

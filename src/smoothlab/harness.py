@@ -305,7 +305,7 @@ def _summarize_coupling(run_dir: Path, cfg: dict, good: list[dict]) -> dict:
             extra["marginals"] = {
                 "n_traces": report.n_traces,
                 "min_cell_pvalue": float(report.cell_pvalues.min()),
-                "min_pair_pvalue": min(report.pair_pvalues),
+                "min_pair_pvalue": min(report.pair_pvalues) if report.pair_pvalues else None,
                 "min_homogeneity_pvalue": (
                     min(report.homogeneity_pvalues) if report.homogeneity_pvalues else None
                 ),

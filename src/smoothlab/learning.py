@@ -555,16 +555,22 @@ class RegretLedger:
         return json.dumps(self.config, sort_keys=True)
 
 
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
 def _inverse_cdf(probs: np.ndarray, u: float) -> tuple[int, float]:
-    """The cell of ``probs`` that the uniform ``u`` falls in, and ``u`` rescaled
-    to a uniform draw within that cell."""
+    """The cell of ``probs`` that the uniform ``u`` in [0, 1) falls in, and ``u``
+    rescaled to a uniform draw in [0, 1) within that cell.
+
+    The cdf ends at exactly 1.0, so the cell is in range and has positive width.
+    """
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    i = min(int(cdf.searchsorted(u, side="right")), cdf.size - 1)
+    i = int(cdf.searchsorted(u, side="right"))
     lo = float(cdf[i - 1]) if i else 0.0
-    width = float(cdf[i]) - lo
-    # Only a draw clipped at the top can land in an empty cell; it stays at the top.
-    return i, (u - lo) / width if width > 0.0 else u
+    # A u one ulp below the cell's top can round to 1.0 here (u - lo and
+    # cdf[i] - lo round to the same double), which the next block cannot take.
+    return i, min((u - lo) / (float(cdf[i]) - lo), _BELOW_ONE)
 
 
 def _hedge_pick(states: list[HedgeState], block: int, losses: np.ndarray, gen):

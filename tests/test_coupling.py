@@ -13,6 +13,7 @@ Frozen oracle values:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -42,6 +43,7 @@ from smoothlab.coupling import (
     window_set_adversary,
 )
 from smoothlab.domain import (
+    DecompositionError,
     FiniteDomain,
     RngStream,
     SmoothPmf,
@@ -260,6 +262,30 @@ def test_general_coupling_rejects_rough_pmf():
         couple_adaptive(adv, CouplingConfig(T=1, k=1), RngStream(seed=211).generator())
 
 
+def test_pmf_above_the_mixture_cap_couples():
+    # sigma*n = 1.5: the smoothness cap 1/(sigma*n) = 2/3 lies above 1/ceil(sigma*n)
+    # = 1/2, so this sigma-smooth pmf is no mixture of uniforms on >= 2 elements.
+    dom = FiniteDomain(5)
+    pmf = SmoothPmf(dom, np.array([0.6, 0.1, 0.1, 0.1, 0.1]), sigma=0.3)
+    assert validate_smooth(pmf.mass, 0.3)
+    with pytest.raises(DecompositionError):
+        decompose_smooth(pmf)
+    adv = stationary_pmf_adversary(pmf)
+    cfg = CouplingConfig(T=2, k=4)
+    n_trials = 20_000
+    xs = np.empty((n_trials, cfg.T), dtype=int)
+    contained = 0
+    for i in range(n_trials):
+        tr = couple_adaptive(adv, cfg, RngStream(seed=222, stream_id=i).generator())
+        xs[i] = tr.X
+        contained += int(tr.contained)
+    for t in range(cfg.T):
+        _, p = chi_square_fit(np.bincount(xs[:, t] - 1, minlength=5), pmf.mass)
+        assert p > 0.001
+    bound = containment_bound(cfg.T, 0.3, cfg.k)
+    assert 1 - contained / n_trials <= bound + 3 * binomial_stderr(bound, n_trials)
+
+
 def test_verify_marginals_requires_enough_traces():
     dom = FiniteDomain(2)
     adv = stationary_set_adversary(dom, (1,))
@@ -306,6 +332,38 @@ def test_verify_marginals_on_adaptive_traces():
     assert cross >= 5
 
 
+def test_verify_marginals_on_adaptive_pmf_traces():
+    # Round 2's pmf puts the cap 1/(sigma*n) = 1/2 on X_1; Z must stay i.i.d.
+    # uniform and independent of X_1 all the same.
+    dom = FiniteDomain(4)
+    pmfs = [
+        SmoothPmf(dom, np.where(np.arange(1, 5) == v, 0.5, 0.5 / 3), sigma=0.5)
+        for v in range(1, 5)
+    ]
+    adv = SmoothAdversary(dom, 0.5, lambda xs: pmfs[xs[-1] - 1 if len(xs) else 0], "chase-pmf")
+    cfg = CouplingConfig(T=2, k=3)
+    traces = [
+        couple_adaptive(adv, cfg, RngStream(seed=223, stream_id=i).generator())
+        for i in range(MARGINAL_MIN_TRACES)
+    ]
+    X = np.stack([tr.X for tr in traces])
+    Z = np.stack([tr.Z for tr in traces])
+    report = verify_marginals(X, Z, 4, n_pairs=10, pair_seed=1)
+    assert report.passed(alpha=0.001)
+    assert len(report.homogeneity_pvalues) == cfg.k
+
+
+def test_verify_marginals_with_one_cell_has_no_pairs():
+    gen = RngStream(seed=224).generator()
+    X = gen.integers(1, 5, size=(MARGINAL_MIN_TRACES, 1))
+    Z = gen.integers(1, 5, size=(MARGINAL_MIN_TRACES, 1, 1))
+    report = verify_marginals(X, Z, 4)
+    assert report.cell_pvalues.shape == (1, 1)
+    assert report.pairs == () and report.pair_pvalues == ()
+    assert report.homogeneity_pvalues == ()
+    assert report.passed()
+
+
 def test_trace_jsonl_round_trip():
     dom = FiniteDomain(4)
     adv = last_value_adversary(dom, 0.5)
@@ -323,7 +381,8 @@ def test_trace_jsonl_round_trip():
 # ---------------------------------------------------------------------------
 # Stream equivalence.  The functions below are the reference implementation
 # the coupling path must reproduce draw for draw: np.isin membership, a fresh
-# UniformOnSet per round, and a Python set per containment flag.  Every
+# UniformOnSet per round, pmf rejection one replica at a time in plain Python,
+# and a Python set per containment flag.  Every
 # comparison also checks that the generator ends in the same state, so the
 # fast path consumes exactly the same draws.
 
@@ -393,27 +452,39 @@ def _oracle_adaptive(rule, domain, sigma, cfg, gen):
     return X, Z, flags
 
 
+def _oracle_pmf_round(pmf, k, gen):
+    # Rejection against the largest mass, one replica at a time in plain Python.
+    mass = pmf.mass.tolist()
+    top = max(mass)
+    z = gen.integers(1, len(mass) + 1, size=k)
+    for zi, coin in zip(z.tolist(), gen.random(k).tolist()):
+        if coin * top < mass[zi - 1]:
+            return zi, z
+    u = gen.random()
+    cdf = list(itertools.accumulate(mass))
+    return next(cell for cell, c in enumerate(cdf, start=1) if c / cdf[-1] > u), z
+
+
 def _oracle_general(adv, cfg, gen):
+    # Checks every round's emission afresh, then couples a set round through
+    # _oracle_single_round and a pmf round through _oracle_pmf_round.
+    floor = min_support_size(adv.sigma, adv.domain.n)
     past = []
     X = np.empty(cfg.T, dtype=np.int64)
     Z = np.empty((cfg.T, cfg.k), dtype=np.int64)
     flags = np.empty(cfg.T, dtype=bool)
-    memo = {}
     for t in range(cfg.T):
-        pmf = adv.rule(np.array(past, dtype=np.int64))
-        if pmf.domain != adv.domain:
-            raise ValidationError("adversary emitted a pmf on the wrong domain")
-        cached = memo.get(id(pmf))
-        if cached is None:
-            if not validate_smooth(pmf.mass, adv.sigma):
+        emitted = adv.rule(np.array(past, dtype=np.int64))
+        if emitted.domain != adv.domain:
+            raise ValidationError("adversary emitted a distribution on the wrong domain")
+        if isinstance(emitted, SmoothPmf):
+            if not validate_smooth(emitted.mass, adv.sigma):
                 raise ValidationError(f"round {t + 1}: emitted pmf is not {adv.sigma}-smooth")
-            mix = decompose_smooth(pmf)
-            cumweights = np.cumsum([w for w, _ in mix.components])
-            cached = (cumweights, tuple(comp for _, comp in mix.components))
-            memo[id(pmf)] = cached
-        cumweights, comps = cached
-        comp = comps[int(np.searchsorted(cumweights, gen.random() * cumweights[-1], side="right"))]
-        x, z = _oracle_single_round(comp, cfg.k, gen)
+            x, z = _oracle_pmf_round(emitted, cfg.k, gen)
+        else:
+            if emitted.size < floor:
+                raise UndersizedSetError(f"round {t + 1}: set size {emitted.size} below floor")
+            x, z = _oracle_single_round(emitted, cfg.k, gen)
         X[t] = x
         Z[t] = z
         flags[t] = x in set(int(v) for v in z)
@@ -512,33 +583,12 @@ def test_general_matches_reference_draw_for_draw(n, sigma, k, T):
                 _assert_same_run(trace, _oracle_general(adv, cfg, gen_b), gen_a, gen_b)
 
 
-def _oracle_mixed(adv, cfg, gen):
-    # Replays a rule that emits sets and pmfs one round at a time: a set round
-    # through _oracle_adaptive and a pmf round through _oracle_general, so only
-    # pmf rounds spend the component pick's gen.random() call.
-    past = []
-    X = np.empty(cfg.T, dtype=np.int64)
-    Z = np.empty((cfg.T, cfg.k), dtype=np.int64)
-    flags = np.empty(cfg.T, dtype=bool)
-    one_round = CouplingConfig(T=1, k=cfg.k)
-    for t in range(cfg.T):
-        emitted = adv.rule(np.array(past, dtype=np.int64))
-        if isinstance(emitted, SmoothPmf):
-            stationary = SmoothAdversary(adv.domain, adv.sigma, lambda xs: emitted)
-            Xt, Zt, ft = _oracle_general(stationary, one_round, gen)
-        else:
-            Xt, Zt, ft = _oracle_adaptive(lambda xs: emitted, adv.domain, adv.sigma, one_round, gen)
-        X[t], Z[t], flags[t] = Xt[0], Zt[0], ft[0]
-        past.append(int(Xt[0]))
-    return X, Z, flags
-
-
 @pytest.mark.parametrize("n,sigma,k,T", _GRID)
 def test_mixed_set_and_pmf_rounds_match_reference_draw_for_draw(n, sigma, k, T):
     dom = FiniteDomain(n)
     cfg = CouplingConfig(T=T, k=k)
     chase = last_value_adversary(dom, sigma).rule
-    # The uniform pmf decomposes into one component and still spends the pick.
+    # The uniform pmf accepts every replica, so its rounds never draw the fallback.
     pmfs = [SmoothPmf(dom, np.full(n, 1.0 / n), sigma=1.0)] + [
         random_smooth_pmf(dom, sigma, RngStream(seed=2600 + n, stream_id=j).generator())
         for j in range(2)
@@ -554,24 +604,30 @@ def test_mixed_set_and_pmf_rounds_match_reference_draw_for_draw(n, sigma, k, T):
         gen_a = RngStream(seed=2700 + n, stream_id=stream).generator()
         gen_b = RngStream(seed=2700 + n, stream_id=stream).generator()
         trace = couple_adaptive(adv, cfg, gen_a)
-        _assert_same_run(trace, _oracle_mixed(adv, cfg, gen_b), gen_a, gen_b)
+        _assert_same_run(trace, _oracle_general(adv, cfg, gen_b), gen_a, gen_b)
 
 
-def test_fresh_pmf_each_round_gets_its_own_decomposition():
+def test_checked_memo_holds_fresh_pmfs_and_still_rejects_a_rough_one():
     # A rule that builds a new pmf every round frees the earlier ones, and
-    # CPython reuses their ids; a recycled id must not reuse a stale decomposition.
+    # CPython reuses their ids; the memo holds each checked pmf, so a rough pmf
+    # cannot take a checked one's id and skip its check.
     dom = FiniteDomain(6)
     supports = [(1, 2, 3), (4, 5, 6), (2, 3, 4), (1, 5, 6), (3, 4, 5)]
+    rough = np.array([0.5, 0.1, 0.1, 0.1, 0.1, 0.1])
 
     def rule(xs):
+        if len(xs) == 299:
+            return SmoothPmf(dom, rough, sigma=0.25)
         mass = np.zeros(6)
         mass[np.array(supports[len(xs) % 5]) - 1] = 1 / 3
         return SmoothPmf(dom, mass, sigma=0.5)
 
     adv = SmoothAdversary(dom, 0.5, rule, name="fresh")
     for stream in range(4):
-        tr = couple_adaptive(adv, CouplingConfig(T=300, k=2), RngStream(221, stream).generator())
+        tr = couple_adaptive(adv, CouplingConfig(T=299, k=2), RngStream(221, stream).generator())
         assert all(x in supports[t % 5] for t, x in enumerate(tr.X.tolist()))
+        with pytest.raises(ValidationError, match="round 300: emitted pmf is not 0.5-smooth"):
+            couple_adaptive(adv, CouplingConfig(T=300, k=2), RngStream(221, stream).generator())
 
 
 @pytest.mark.parametrize(

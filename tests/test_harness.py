@@ -427,6 +427,17 @@ def test_coupling_summary_marginals_block(tmp_path):
     assert summary_to_json(summarize(tmp_path / "run")) == (tmp_path / "run" / "summary.json").read_text()
 
 
+def test_coupling_marginals_with_one_cell(tmp_path):
+    # T = 1 and the default k = 1 leave one Z cell, and so no pair to test.
+    cfg = make_config("coupling", {"n": 4, "sigma": 0.5, "T": 1}, trials=10_000, seed=0)
+    assert cfg.params["k"] == 1
+    block = run_experiment(cfg, tmp_path / "run", parallelism=1).summary["marginals"]
+    assert block["n_traces"] == 10_000
+    assert block["min_pair_pvalue"] is None
+    assert block["min_homogeneity_pvalue"] is None
+    assert block["passed"] is True
+
+
 def test_no_traces_skips_raw_files(tmp_path):
     cfg = make_config("dispersion", {"T": 10, "ell": 2, "sigma": 0.2}, trials=3, seed=1)
     run_experiment(cfg, tmp_path / "run", parallelism=1, write_traces=False)

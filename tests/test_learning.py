@@ -628,6 +628,34 @@ def test_block_first_argmin_is_flat_first_argmin(data):
     assert tuple(int(i) for i in flat_index) == tuple(int(np.argmin(t)) for t in tables)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    probs=st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 1e-300)),
+        min_size=1,
+        max_size=12,
+    ).filter(lambda p: sum(p) > 0.0),
+    u=st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.just(math.nextafter(1.0, 0.0))),
+)
+def test_inverse_cdf_lands_in_a_cell_of_positive_mass(probs, u):
+    probs = np.array(probs)
+    i, rescaled = learning._inverse_cdf(probs, u)
+    assert 0 <= i < probs.size
+    assert probs[i] > 0.0
+    assert 0.0 <= rescaled < 1.0
+
+
+def test_inverse_cdf_rescaled_draw_stays_below_one():
+    # The cdf is [lo, 0.75, 1] and u is one ulp below 0.75: u - lo and
+    # 0.75 - lo round to the same double, so their ratio rounds to 1.0.
+    lo = 0.125 + 3 * 2.0**-54
+    u = math.nextafter(0.75, 0.0)
+    assert (u - lo) / (0.75 - lo) == 1.0
+    i, rescaled = learning._inverse_cdf(np.array([lo, 0.75 - lo, 0.25]), u)
+    assert i == 1
+    assert rescaled < 1.0
+
+
 def test_learning_runs_past_the_enumeration_cap():
     cfg = make_config("learning", {"m": 4096, "d": 2, "T": 256}, 2, 0)
     params = cfg.params
