@@ -32,7 +32,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -66,6 +66,7 @@ __all__ = [
     "MarginalReport",
     "verify_marginals",
     "traces_to_jsonl",
+    "containment_flags",
     "traces_from_jsonl",
 ]
 
@@ -366,16 +367,51 @@ class MarginalReport:
         return cells_ok and pairs_ok and homog_ok
 
 
+def _sample_pairs(
+    T: int, k: int, n_pairs: int, pair_seed: int
+) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Up to ``n_pairs`` distinct cell pairs, drawn from ``pair_seed``.
+
+    When T > 1, at least half the pairs span two rounds: once the cross-round
+    pairs still owed fill every remaining slot, a same-round draw is skipped.
+    The draws stop when the pairs are complete, when no pair left unseen
+    could be accepted, or after 10,000 draws.
+    """
+    gen = RngStream(seed=pair_seed, stream_id=0).generator()
+    all_cells = [(t, i) for t in range(T) for i in range(k)]
+    n_all = len(all_cells) * (len(all_cells) - 1) // 2
+    n_cross = n_all - T * (k * (k - 1) // 2)
+    pairs: list[tuple[tuple[int, int], tuple[int, int]]] = []
+    want_cross = n_pairs // 2 if T > 1 else 0
+    cross = 0
+    guard = 0
+    while len(pairs) < n_pairs and guard < 10_000:
+        cross_only = want_cross - cross >= n_pairs - len(pairs)
+        if (n_cross - cross if cross_only else n_all - len(pairs)) == 0:
+            break
+        guard += 1
+        a, b = gen.choice(len(all_cells), size=2, replace=False)
+        ca, cb = all_cells[a], all_cells[b]
+        pair = (ca, cb) if ca <= cb else (cb, ca)
+        if pair in pairs or (cross_only and pair[0][0] == pair[1][0]):
+            continue
+        pairs.append(pair)
+        cross += pair[0][0] != pair[1][0]
+    return pairs
+
+
 def verify_marginals(
     X: np.ndarray, Z: np.ndarray, n: int, n_pairs: int = 20, pair_seed: int = 0
 ) -> MarginalReport:
     """Check Z-cell uniformity on 1..n and pairwise independence.
 
-    Needs ``MARGINAL_MIN_TRACES`` traces as X (N, T) and Z (N, T, k) arrays.
-    Pairs of cells are drawn deterministically from ``pair_seed``; when the
-    trace has more than one round, at least half of the pairs span two rounds,
-    which also exercises the independence of later-round replicas from
-    earlier realized values.
+    Needs ``MARGINAL_MIN_TRACES`` traces as X (N, T) and Z (N, T, k) arrays
+    of any integer dtype, such as the compact ones ``traces_from_jsonl``
+    returns; the counts, and so the report, do not depend on it.  Pairs of
+    cells are drawn deterministically from ``pair_seed`` (``_sample_pairs``);
+    when the trace has more than one round, at least half of the pairs span
+    two rounds, which also exercises the independence of later-round replicas
+    from earlier realized values.
     """
     if Z.ndim != 3 or X.shape != Z.shape[:2]:
         raise ValidationError(f"X {X.shape} and Z {Z.shape} are not (N, T) and (N, T, k)")
@@ -391,24 +427,7 @@ def verify_marginals(
             counts = np.bincount(Z[:, t, i] - 1, minlength=n)
             _, cell_pvalues[t, i] = chi_square_uniform(counts)
 
-    gen = RngStream(seed=pair_seed, stream_id=0).generator()
-    all_cells = [(t, i) for t in range(T) for i in range(k)]
-    pairs: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    want_cross = n_pairs // 2 if T > 1 else 0
-    guard = 0
-    # A lone cell makes no pair.
-    while len(all_cells) > 1 and len(pairs) < n_pairs and guard < 10_000:
-        guard += 1
-        a, b = gen.choice(len(all_cells), size=2, replace=False)
-        ca, cb = all_cells[a], all_cells[b]
-        pair = (ca, cb) if ca <= cb else (cb, ca)
-        if pair in pairs:
-            continue
-        cross_needed = want_cross - sum(1 for p in pairs if p[0][0] != p[1][0])
-        remaining = n_pairs - len(pairs)
-        if cross_needed >= remaining and pair[0][0] == pair[1][0]:
-            continue
-        pairs.append(pair)
+    pairs = _sample_pairs(T, k, n_pairs, pair_seed)
     pair_pvalues = []
     for (t1, i1), (t2, i2) in pairs:
         table = np.zeros((n, n))
@@ -448,40 +467,80 @@ def traces_to_jsonl(traces: list[CouplingTrace]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def traces_from_jsonl(text: str, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of ``traces_to_jsonl``: X (N, T) and Z (N, T, k) as int64 arrays.
+def containment_flags(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Per trace, whether every round's X lies among its Z's: X (N, T) and
+    Z (N, T, k) give a bool array of shape (N,)."""
+    return (Z == X[:, :, None]).any(axis=2).all(axis=1)
 
-    The text is outside input.  ``ValidationError`` names the first trace
-    (non-blank line) that is malformed, differs in shape from the first, holds
-    a value outside 1..n, or has a containment flag that is not a JSON bool or
-    that its X and Z contradict.
+
+# X and Z cells per parse chunk: 4 MiB of int64, 3,855 traces at T=8 and k=16.
+_PARSE_CHUNK_CELLS = 1 << 19
+
+
+def traces_from_jsonl(lines: Iterable[str], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of ``traces_to_jsonl``: X (N, T) and Z (N, T, k).
+
+    ``lines`` is any iterable of lines, such as an open file or a text's
+    ``splitlines()``, and is read once, in order.  Both arrays
+    take the smallest signed integer dtype that holds n (int8 for n <= 127),
+    so a run's Z costs one byte a cell; lines are parsed into int64 chunk
+    buffers of about ``_PARSE_CHUNK_CELLS`` cells and narrowed chunk by
+    chunk, and the chunks are joined at the end.
+
+    The text is outside input.  ``ValidationError`` names the 1-based index of
+    a trace (non-blank line) that is malformed, differs in shape from the
+    first, holds a value outside 1..n, or has a containment flag that is not
+    a JSON bool or that its X and Z contradict.  Faults are found chunk by
+    chunk, in file order; within a chunk, the first malformed trace is
+    reported before any value outside 1..n, and that before any flag that its
+    X and Z contradict.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValidationError("no serialized traces")
-    flags = np.empty(len(lines), dtype=bool)
-    for i, line in enumerate(lines):
+    dtype = np.min_scalar_type(-n - 1)  # -(n + 1) fits a signed type exactly when n does
+    X_parts: list[np.ndarray] = []
+    Z_parts: list[np.ndarray] = []
+    done = 0  # traces in the chunks already narrowed
+
+    def narrow(X: np.ndarray, Z: np.ndarray, flags: np.ndarray) -> None:
+        bad = ((X < 1) | (X > n)).any(axis=1) | ((Z < 1) | (Z > n)).any(axis=(1, 2))
+        if bad.any():
+            raise ValidationError(f"trace {done + bad.argmax() + 1}: values outside 1..{n}")
+        bad = containment_flags(X, Z) != flags
+        if bad.any():
+            raise ValidationError(f"trace {done + bad.argmax() + 1}: containment flag mismatch")
+        X_parts.append(X.astype(dtype))
+        Z_parts.append(Z.astype(dtype))
+
+    i = 0  # the current trace's row in the chunk buffers
+    for line in lines:
+        if not line.strip():
+            continue
         try:
             obj = json.loads(line)
             x, z = np.asarray(obj["X"]), np.asarray(obj["Z"])
             flag = obj["contained"]
-            if i == 0:
-                X = np.empty((len(lines), x.shape[0]), dtype=np.int64)
-                Z = np.empty((len(lines), x.shape[0], z.shape[1]), dtype=np.int64)
+            if done == i == 0:
+                rows = max(1, _PARSE_CHUNK_CELLS // max(1, x.size + z.size))
+                X = np.empty((rows, x.shape[0]), dtype=np.int64)
+                Z = np.empty((rows, x.shape[0], z.shape[1]), dtype=np.int64)
+                flags = np.empty(rows, dtype=bool)
         except (ValueError, KeyError, TypeError, IndexError) as exc:
-            raise ValidationError(f"trace {i + 1} is not a serialized trace: {exc}") from exc
+            raise ValidationError(f"trace {done + i + 1} is not a serialized trace: {exc}") from exc
         if type(flag) is not bool:
-            raise ValidationError(f"trace {i + 1}: containment flag {flag!r} is not a JSON bool")
+            raise ValidationError(
+                f"trace {done + i + 1}: containment flag {flag!r} is not a JSON bool"
+            )
         if (x.shape, z.shape, x.dtype.kind, z.dtype.kind) != (X.shape[1:], Z.shape[1:], "i", "i"):
             raise ValidationError(
-                f"trace {i + 1}: X {x.shape} and Z {z.shape} are not integer arrays "
+                f"trace {done + i + 1}: X {x.shape} and Z {z.shape} are not integer arrays "
                 f"of the first trace's shapes {X.shape[1:]} and {Z.shape[1:]}"
             )
         X[i], Z[i], flags[i] = x, z, flag
-    bad = ((X < 1) | (X > n)).any(axis=1) | ((Z < 1) | (Z > n)).any(axis=(1, 2))
-    if bad.any():
-        raise ValidationError(f"trace {bad.argmax() + 1}: values outside 1..{n}")
-    bad = (Z == X[:, :, None]).any(axis=2).all(axis=1) != flags
-    if bad.any():
-        raise ValidationError(f"trace {bad.argmax() + 1}: containment flag mismatch")
-    return X, Z
+        i += 1
+        if i == len(flags):
+            narrow(X, Z, flags)
+            done, i = done + i, 0
+    if not done and not i:
+        raise ValidationError("no serialized traces")
+    if i:
+        narrow(X[:i], Z[:i], flags[:i])
+    return np.concatenate(X_parts), np.concatenate(Z_parts)

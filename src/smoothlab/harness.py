@@ -38,6 +38,7 @@ from .coupling import (
     MARGINAL_MIN_TRACES,
     CouplingConfig,
     containment_bound,
+    containment_flags,
     couple_adaptive,
     default_k,
     full_domain_adversary,
@@ -293,13 +294,28 @@ def _coupling_game(params: dict):
 
 def _summarize_coupling(run_dir: Path, cfg: dict, good: list[dict]) -> dict:
     """The containment-failure rate, plus chi-square marginal diagnostics when at
-    least MARGINAL_MIN_TRACES traces were persisted; traces.jsonl is always checked."""
+    least MARGINAL_MIN_TRACES traces were persisted.  traces.jsonl is always
+    checked, and must hold one trace per completed trial whose containment
+    agrees with the trial's metrics row."""
     failures = sum(0 if r["contained"] else 1 for r in good)
     extra = {"containment_failure": _rate_block(failures, len(good))}
     traces_path = run_dir / "traces.jsonl"
     if traces_path.is_file():
         n = cfg["params"]["n"]
-        X, Z = traces_from_jsonl(traces_path.read_text(), n)
+        with open(traces_path) as lines:
+            X, Z = traces_from_jsonl(lines, n)
+        if X.shape[0] != len(good):
+            raise ValidationError(
+                f"traces.jsonl holds {X.shape[0]} traces for {len(good)} completed trials"
+            )
+        expected = np.fromiter((r["contained"] for r in good), dtype=bool, count=len(good))
+        bad = containment_flags(X, Z) != expected
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValidationError(
+                f"trace {i + 1} contradicts the containment flag of trial {good[i]['trial']} "
+                "in metrics.jsonl"
+            )
         if X.shape[0] >= MARGINAL_MIN_TRACES:
             report = verify_marginals(X, Z, n, n_pairs=20, pair_seed=0)
             extra["marginals"] = {
@@ -733,7 +749,8 @@ def _read_metrics(run_dir: Path) -> list[dict]:
     path = run_dir / "metrics.jsonl"
     if not path.is_file():
         raise ValidationError(f"no metrics.jsonl in {run_dir}")
-    return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
+    with open(path) as lines:
+        return [json.loads(line) for line in lines if line.strip()]
 
 
 def _rate_block(count: int, n: int) -> dict:

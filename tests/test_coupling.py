@@ -13,6 +13,7 @@ Frozen oracle values:
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smoothlab import coupling
 from smoothlab.coupling import (
     MARGINAL_MIN_TRACES,
     CouplingConfig,
@@ -372,10 +374,120 @@ def test_trace_jsonl_round_trip():
         couple_adaptive(adv, cfg, RngStream(seed=214, stream_id=i).generator()) for i in range(5)
     ]
     text = traces_to_jsonl(traces)
-    X, Z = traces_from_jsonl(text, n=4)
-    assert X.dtype == Z.dtype == np.int64
-    assert np.array_equal(X, np.stack([tr.X for tr in traces]))
-    assert np.array_equal(Z, np.stack([tr.Z for tr in traces]))
+    for lines in (text.splitlines(), io.StringIO(text)):
+        X, Z = traces_from_jsonl(lines, n=4)
+        assert X.dtype == Z.dtype == np.int8
+        assert np.array_equal(X, np.stack([tr.X for tr in traces]))
+        assert np.array_equal(Z, np.stack([tr.Z for tr in traces]))
+
+
+@pytest.mark.parametrize(
+    "n, dtype", [(1, np.int8), (127, np.int8), (128, np.int16), (40_000, np.int32)]
+)
+def test_trace_jsonl_dtype_holds_n(n, dtype):
+    trace = {"X": [n, 1], "Z": [[n, 1], [1, n]], "contained": True}
+    X, Z = traces_from_jsonl([json.dumps(trace)], n=n)
+    assert X.dtype == Z.dtype == dtype
+    assert X.tolist() == [trace["X"]] and Z.tolist() == [trace["Z"]]
+
+
+def _random_traces(n, T, k, N, seed):
+    gen = RngStream(seed).generator()
+    X = gen.integers(1, n + 1, size=(N, T))
+    Z = gen.integers(1, n + 1, size=(N, T, k))
+    rounds = (Z == X[:, :, None]).any(axis=2)
+    return X, Z, [CouplingTrace(n, x, z, r) for x, z, r in zip(X, Z, rounds)]
+
+
+def test_trace_jsonl_parses_across_chunks():
+    # T * (k + 1) = 1040 cells a trace, so a chunk holds 504 traces; parse 2.5 chunks.
+    n, T, k = 8, 16, 64
+    rows = coupling._PARSE_CHUNK_CELLS // (T * (k + 1))
+    X, Z, traces = _random_traces(n, T, k, 2 * rows + rows // 2, seed=231)
+    lines = traces_to_jsonl(traces).splitlines()
+    # Blank lines at the start, on both chunk boundaries and at the end.
+    spaced = ["", *lines[:rows], " ", *lines[rows : 2 * rows], "", *lines[2 * rows :], "\t"]
+    X2, Z2 = traces_from_jsonl(io.StringIO("\n".join(spaced) + "\n"), n=n)
+    assert X2.dtype == Z2.dtype == np.int8
+    assert np.array_equal(X2, X) and np.array_equal(Z2, Z)
+
+    # A fault in a later chunk names its 1-based trace index; blank lines do not count.
+    for at, obj, match in [
+        (rows + 5, {"Z": [[9] * k] * T}, f"trace {rows + 6}: values outside 1..8"),
+        (2 * rows, {"X": [1] * (T - 1)}, f"trace {2 * rows + 1}: X \\({T - 1},\\)"),
+        (2 * rows + 7, {"contained": None}, f"trace {2 * rows + 8}: containment flag None"),
+        (2 * rows + 9, {"contained": not traces[2 * rows + 9].contained}, "mismatch"),
+    ]:
+        bad = list(spaced)
+        pos = at + 1 + (at >= rows) + (at >= 2 * rows)  # past the blank lines before it
+        bad[pos] = json.dumps({**json.loads(bad[pos]), **obj})
+        with pytest.raises(ValidationError, match=match):
+            traces_from_jsonl(bad, n=n)
+
+    # Chunks are checked in order: a value out of range in the first chunk is
+    # reported before a malformed trace in the second.
+    bad = lines[:rows] + ["{}"]
+    with pytest.raises(ValidationError, match=f"trace {rows + 1} is not a serialized trace"):
+        traces_from_jsonl(bad, n=n)
+    bad[3] = json.dumps({**json.loads(bad[3]), "X": [0] * T})
+    with pytest.raises(ValidationError, match="trace 4: values outside"):
+        traces_from_jsonl(bad, n=n)
+
+
+def _report_bytes(report):
+    return (
+        report.n_traces,
+        report.cell_pvalues.tobytes(),
+        np.array(report.pair_pvalues).tobytes(),
+        report.pairs,
+        np.array(report.homogeneity_pvalues).tobytes(),
+    )
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    T=st.integers(1, 3),
+    k=st.integers(1, 3),
+    dtype=st.sampled_from([np.int8, np.uint8, np.int16, np.int32]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_verify_marginals_is_the_same_on_compact_arrays(n, T, k, dtype, seed):
+    X, Z, _ = _random_traces(n, T, k, MARGINAL_MIN_TRACES, seed)
+    wide = verify_marginals(X, Z, n, n_pairs=6, pair_seed=seed)
+    compact = verify_marginals(X.astype(dtype), Z.astype(dtype), n, n_pairs=6, pair_seed=seed)
+    assert _report_bytes(compact) == _report_bytes(wide)
+
+
+def _oracle_pairs(T, k, n_pairs, pair_seed):
+    # The pair loop as it was before it learned to stop: it drew until the
+    # pairs were complete or 10,000 draws were spent.
+    gen = RngStream(seed=pair_seed, stream_id=0).generator()
+    all_cells = [(t, i) for t in range(T) for i in range(k)]
+    pairs = []
+    want_cross = n_pairs // 2 if T > 1 else 0
+    guard = 0
+    while len(all_cells) > 1 and len(pairs) < n_pairs and guard < 10_000:
+        guard += 1
+        a, b = gen.choice(len(all_cells), size=2, replace=False)
+        ca, cb = all_cells[a], all_cells[b]
+        pair = (ca, cb) if ca <= cb else (cb, ca)
+        if pair in pairs:
+            continue
+        cross_needed = want_cross - sum(1 for p in pairs if p[0][0] != p[1][0])
+        remaining = n_pairs - len(pairs)
+        if cross_needed >= remaining and pair[0][0] == pair[1][0]:
+            continue
+        pairs.append(pair)
+    return pairs
+
+
+@pytest.mark.parametrize("T, k", [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (8, 16)])
+@pytest.mark.parametrize("n_pairs, pair_seed", [(20, 0), (10, 1), (3, 7)])
+def test_pair_sampling_matches_reference(T, k, n_pairs, pair_seed):
+    assert coupling._sample_pairs(T, k, n_pairs, pair_seed) == _oracle_pairs(
+        T, k, n_pairs, pair_seed
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +827,7 @@ def test_trace_jsonl_bytes_match_reference():
     assert not all(tr.contained for tr in traces)
     text = traces_to_jsonl(traces)
     assert text == _oracle_traces_to_jsonl(traces)
-    X, Z = traces_from_jsonl(text, n=8)
+    X, Z = traces_from_jsonl(text.splitlines(), n=8)
     assert np.array_equal(X, np.stack([tr.X for tr in traces]))
     assert np.array_equal(Z, np.stack([tr.Z for tr in traces]))
     restored = []
@@ -734,7 +846,7 @@ def test_trace_jsonl_rejects_flag_mismatch():
     obj = json.loads(traces_to_jsonl([tr]))
     obj["contained"] = not obj["contained"]
     with pytest.raises(ValidationError, match="mismatch"):
-        traces_from_jsonl(json.dumps(obj) + "\n", n=4)
+        traces_from_jsonl([json.dumps(obj)], n=4)
 
 
 _GOOD_TRACE = {"X": [1, 2], "Z": [[1, 3], [2, 2]], "contained": True}
@@ -756,7 +868,7 @@ _GOOD_TRACE = {"X": [1, 2], "Z": [[1, 3], [2, 2]], "contained": True}
 def test_trace_jsonl_rejects_malformed_traces(bad, match):
     text = "".join(json.dumps(obj) + "\n" for obj in (_GOOD_TRACE, {**_GOOD_TRACE, **bad}))
     with pytest.raises(ValidationError, match=match):
-        traces_from_jsonl(text, n=4)
+        traces_from_jsonl(text.splitlines(), n=4)
 
 
 @pytest.mark.parametrize("flag", ["no", 1, [1, 2]])
@@ -765,17 +877,17 @@ def test_trace_jsonl_rejects_non_bool_flags(flag):
     bad = {**_GOOD_TRACE, "contained": flag}
     text = "".join(json.dumps(obj) + "\n" for obj in (_GOOD_TRACE, bad))
     with pytest.raises(ValidationError, match="trace 2: containment flag .* is not a JSON bool"):
-        traces_from_jsonl(text, n=4)
+        traces_from_jsonl(text.splitlines(), n=4)
 
 
 def test_trace_jsonl_skips_blank_lines_and_checks_the_first_trace():
-    X, Z = traces_from_jsonl("\n" + json.dumps(_GOOD_TRACE) + "\n\n", n=4)
+    X, Z = traces_from_jsonl(io.StringIO("\n" + json.dumps(_GOOD_TRACE) + "\n\n"), n=4)
     assert X.tolist() == [[1, 2]]
     assert Z.tolist() == [[[1, 3], [2, 2]]]
     with pytest.raises(ValidationError, match="no serialized traces"):
-        traces_from_jsonl("\n", n=4)
+        traces_from_jsonl(["\n"], n=4)
     with pytest.raises(ValidationError, match="trace 1 is not a serialized trace"):
-        traces_from_jsonl(json.dumps({**_GOOD_TRACE, "Z": [1, 3]}) + "\n", n=4)
+        traces_from_jsonl([json.dumps({**_GOOD_TRACE, "Z": [1, 3]})], n=4)
 
 
 def test_cached_member_arrays_are_read_only():

@@ -411,6 +411,33 @@ def test_summarize_rejects_out_of_range_trace_value(tmp_path):
         summarize(run_dir)
 
 
+def _coupling_run_with_failures(tmp_path):
+    # k = 4 misses a round with probability 0.75^4, so most traces fail.
+    params = {"n": 16, "sigma": 0.25, "T": 8, "k": 4, "adversary": "last-value"}
+    run_dir = tmp_path / "run"
+    run_experiment(make_config("coupling", params, trials=50, seed=5), run_dir, parallelism=1)
+    rows = [json.loads(line) for line in (run_dir / "metrics.jsonl").read_text().splitlines()]
+    return run_dir, rows, (run_dir / "traces.jsonl").read_text().splitlines(keepends=True)
+
+
+def test_summarize_rejects_missing_traces(tmp_path):
+    run_dir, _, lines = _coupling_run_with_failures(tmp_path)
+    (run_dir / "traces.jsonl").write_text("".join(lines[:-10]))
+    with pytest.raises(ValidationError, match="holds 40 traces for 50 completed trials"):
+        summarize(run_dir)
+
+
+def test_summarize_rejects_traces_that_contradict_the_metrics(tmp_path):
+    run_dir, rows, lines = _coupling_run_with_failures(tmp_path)
+    failed = next(r["trial"] for r in rows if not r["contained"])
+    kept = next(r["trial"] for r in rows if r["contained"])
+    lines[failed] = lines[kept]
+    (run_dir / "traces.jsonl").write_text("".join(lines))
+    match = f"trace {failed + 1} contradicts the containment flag of trial {failed}"
+    with pytest.raises(ValidationError, match=match):
+        summarize(run_dir)
+
+
 def test_coupling_summary_marginals_block(tmp_path):
     cfg = make_config(
         "coupling", {"n": 4, "sigma": 0.5, "T": 2, "k": 4, "adversary": "last-value"},
@@ -569,6 +596,70 @@ def test_peak_memory_does_not_grow_with_the_trial_count():
         for trials in (1_000, 5_000)
     ]
     assert peaks[1] - peaks[0] < 2 * 2**20, peaks
+
+
+_GROWTH_ACROSS_COUPLING_SUMMARY = """
+import json, os, resource, sys
+from pathlib import Path
+
+# Forked for the reason _PEAK_AT_SUMMARIZE gives: a fresh ru_maxrss.
+pid = os.fork()
+if pid:
+    sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+
+import scipy.special  # noqa: F401
+from smoothlab import harness
+
+run_dir = Path(sys.argv[1])
+cfg = json.loads((run_dir / "config.json").read_text())
+good = harness._read_metrics(run_dir)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+summary = harness.KINDS["coupling"].summary_hook(run_dir, cfg, good)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert summary["marginals"]["n_traces"] == len(good)
+print((after - before) * (1 if sys.platform == "darwin" else 1024))
+"""
+
+
+def _synthesize_coupling_run(run_dir: Path, n: int, T: int, k: int, trials: int) -> None:
+    # Uniform X and Z, written block by block so the files never sit in memory whole.
+    run_dir.mkdir()
+    params = {"n": n, "sigma": 0.5, "T": T, "k": k, "adversary": "last-value", "set_size": None}
+    cfg = {"kind": "coupling", "params": params, "seed": 0, "trials": trials}
+    (run_dir / "config.json").write_text(json.dumps(cfg))
+    gen = RngStream(seed=233).generator()
+    traces_path, rows_path = run_dir / "traces.jsonl", run_dir / "metrics.jsonl"
+    with open(traces_path, "w") as traces, open(rows_path, "w") as rows:
+        for start in range(0, trials, 1000):
+            X = gen.integers(1, n + 1, size=(1000, T))
+            Z = gen.integers(1, n + 1, size=(1000, T, k))
+            contained = (Z == X[:, :, None]).any(axis=2).all(axis=1)
+            for i, (x, z, c) in enumerate(zip(X.tolist(), Z.tolist(), contained.tolist())):
+                flag = "true" if c else "false"
+                traces.write(f'{{"X": {x}, "Z": {z}, "contained": {flag}}}\n')
+                rows.write(json.dumps({"trial": start + i, "contained": c}) + "\n")
+
+
+def test_coupling_summary_memory_is_about_a_byte_per_cell(tmp_path):
+    # From 10,000 to 40,000 traces of T * k = 32 cells, the one-byte Z grows by
+    # 0.9 MiB, and the peak, which also holds the chunks while they are joined,
+    # grew by 2.6-3.9 MiB.  Reading the text whole into int64 arrays grew it by
+    # 19.3 MiB.  scipy.special is imported and the metrics rows are read before
+    # the first sample, so neither counts.
+    pytest.importorskip("resource")
+    growth = []
+    for trials in (10_000, 40_000):
+        run_dir = tmp_path / str(trials)
+        _synthesize_coupling_run(run_dir, n=16, T=4, k=8, trials=trials)
+        out = subprocess.run(
+            [sys.executable, "-c", _GROWTH_ACROSS_COUPLING_SUMMARY, str(run_dir)],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        ).stdout
+        growth.append(int(out))
+    assert growth[1] - growth[0] < 8 * 2**20, growth
 
 
 def test_compare_identical_runs_gives_ratio_exactly_one(tmp_path):
