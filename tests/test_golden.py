@@ -48,6 +48,11 @@ CASES: dict[str, tuple[str, dict, int]] = {
         {"n": 8, "sigma": 0.25, "T": 4, "k": 6, "adversary": "last-value"},
         20,
     ),
+    "coupling-window-n7": (
+        "coupling",
+        {"n": 7, "sigma": 0.3, "T": 5, "k": 4, "adversary": "window"},
+        20,
+    ),
     "coupling-full-domain": (
         "coupling",
         {"n": 8, "sigma": 0.25, "T": 4, "k": 2, "adversary": "full-domain"},
