@@ -37,6 +37,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from smoothlab.domain import (
+    DrawReplay,
     FiniteDomain,
     RngStream,
     SmoothPmf,
@@ -203,36 +204,33 @@ class CouplingTrace:
         return bool(self.contained_rounds.all())
 
 
-def couple_single_round(
-    S: UniformOnSet, k: int, gen: np.random.Generator
-) -> tuple[int, np.ndarray]:
-    """One round of the replica coupling against a uniform set.
+def couple_single_round(S: UniformOnSet, k: int, draws: DrawReplay) -> tuple[int, list[int]]:
+    """One round of the replica coupling against a uniform set, on Python ints.
 
     Draws Y_1..Y_k uniform on the domain; replicas that hit S are resampled
     uniformly inside S to form Z, and X is a uniform pick among those
     resampled values.  If no replica hits, X is a fresh uniform draw from S
-    (and necessarily lands outside {Z}).
+    (and necessarily lands outside {Z}).  Returns X and Z as a list.
 
-    The generator calls are fixed, and every run's bytes rest on them: first
-    ``integers(1, n + 1, size=k)`` for the replicas, then, when h >= 1
-    replicas hit, ``integers(S.size, size=h)`` for their resampled values
-    followed by ``integers(h)`` for the pick; when none hits, the single call
-    ``integers(S.size)``.  Each size goes in as a 0-d array: ``integers``
-    tests ``np.prod(size)`` in Python, and ``np.prod`` is quickest on an
-    ndarray.  The count, and so every draw, is the same.
+    ``draws`` replays the trial's ``Generator``, and the calls it replays are
+    fixed, since every run's bytes rest on them: first ``integers(1, n + 1,
+    size=k)`` for the replicas, then, when h >= 1 replicas hit,
+    ``integers(S.size, size=h)`` for their resampled values followed by
+    ``integers(h)`` for the pick; when none hits, the single call
+    ``integers(S.size)``.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    members = S.members_array
-    z = gen.integers(1, S.domain.n + 1, size=np.array(k))
-    hit = S.member_mask[z]
-    n_hits = int(np.count_nonzero(hit))
-    if n_hits > 0:
-        w = members[gen.integers(S.size, size=np.array(n_hits))]
-        z[hit] = w
-        x = int(w[gen.integers(n_hits)])
+    members, member_set = S.members, S.member_set
+    z = draws.integers(1, S.domain.n + 1, k)
+    hits = [i for i, v in enumerate(z) if v in member_set]
+    if hits:
+        w = draws.integers(0, len(members), len(hits))
+        for i, j in zip(hits, w):
+            z[i] = members[j]
+        x = members[w[draws.integers(0, len(hits), 1)[0]]]
     else:
-        x = int(members[gen.integers(S.size)])
+        x = members[draws.integers(0, len(members), 1)[0]]
     return x, z
 
 
@@ -241,60 +239,77 @@ def couple_adaptive(
 ) -> CouplingTrace:
     """Run the coupling for T rounds against an adaptive smooth adversary.
 
-    An emitted set must hold at least ceil(sigma*n) elements and is coupled
-    by ``couple_single_round``.  An emitted pmf D must be sigma-smooth and is
-    coupled by rejection, with three groups of draws: the replicas Z through
-    the set round's first call, ``integers(1, n + 1, size=k)``; k acceptance
-    coins through ``random(k)``, where Z_i is accepted iff
-    ``coin_i * max(D) < D(Z_i)``; and, only when none is accepted, one
-    ``random()`` u, with X the cell where ``cumsum(D) / total`` first exceeds
-    u.  Otherwise X is the first accepted Z_i.  Either way X ~ D while Z stays
-    i.i.d. uniform.  The rule sees a read-only view of X's realized prefix.
+    Every draw comes from one ``DrawReplay`` of ``gen`` (a PCG64 generator),
+    which leaves ``gen`` as the numpy calls below would, also when a round
+    raises.  An emitted set must hold at least ceil(sigma*n) elements and is
+    coupled by ``couple_single_round``.  An emitted pmf D must be
+    sigma-smooth and is coupled by rejection, with three groups of draws: the
+    replicas Z through the set round's first call, ``integers(1, n + 1,
+    size=k)``; k acceptance coins through ``random(k)``, where Z_i is
+    accepted iff ``coin_i * max(D) < D(Z_i)``; and, only when none is
+    accepted, one ``random()`` u, with X the cell where ``cumsum(D) / total``
+    first exceeds u.  Otherwise X is the first accepted Z_i.  Either way
+    X ~ D while Z stays i.i.d. uniform.  The rule sees a read-only view of
+    X's realized prefix.
     """
-    n = adv.domain.n
+    n, k = adv.domain.n, cfg.k
     floor = min_support_size(adv.sigma, n)
     X = np.empty(cfg.T, dtype=np.int64)
     realized = X.view()
     realized.flags.writeable = False
-    Z = np.empty((cfg.T, cfg.k), dtype=np.int64)
+    Z: list[int] = []  # row by row
+    contained: list[bool] = []
     # Rules that revisit a set or pmf return the same object; check each
     # object once.  The dict holds the object itself, so no later one can be
     # allocated at a freed one's address and skip its check by id.
     checked: dict[int, UniformOnSet | SmoothPmf] = {}
-    for t in range(cfg.T):
-        dist = adv.rule(realized[:t])
-        if id(dist) not in checked:
-            if isinstance(dist, UniformOnSet):
-                if dist.domain != adv.domain:
-                    raise ValidationError("adversary emitted a set on the wrong domain")
-                if dist.size < floor:
-                    raise UndersizedSetError(
-                        f"round {t + 1}: set size {dist.size} below floor {floor} "
-                        f"for sigma={adv.sigma}"
+    # A set round of ceil(sigma*n) members reads k/2 words for its replicas and
+    # about sigma*k/2 for the resampled hits; one more word a round is slack.
+    with DrawReplay(gen, words=cfg.T * (k + math.ceil(adv.sigma * k) + 4) // 2) as draws:
+        for t in range(cfg.T):
+            dist = adv.rule(realized[:t])
+            if id(dist) not in checked:
+                if isinstance(dist, UniformOnSet):
+                    if dist.domain != adv.domain:
+                        raise ValidationError("adversary emitted a set on the wrong domain")
+                    if dist.size < floor:
+                        raise UndersizedSetError(
+                            f"round {t + 1}: set size {dist.size} below floor {floor} "
+                            f"for sigma={adv.sigma}"
+                        )
+                elif isinstance(dist, SmoothPmf):
+                    if dist.domain != adv.domain:
+                        raise ValidationError("adversary emitted a pmf on the wrong domain")
+                    if not validate_smooth(dist.mass, adv.sigma):
+                        raise ValidationError(
+                            f"round {t + 1}: emitted pmf is not {adv.sigma}-smooth"
+                        )
+                else:
+                    raise ValidationError(
+                        f"round {t + 1}: adversary emitted {type(dist).__name__}, "
+                        "not a UniformOnSet or SmoothPmf"
                     )
-            elif isinstance(dist, SmoothPmf):
-                if dist.domain != adv.domain:
-                    raise ValidationError("adversary emitted a pmf on the wrong domain")
-                if not validate_smooth(dist.mass, adv.sigma):
-                    raise ValidationError(f"round {t + 1}: emitted pmf is not {adv.sigma}-smooth")
+                checked[id(dist)] = dist
+            if isinstance(dist, UniformOnSet):
+                x, z = couple_single_round(dist, k, draws)
             else:
-                raise ValidationError(
-                    f"round {t + 1}: adversary emitted {type(dist).__name__}, "
-                    "not a UniformOnSet or SmoothPmf"
-                )
-            checked[id(dist)] = dist
-        if isinstance(dist, UniformOnSet):
-            X[t], Z[t] = couple_single_round(dist, cfg.k, gen)
-        else:
-            mass = dist.mass
-            Z[t] = gen.integers(1, n + 1, size=np.array(cfg.k))
-            accepted = np.flatnonzero(gen.random(cfg.k) * mass.max() < mass[Z[t] - 1])
-            if accepted.size:
-                X[t] = Z[t, accepted[0]]
-            else:
-                cdf = mass.cumsum()
-                X[t] = np.searchsorted(cdf / cdf[-1], gen.random(), side="right") + 1
-    return CouplingTrace(n=n, X=X, Z=Z, contained_rounds=(Z == X[:, None]).any(axis=1))
+                mass = dist.mass.tolist()
+                top = max(mass)
+                z = draws.integers(1, n + 1, k)
+                coins = draws.random(k)
+                x = next((zi for zi, c in zip(z, coins) if c * top < mass[zi - 1]), None)
+                if x is None:
+                    cdf = dist.mass.cumsum()
+                    x = np.searchsorted(cdf / cdf[-1], draws.random(1)[0], side="right") + 1
+            X[t] = x
+            Z += z
+            contained.append(x in z)
+    return CouplingTrace(
+        n=n,
+        X=X,
+        Z=np.fromiter(Z, np.int64, len(Z)).reshape(cfg.T, k),
+        contained_rounds=np.array(contained),
+    )
 
 
 def enumerate_containment_probability(adv: SmoothAdversary, cfg: CouplingConfig) -> float:

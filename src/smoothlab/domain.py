@@ -39,6 +39,8 @@ __all__ = [
     "decompose_smooth",
     "random_smooth_pmf",
     "require_stream",
+    "DrawReplay",
+    "REPLAY_BLOCK_WORDS",
 ]
 
 
@@ -98,6 +100,157 @@ def require_stream(rng: RngStream) -> None:
         raise ValidationError(f"expected an RngStream, got {type(rng).__name__}")
 
 
+# The most 64-bit words a DrawReplay reads from its generator at once.
+REPLAY_BLOCK_WORDS = 4096
+
+
+class DrawReplay:
+    """Replays a PCG64 ``Generator``'s draws from blocks of its raw 64-bit words.
+
+    ``integers(low, high, size)`` returns, as a list of Python ints, the
+    values ``gen.integers(low, high, size=size)`` would (int64, 1 <= high -
+    low < 2^32), and ``random(size)`` the floats of ``gen.random(size)``; a
+    scalar draw is a fill of one value.  Both follow numpy's own rules:
+    ``integers`` takes 32-bit halves, the pending high half of the last word
+    first, and applies Lemire's bounded rejection (a range of one draws
+    nothing); ``random`` takes a whole word w per value, (w >> 11) * 2^-53,
+    and leaves a pending half pending.
+
+    Words are read ahead with ``random_raw``, at most ``words`` at a time
+    (capped at ``REPLAY_BLOCK_WORDS``); ``close`` rewinds the generator to the
+    exact state numpy's own calls would have left, ``has_uint32`` and
+    ``uinteger`` included.  Use it as a context manager, so the rewind also
+    happens when a draw's caller raises, and do not draw from the generator
+    itself while the replay is open.
+    """
+
+    __slots__ = ("_bitgen", "_start", "_block", "_chunk", "_halves", "_pos", "_dropped", "_closed")
+
+    def __init__(self, gen: np.random.Generator, words: int = REPLAY_BLOCK_WORDS) -> None:
+        bitgen = gen.bit_generator
+        if type(bitgen) is not np.random.PCG64:
+            raise ValidationError(f"draws replay a PCG64 generator, got {type(bitgen).__name__}")
+        self._bitgen = bitgen
+        self._start = bitgen.state
+        self._block = min(max(int(words), 16), REPLAY_BLOCK_WORDS)
+        self._chunk = self._block // 2  # values per fill step, so one read covers a step
+        # The 32-bit halves in draw order, low half of each word first.  Slot 1
+        # holds the start's uinteger, so an odd position means a pending high
+        # half, and the high half at (pos - 1) | 1 is always the uinteger.
+        self._halves = [0, self._start["uinteger"]]
+        self._pos = 1 if self._start["has_uint32"] else 2
+        self._dropped = 0  # words trimmed from the front of _halves
+        self._closed = False
+
+    def __enter__(self) -> "DrawReplay":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def _read(self, halves: int) -> None:
+        """Make at least ``halves`` halves readable from the current position."""
+        held = self._halves
+        drop = (self._pos - 1) & ~1  # whole words, keeping the uinteger's slot
+        del held[:drop]
+        self._pos -= drop
+        self._dropped += drop // 2
+        while len(held) < self._pos + halves:
+            # As little-endian words, each word's low half comes first.
+            raw = self._bitgen.random_raw(self._block).astype("<u8", copy=False)
+            held += raw.view("<u4").tolist()
+
+    def integers(self, low: int, high: int, size: int) -> list[int]:
+        r = high - low
+        pos = self._pos
+        end = pos + size
+        if not (1 < r < 1 << 32 and 0 < size <= self._chunk):
+            return self._integers_in_steps(low, r, size)
+        held = self._halves
+        if end > len(held):
+            self._read(size)
+            pos = self._pos
+            end = pos + size
+        draws = held[pos:end]
+        threshold = (1 << 32) % r
+        if threshold:
+            for u in draws:
+                if u * r & 0xFFFFFFFF < threshold:
+                    return self._rejecting(low, r, threshold, size)
+            self._pos = end
+            return [(u * r >> 32) + low for u in draws]
+        # r is a power of two, so (u * r) >> 32 is a shift and nothing is rejected.
+        self._pos = end
+        shift = 33 - r.bit_length()
+        return [(u >> shift) + low for u in draws]
+
+    def _integers_in_steps(self, low: int, r: int, size: int) -> list[int]:
+        """``integers`` outside its one-step case: a fill longer than a step,
+        a range of one, an empty fill, or bad arguments."""
+        if not 0 < r < 1 << 32:
+            raise ValidationError(f"replayed integers need 1 <= high - low < 2^32, got {r}")
+        if size < 0:
+            raise ValidationError(f"size must be >= 0, got {size}")
+        if r == 1 or size == 0:
+            return [low] * size
+        out: list[int] = []
+        for done in range(0, size, self._chunk):
+            out += self.integers(low, low + r, min(self._chunk, size - done))
+        return out
+
+    def _rejecting(self, low: int, r: int, threshold: int, size: int) -> list[int]:
+        """The Lemire loop one half at a time, for a fill that rejects a draw."""
+        out = []
+        for _ in range(size):
+            m = 0
+            while m & 0xFFFFFFFF < threshold:
+                if self._pos == len(self._halves):
+                    self._read(1)
+                m = self._halves[self._pos] * r
+                self._pos += 1
+            out.append((m >> 32) + low)
+        return out
+
+    def random(self, size: int) -> list[float]:
+        if size > self._chunk:
+            out = []
+            for done in range(0, size, self._chunk):
+                out += self.random(min(self._chunk, size - done))
+            return out
+        if size < 0:
+            raise ValidationError(f"size must be >= 0, got {size}")
+        odd = self._pos & 1
+        if self._pos + odd + 2 * size > len(self._halves):
+            self._read(odd + 2 * size)
+        held, pos = self._halves, self._pos
+        start = pos + odd  # a pending half is skipped and stays pending
+        end = start + 2 * size
+        out = [
+            ((hi << 32 | lo) >> 11) * 2.0**-53
+            for lo, hi in zip(held[start:end:2], held[start + 1 : end : 2])
+        ]
+        # Carry the uinteger (pending or not) to the slot the new position reads it from.
+        held[end - 1] = held[(pos - 1) | 1]
+        self._pos = end - odd
+        return out
+
+    def close(self) -> None:
+        """Rewind the generator to where numpy's calls would have left it."""
+        if self._closed:
+            return
+        self._closed = True
+        pos = self._pos
+        used = self._dropped + (pos + 1) // 2 - 1
+        bitgen = self._bitgen
+        bitgen.state = self._start
+        if used:
+            bitgen.advance(used)
+        state = bitgen.state
+        state["has_uint32"] = pos & 1
+        state["uinteger"] = self._halves[(pos - 1) | 1]
+        bitgen.state = state
+
+
 def min_support_size(sigma: float, n: int) -> int:
     """ceil(sigma*n) with a tolerance guard against float noise like 0.2*5 = 1.0000000000000002."""
     if not (0.0 < sigma <= 1.0):
@@ -136,12 +289,9 @@ class UniformOnSet:
         return arr
 
     @functools.cached_property
-    def member_mask(self) -> np.ndarray:
-        """Read-only bool array of length n+1; ``member_mask[v]`` is True iff v is a member."""
-        mask = np.zeros(self.domain.n + 1, dtype=bool)
-        mask[self.members_array] = True
-        mask.flags.writeable = False
-        return mask
+    def member_set(self) -> frozenset[int]:
+        """The members as a frozenset, built once per set, for membership tests."""
+        return frozenset(self.members)
 
     def mass_vector(self) -> np.ndarray:
         """Dense pmf; the oracle for rebuilding a ``decompose_smooth`` component."""

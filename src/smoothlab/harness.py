@@ -31,8 +31,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-# np.median loads numpy.ma on its first call, and every summarize takes medians.
-import numpy.ma  # noqa: F401
 
 from .coupling import (
     MARGINAL_MIN_TRACES,
@@ -83,7 +81,7 @@ from .learning import (
     run_learning_game,
     stationary_smooth_adversary,
 )
-from .stats import bootstrap_ratio_ci, one_sided_bound_check, wilson_interval
+from .stats import bootstrap_ratio_ci, median, one_sided_bound_check, wilson_interval
 
 ENV_OUT_DIR = "SMOOTHLAB_OUT_DIR"
 
@@ -786,7 +784,7 @@ def summarize(run_dir: str | Path) -> dict:
             metrics[key] = {
                 "mean": float(arr.mean()),
                 "std": float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-                "median": float(np.median(arr)),
+                "median": median(arr),
                 "min": float(arr.min()),
                 "max": float(arr.max()),
                 "n": int(arr.size),
@@ -831,8 +829,8 @@ def compare_runs(
             )
         values.append(np.asarray(vals))
     a, b = values
-    median_a = float(np.median(a))
-    median_b = float(np.median(b))
+    median_a = median(a)
+    median_b = median(b)
     if median_b == 0.0:
         raise ValidationError(f"median of {metric!r} in run B is zero; ratio undefined")
     ci_low, ci_high = bootstrap_ratio_ci(

@@ -15,7 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import ValidationError
+
 __all__ = [
+    "median",
     "chi_square_uniform",
     "chi_square_fit",
     "chi_square_table",
@@ -121,6 +124,22 @@ def one_sided_bound_check(successes: int, trials: int, bound: float, z: float = 
     return BoundCheck(rate=rate, bound=bound, stderr=se, z=z, passed=rate <= bound + z * se)
 
 
+def median(values: np.ndarray) -> float:
+    """``np.median`` of a nonempty 1-D float array, bit for bit.
+
+    It takes numpy's own steps: a partition at the middle index or indices
+    and at -1, the mean of the middle slice, and NaN when the last
+    partitioned value is NaN.  Unlike ``np.median``, it never loads
+    ``numpy.ma``.
+    """
+    half = values.size // 2
+    middle = [half - 1, half] if values.size % 2 == 0 else [half]
+    part = np.partition(values, middle + [-1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(part[middle[0] : half + 1].mean())
+
+
 def bootstrap_ratio_ci(
     a: np.ndarray,
     b: np.ndarray,
@@ -136,6 +155,8 @@ def bootstrap_ratio_ci(
     b = np.asarray(b, dtype=float)
     if a.size == 0 or b.size == 0:
         raise ValueError("cannot bootstrap an empty sample")
+    if n_resamples < 1:
+        raise ValidationError(f"n_resamples must be at least 1, got {n_resamples}")
     ia = gen.integers(a.size, size=(n_resamples, a.size))
     ib = gen.integers(b.size, size=(n_resamples, b.size))
     num = np.median(a[ia], axis=1)

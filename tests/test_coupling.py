@@ -46,6 +46,7 @@ from smoothlab.coupling import (
 )
 from smoothlab.domain import (
     DecompositionError,
+    DrawReplay,
     FiniteDomain,
     RngStream,
     SmoothPmf,
@@ -76,10 +77,10 @@ def test_containment_bound_formula():
 def test_single_round_full_set_always_contained():
     dom = FiniteDomain(4)
     S = UniformOnSet(dom, (1, 2, 3, 4))
-    gen = RngStream(seed=201).generator()
-    for _ in range(1000):
-        x, z = couple_single_round(S, 3, gen)
-        assert x in set(int(v) for v in z)
+    with DrawReplay(RngStream(seed=201).generator()) as draws:
+        for _ in range(1000):
+            x, z = couple_single_round(S, 3, draws)
+            assert x in set(int(v) for v in z)
 
 
 def test_single_round_half_probability_micro_case():
@@ -90,12 +91,12 @@ def test_single_round_half_probability_micro_case():
     exact = enumerate_containment_probability(adv, CouplingConfig(T=1, k=1))
     assert abs(exact - 0.5) <= 1e-12
 
-    gen = RngStream(seed=202).generator()
     n_trials = 100_000
     hits = 0
-    for _ in range(n_trials):
-        x, z = couple_single_round(S, 1, gen)
-        hits += int(x == int(z[0]))
+    with DrawReplay(RngStream(seed=202).generator()) as draws:
+        for _ in range(n_trials):
+            x, z = couple_single_round(S, 1, draws)
+            hits += int(x == int(z[0]))
     rate = hits / n_trials
     assert abs(rate - 0.5) <= 3 * binomial_stderr(0.5, n_trials)
 
@@ -104,12 +105,12 @@ def test_single_round_quarter_failure():
     # n=4, S={1,2}, k=2: exact failure probability 1/4.
     dom = FiniteDomain(4)
     S = UniformOnSet(dom, (1, 2))
-    gen = RngStream(seed=203).generator()
     n_trials = 100_000
     failures = 0
-    for _ in range(n_trials):
-        x, z = couple_single_round(S, 2, gen)
-        failures += int(x not in set(int(v) for v in z))
+    with DrawReplay(RngStream(seed=203).generator()) as draws:
+        for _ in range(n_trials):
+            x, z = couple_single_round(S, 2, draws)
+            failures += int(x not in set(int(v) for v in z))
     rate = failures / n_trials
     assert abs(rate - 0.25) <= 3 * binomial_stderr(0.25, n_trials)
 
@@ -118,14 +119,14 @@ def test_single_round_marginals():
     # X uniform on S; each Z_i uniform on the domain.
     dom = FiniteDomain(4)
     S = UniformOnSet(dom, (1, 3))
-    gen = RngStream(seed=204).generator()
     n_trials = 50_000
     xs = np.empty(n_trials, dtype=int)
     zs = np.empty((n_trials, 2), dtype=int)
-    for i in range(n_trials):
-        x, z = couple_single_round(S, 2, gen)
-        xs[i] = x
-        zs[i] = z
+    with DrawReplay(RngStream(seed=204).generator()) as draws:
+        for i in range(n_trials):
+            x, z = couple_single_round(S, 2, draws)
+            xs[i] = x
+            zs[i] = z
     assert set(np.unique(xs)) == {1, 3}
     counts_x = np.array([(xs == 1).sum(), (xs == 3).sum()])
     _, p_x = chi_square_uniform(counts_x)
@@ -140,7 +141,7 @@ def test_single_round_rejects_bad_k():
     dom = FiniteDomain(2)
     S = UniformOnSet(dom, (1,))
     with pytest.raises(ValidationError):
-        couple_single_round(S, 0, RngStream(seed=1).generator())
+        couple_single_round(S, 0, DrawReplay(RngStream(seed=1).generator()))
 
 
 def test_adaptive_micro_case_enumeration_and_monte_carlo():
@@ -719,6 +720,43 @@ def test_mixed_set_and_pmf_rounds_match_reference_draw_for_draw(n, sigma, k, T):
         _assert_same_run(trace, _oracle_general(adv, cfg, gen_b), gen_a, gen_b)
 
 
+@pytest.mark.parametrize("n,sigma,k", [(7, 0.3, 4), (16, 0.25, 16)])
+def test_round_that_raises_leaves_the_generator_as_numpy_would(n, sigma, k):
+    # Rounds 1 and 2 play valid sets; round 3's set is one element short.
+    dom = FiniteDomain(n)
+    chase = last_value_adversary(dom, sigma).rule
+    short = UniformOnSet(dom, tuple(range(1, min_support_size(sigma, n))))
+
+    def rule(xs):
+        return chase(xs) if len(xs) < 2 else short
+
+    adv = SmoothAdversary(dom, sigma, rule, name="short-in-round-3")
+    cfg = CouplingConfig(T=5, k=k)
+    for stream in range(4):
+        gen_a = RngStream(seed=2800 + n, stream_id=stream).generator()
+        gen_b = RngStream(seed=2800 + n, stream_id=stream).generator()
+        with pytest.raises(UndersizedSetError, match="round 3"):
+            couple_adaptive(adv, cfg, gen_a)
+        with pytest.raises(UndersizedSetError, match="round 3"):
+            _oracle_adaptive(rule, dom, sigma, cfg, gen_b)
+        assert gen_a.bit_generator.state == gen_b.bit_generator.state
+
+
+def test_adaptive_refuses_a_generator_it_cannot_replay():
+    adv = last_value_adversary(FiniteDomain(4), 0.5)
+    gen = np.random.Generator(np.random.MT19937(7))
+    with pytest.raises(ValidationError, match="PCG64"):
+        couple_adaptive(adv, CouplingConfig(T=2, k=2), gen)
+
+
+def test_trace_arrays_are_int64():
+    adv = window_set_adversary(FiniteDomain(7), 0.3)
+    trace = couple_adaptive(adv, CouplingConfig(T=3, k=4), RngStream(seed=9).generator())
+    assert trace.X.dtype == trace.Z.dtype == np.int64
+    assert trace.Z.shape == (3, 4)
+    assert trace.contained_rounds.dtype == bool
+
+
 def test_checked_memo_holds_fresh_pmfs_and_still_rejects_a_rough_one():
     # A rule that builds a new pmf every round frees the earlier ones, and
     # CPython reuses their ids; the memo holds each checked pmf, so a rough pmf
@@ -795,12 +833,13 @@ def test_single_round_matches_reference(n, data, k, seed):
     S = UniformOnSet(FiniteDomain(n), members)
     gen_a = RngStream(seed=seed).generator()
     gen_b = RngStream(seed=seed).generator()
-    for _ in range(3):
-        x, z = couple_single_round(S, k, gen_a)
-        x_ref, z_ref = _oracle_single_round(S, k, gen_b)
-        assert x == x_ref
-        assert np.array_equal(z, z_ref)
-        assert z.dtype == z_ref.dtype
+    with DrawReplay(gen_a) as draws:
+        for _ in range(3):
+            x, z = couple_single_round(S, k, draws)
+            x_ref, z_ref = _oracle_single_round(S, k, gen_b)
+            assert x == x_ref
+            assert np.array_equal(z, z_ref)
+            assert all(type(v) is int for v in [x, *z])
     assert gen_a.bit_generator.state == gen_b.bit_generator.state
 
 
@@ -892,13 +931,11 @@ def test_trace_jsonl_skips_blank_lines_and_checks_the_first_trace():
 
 def test_cached_member_arrays_are_read_only():
     S = UniformOnSet(FiniteDomain(6), (2, 5))
-    assert S.member_mask.tolist() == [False, False, True, False, False, True, False]
+    assert S.member_set == frozenset({2, 5})
     assert S.members_array.tolist() == [2, 5]
-    assert S.member_mask is S.member_mask
-    with pytest.raises(ValueError):
-        S.member_mask[1] = True
+    assert S.member_set is S.member_set
     with pytest.raises(ValueError):
         S.members_array[0] = 1
-    # The cached arrays do not take part in equality or hashing.
+    # The cached members do not take part in equality or hashing.
     fresh = UniformOnSet(FiniteDomain(6), (2, 5))
     assert fresh == S and hash(fresh) == hash(S)

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothlab.domain import (
+    REPLAY_BLOCK_WORDS,
     DecompositionError,
+    DrawReplay,
     FiniteDomain,
     MixtureOfUniforms,
     RngStream,
@@ -193,3 +197,67 @@ def test_rng_stream_reproducibility_and_independence():
     sub_again = RngStream(seed=42, stream_id=0).substream(2)
     assert sub == sub_again
     assert sub != RngStream(seed=42, stream_id=0).substream(3)
+
+
+# Ranges 1 .. 2^32 - 1; 3 * 2^30 rejects a quarter of its draws and 2^31 + 1
+# almost half, so the Lemire loop redraws often.
+_REPLAY_RANGES = st.one_of(
+    st.sampled_from([1, 2, 3, 7, 16, 3 * 2**30, 2**31 + 1, 2**32 - 1]),
+    st.integers(1, 2**32 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    start=st.sampled_from(["fresh", "pending", "stale"]),
+    calls=st.lists(
+        st.tuples(st.booleans(), _REPLAY_RANGES, st.integers(-3, 3), st.integers(0, 300)),
+        max_size=8,
+    ),
+    words=st.sampled_from([1, 16, 100, REPLAY_BLOCK_WORDS]),
+)
+def test_replay_matches_the_generator_draw_for_draw(seed, start, calls, words):
+    gen = RngStream(seed).generator()
+    twin = RngStream(seed).generator()
+    for g in (gen, twin):
+        if start == "pending":  # the low half is drawn, the high half waits
+            g.integers(5, size=1)
+        elif start == "stale":  # both halves drawn; uinteger keeps the high one
+            g.integers(5, size=2)
+    assert gen.bit_generator.state["has_uint32"] == (start == "pending")
+    with DrawReplay(gen, words) as draws:
+        for is_random, r, low, size in calls:
+            if is_random:
+                got, want = draws.random(size), twin.random(size).tolist()
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+            else:
+                got = draws.integers(low, low + r, size)
+                assert got == twin.integers(low, low + r, size=size).tolist()
+    assert gen.bit_generator.state == twin.bit_generator.state
+
+
+def test_replay_reads_at_most_one_block_ahead():
+    gen = RngStream(seed=3).generator()
+    twin = RngStream(seed=3).generator()
+    with DrawReplay(gen, words=10**9) as draws:
+        draws.integers(0, 2, 1)
+        twin.bit_generator.advance(REPLAY_BLOCK_WORDS)
+        assert gen.bit_generator.state["state"] == twin.bit_generator.state["state"]
+        # 1 + 3 * REPLAY_BLOCK_WORDS halves span two blocks, read one at a time.
+        draws.integers(0, 16, 3 * REPLAY_BLOCK_WORDS)
+        twin.bit_generator.advance(REPLAY_BLOCK_WORDS)
+        assert gen.bit_generator.state["state"] == twin.bit_generator.state["state"]
+
+
+def test_replay_refuses_other_generators_and_ranges():
+    with pytest.raises(ValidationError, match="MT19937"):
+        DrawReplay(np.random.Generator(np.random.MT19937(1)))
+    draws = DrawReplay(RngStream(seed=4).generator())
+    for low, high in ((0, 2**32), (5, 5), (3, 1)):
+        with pytest.raises(ValidationError, match="high - low"):
+            draws.integers(low, high, 1)
+    with pytest.raises(ValidationError, match="size"):
+        draws.integers(0, 4, -1)
+    with pytest.raises(ValidationError, match="size"):
+        draws.random(-1)

@@ -795,6 +795,19 @@ def test_cli_compare_ratio_limits(tmp_path):
     assert cli_main(["compare", str(tmp_path / "a"), str(tmp_path / "missing"), "--metric", "total"]) == 1
 
 
+def test_cli_compare_refuses_fewer_than_one_resample(tmp_path, capsys):
+    cfg = make_config("dispersion", {"T": 10, "ell": 2, "sigma": 0.2}, 6, 1)
+    run_experiment(cfg, tmp_path / "a", parallelism=1)
+    base = ["compare", str(tmp_path / "a"), str(tmp_path / "a"), "--metric", "total"]
+    capsys.readouterr()
+    for resamples in ("0", "-3"):
+        assert cli_main(base + ["--resamples", resamples]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert "n_resamples" in captured.err and resamples in captured.err
+        assert captured.out == ""
+
+
 def test_cli_env_var_default_out_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("SMOOTHLAB_OUT_DIR", str(tmp_path / "base"))
     code = cli_main(

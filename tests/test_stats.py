@@ -12,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from smoothlab.domain import RngStream
+from smoothlab.domain import RngStream, ValidationError
 from smoothlab.stats import (
     bootstrap_ratio_ci,
     chi_square_fit,
     chi_square_table,
     chi_square_uniform,
+    median,
     one_sided_bound_check,
     wilson_interval,
 )
@@ -195,6 +196,25 @@ def test_runs_that_need_a_special_function_load_scipy_special(run):
     assert "scipy.special" in _scipy_modules_after([run])
 
 
+def test_summaries_load_no_numpy_ma():
+    # np.median would load numpy.ma (about 12 ms and 1.3 MiB), so summarize
+    # takes its medians through stats.median.  Only the bootstrap of
+    # compare_runs still calls np.median.
+    code = """
+import sys, tempfile
+from smoothlab.harness import make_config, run_experiment, summarize
+assert "numpy.ma" not in sys.modules
+with tempfile.TemporaryDirectory() as tmp:
+    run_experiment(make_config("coupling", {"n": 16, "sigma": 0.25, "T": 8}, 50, 3), tmp)
+    summarize(tmp)
+print("numpy.ma" in sys.modules)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_wilson_interval_contains_point_estimate():
     lo, hi = wilson_interval(30, 100, z=3.0)
     assert lo <= 0.3 <= hi
@@ -222,3 +242,36 @@ def test_bootstrap_ratio_ci_identical_samples_covers_one():
         values, values.copy(), RngStream(seed=6).generator(), n_resamples=2000
     )
     assert lo <= 1.0 <= hi
+
+
+# Floats with many repeats: a few special values plus small integers and
+# ordinary floats, so sorted runs, ties, signed zeros and NaN all occur.
+_MEDIAN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, float("inf"), float("-inf"), float("nan")]),
+    st.integers(-3, 3).map(float),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=st.lists(_MEDIAN_VALUES, min_size=1, max_size=50))
+def test_median_equals_numpy_median_bit_for_bit(values):
+    arr = np.asarray(values, dtype=float)
+    with np.errstate(all="ignore"):  # the mean of inf and -inf, as np.median takes it
+        got, want = median(arr), np.median(arr)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert arr.tobytes() == np.asarray(values, dtype=float).tobytes()  # input untouched
+
+
+def test_median_of_odd_and_even_sizes():
+    assert median(np.array([3.0, 1.0, 2.0])) == 2.0
+    assert median(np.array([4.0, 1.0, 3.0, 2.0])) == 2.5
+    assert np.isnan(median(np.array([1.0, float("nan"), 0.0])))
+
+
+def test_bootstrap_ratio_ci_needs_a_resample():
+    a = np.array([1.0, 2.0, 3.0])
+    for n_resamples in (0, -3):
+        with pytest.raises(ValidationError, match="n_resamples"):
+            bootstrap_ratio_ci(a, a, RngStream(seed=1).generator(), n_resamples=n_resamples)
