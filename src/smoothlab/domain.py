@@ -12,7 +12,9 @@ pair that materializes an independent PCG64 generator, so that multi-trial
 experiments are reproducible independently of scheduling.  A function that
 records its stream in its output takes the RngStream itself and checks it with
 ``require_stream``; every other function that draws takes its caller's
-``np.random.Generator``.
+``np.random.Generator``.  ``DrawReplay`` replays a PCG64 generator's draws
+from its raw words on Python ints, for loops too short to pay numpy's
+per-call cost.
 """
 
 from __future__ import annotations
@@ -116,15 +118,15 @@ class DrawReplay:
     nothing); ``random`` takes a whole word w per value, (w >> 11) * 2^-53,
     and leaves a pending half pending.
 
-    Words are read ahead with ``random_raw``, at most ``words`` at a time
-    (capped at ``REPLAY_BLOCK_WORDS``); ``close`` rewinds the generator to the
+    Words are read ahead with ``random_raw``, ``words`` at a time (clamped to
+    16 .. ``REPLAY_BLOCK_WORDS``); ``close`` rewinds the generator to the
     exact state numpy's own calls would have left, ``has_uint32`` and
     ``uinteger`` included.  Use it as a context manager, so the rewind also
     happens when a draw's caller raises, and do not draw from the generator
     itself while the replay is open.
     """
 
-    __slots__ = ("_bitgen", "_start", "_block", "_chunk", "_halves", "_pos", "_dropped", "_closed")
+    __slots__ = ("_bitgen", "_start", "_block", "_chunk", "_halves", "_pos", "_dropped")
 
     def __init__(self, gen: np.random.Generator, words: int = REPLAY_BLOCK_WORDS) -> None:
         bitgen = gen.bit_generator
@@ -140,7 +142,6 @@ class DrawReplay:
         self._halves = [0, self._start["uinteger"]]
         self._pos = 1 if self._start["has_uint32"] else 2
         self._dropped = 0  # words trimmed from the front of _halves
-        self._closed = False
 
     def __enter__(self) -> "DrawReplay":
         return self
@@ -161,6 +162,7 @@ class DrawReplay:
             held += raw.view("<u4").tolist()
 
     def integers(self, low: int, high: int, size: int) -> list[int]:
+        """The values of ``gen.integers(low, high, size=size)``, as Python ints."""
         r = high - low
         pos = self._pos
         end = pos + size
@@ -212,6 +214,7 @@ class DrawReplay:
         return out
 
     def random(self, size: int) -> list[float]:
+        """The values of ``gen.random(size)``, as Python floats."""
         if size > self._chunk:
             out = []
             for done in range(0, size, self._chunk):
@@ -236,9 +239,6 @@ class DrawReplay:
 
     def close(self) -> None:
         """Rewind the generator to where numpy's calls would have left it."""
-        if self._closed:
-            return
-        self._closed = True
         pos = self._pos
         used = self._dropped + (pos + 1) // 2 - 1
         bitgen = self._bitgen

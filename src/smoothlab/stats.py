@@ -18,7 +18,6 @@ import numpy as np
 from .domain import ValidationError
 
 __all__ = [
-    "median",
     "chi_square_uniform",
     "chi_square_fit",
     "chi_square_table",
@@ -27,6 +26,7 @@ __all__ = [
     "one_sided_bound_check",
     "BoundCheck",
     "bootstrap_ratio_ci",
+    "median",
 ]
 
 # Largest relative gap between the observed and expected totals of a fit.

@@ -240,7 +240,7 @@ def test_replay_matches_the_generator_draw_for_draw(seed, start, calls, words):
 def test_replay_reads_at_most_one_block_ahead():
     gen = RngStream(seed=3).generator()
     twin = RngStream(seed=3).generator()
-    with DrawReplay(gen, words=10**9) as draws:
+    with DrawReplay(gen, words=2 * REPLAY_BLOCK_WORDS) as draws:
         draws.integers(0, 2, 1)
         twin.bit_generator.advance(REPLAY_BLOCK_WORDS)
         assert gen.bit_generator.state["state"] == twin.bit_generator.state["state"]
@@ -248,6 +248,11 @@ def test_replay_reads_at_most_one_block_ahead():
         draws.integers(0, 16, 3 * REPLAY_BLOCK_WORDS)
         twin.bit_generator.advance(REPLAY_BLOCK_WORDS)
         assert gen.bit_generator.state["state"] == twin.bit_generator.state["state"]
+        # Words already drawn are dropped as new ones are read: what is held
+        # is one block plus what was left of the last (at most 1.5 blocks).
+        for _ in range(20):
+            draws.random(REPLAY_BLOCK_WORDS)
+        assert len(draws._halves) <= 3 * REPLAY_BLOCK_WORDS + 2
 
 
 def test_replay_refuses_other_generators_and_ranges():
