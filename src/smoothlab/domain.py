@@ -163,7 +163,8 @@ class DrawReplay:
 
     def integers(self, low: int, high: int, size: int) -> list[int]:
         """The values of ``gen.integers(low, high, size=size)``, as Python ints."""
-        r = high - low
+        low, size = int(low), int(size)
+        r = int(high) - low
         pos = self._pos
         end = pos + size
         if not (1 < r < 1 << 32 and 0 < size <= self._chunk):
@@ -215,6 +216,7 @@ class DrawReplay:
 
     def random(self, size: int) -> list[float]:
         """The values of ``gen.random(size)``, as Python floats."""
+        size = int(size)
         if size > self._chunk:
             out = []
             for done in range(0, size, self._chunk):

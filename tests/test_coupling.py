@@ -749,6 +749,17 @@ def test_adaptive_refuses_a_generator_it_cannot_replay():
         couple_adaptive(adv, CouplingConfig(T=2, k=2), gen)
 
 
+def test_numpy_integer_sizes_couple_like_python_ints():
+    # FiniteDomain and CouplingConfig take numpy integers as well.
+    cfg, np_cfg = CouplingConfig(T=4, k=6), CouplingConfig(T=np.int64(4), k=np.int64(6))
+    for n in (7, 16):
+        gen_a, gen_b = RngStream(seed=31).generator(), RngStream(seed=31).generator()
+        a = couple_adaptive(last_value_adversary(FiniteDomain(n), 0.3), cfg, gen_a)
+        b = couple_adaptive(last_value_adversary(FiniteDomain(np.int64(n)), 0.3), np_cfg, gen_b)
+        assert np.array_equal(a.X, b.X) and np.array_equal(a.Z, b.Z)
+        assert gen_a.bit_generator.state == gen_b.bit_generator.state
+
+
 def test_trace_arrays_are_int64():
     adv = window_set_adversary(FiniteDomain(7), 0.3)
     trace = couple_adaptive(adv, CouplingConfig(T=3, k=4), RngStream(seed=9).generator())
