@@ -94,6 +94,10 @@ def _load_config_file(path: str | None, kind: str) -> dict:
         raise ValidationError(f"unknown config key(s) {unknown}; allowed: {sorted(allowed)}")
     if "kind" in data and data["kind"] != kind:
         raise ValidationError(f"config file is for kind {data['kind']!r}, command wants {kind!r}")
+    if not isinstance(data.get("params", {}), dict):
+        raise ValidationError(
+            f"config file {path}: params must be a JSON object, got {data['params']!r}"
+        )
     return data
 
 

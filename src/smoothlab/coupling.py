@@ -44,6 +44,7 @@ from smoothlab.domain import (
     UniformOnSet,
     ValidationError,
     min_support_size,
+    require_sigma,
     validate_smooth,
 )
 from smoothlab.stats import chi_square_table, chi_square_uniform
@@ -80,8 +81,7 @@ def default_k(T: int, sigma: float) -> int:
     """Replica count ceil(10*ln(T)/sigma), floored at 1."""
     if T < 1:
         raise ValidationError(f"T must be >= 1, got {T}")
-    if not (0.0 < sigma <= 1.0):
-        raise ValidationError(f"sigma must lie in (0, 1], got {sigma!r}")
+    require_sigma(sigma)
     return max(1, math.ceil(10.0 * math.log(T) / sigma))
 
 
@@ -120,8 +120,7 @@ class SmoothAdversary:
     name: str = "custom"
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.sigma <= 1.0):
-            raise ValidationError(f"sigma must lie in (0, 1], got {self.sigma!r}")
+        require_sigma(self.sigma)
 
 
 def stationary_set_adversary(domain: FiniteDomain, members: tuple[int, ...]) -> SmoothAdversary:

@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from smoothlab.domain import RngStream, ValidationError, require_stream
+from smoothlab.domain import RngStream, ValidationError, require_sigma, require_stream
 from smoothlab.stats import binomial_stderr
 
 __all__ = [
@@ -115,8 +115,7 @@ FAILURE = Failure()
 
 def default_balance_k(sigma: float, T: int) -> int:
     """Replica count ceil(100 * ln(T ln T) / sigma) used to size lam and c."""
-    if not (0.0 < sigma <= 1.0):
-        raise ValidationError(f"sigma must lie in (0, 1], got {sigma!r}")
+    require_sigma(sigma)
     if T < 1:
         raise ValidationError(f"T must be >= 1, got {T}")
     Teff = max(T, 2)
@@ -402,8 +401,7 @@ class VectorAdversary:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValidationError(f"n must be >= 1, got {self.n!r}")
-        if not (0.0 < self.sigma <= 1.0):
-            raise ValidationError(f"sigma must lie in (0, 1], got {self.sigma!r}")
+        require_sigma(self.sigma)
 
     def next_vector(self, d: np.ndarray, t: int, gen: np.random.Generator) -> np.ndarray:
         return self.next_fn(d, t, gen)

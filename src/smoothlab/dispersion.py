@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import ValidationError
+from .domain import ValidationError, require_sigma
 
 __all__ = [
     "DiscontinuitySample",
@@ -69,8 +69,7 @@ def iid_uniform_adversary() -> IntervalAdversary:
 
 def fixed_interval_adversary(sigma: float, lo: float = 0.0) -> IntervalAdversary:
     """Oblivious source concentrating every point on one width-sigma interval."""
-    if not (0.0 < sigma <= 1.0):
-        raise ValidationError(f"sigma must lie in (0, 1], got {sigma!r}")
+    require_sigma(sigma)
     if not (0.0 <= lo <= 1.0 - sigma):
         raise ValidationError(f"interval [{lo}, {lo + sigma}] escapes [0, 1]")
     return IntervalAdversary(
@@ -155,8 +154,7 @@ def densest_window_adversary(sigma: float) -> IntervalAdversary:
     the points sorted as they arrive, so a step costs a few O(n) memmoves and
     one byte compare of the history, not a sort.
     """
-    if not (0.0 < sigma <= 1.0):
-        raise ValidationError(f"sigma must lie in (0, 1], got {sigma!r}")
+    require_sigma(sigma)
     return IntervalAdversary(sigma=sigma, rule=_DensestWindowRule(sigma), name="densest-window")
 
 
@@ -207,8 +205,7 @@ def generate_discontinuities(
     sigma may exceed the floor (a 1-smooth source is also sigma-smooth for any
     smaller sigma).
     """
-    if not (0.0 < sigma <= 1.0):
-        raise ValidationError(f"sigma must lie in (0, 1], got {sigma!r}")
+    require_sigma(sigma)
     if T < 1 or ell < 1:
         raise ValidationError(f"need T >= 1 and ell >= 1, got T={T}, ell={ell}")
     flat = np.empty(T * ell)
@@ -322,10 +319,9 @@ def dispersion_bound(T: int, ell: int, sigma: float, w: float, delta: float) -> 
     """
     if T < 1 or ell < 1:
         raise ValidationError(f"need T >= 1 and ell >= 1, got T={T}, ell={ell}")
-    if not (0.0 < sigma <= 1.0):
-        raise ValidationError(f"sigma must lie in (0, 1], got {sigma!r}")
-    if not (w > 0.0):
-        raise ValidationError(f"w must be positive, got {w!r}")
+    require_sigma(sigma)
+    if not (0.0 < w <= 1.0):
+        raise ValidationError(f"w must lie in (0, 1], got {w!r}")
     if not (0.0 < delta < 1.0):
         raise ValidationError(f"delta must lie in (0, 1), got {delta!r}")
     n = T * ell

@@ -41,6 +41,7 @@ __all__ = [
     "decompose_smooth",
     "random_smooth_pmf",
     "require_stream",
+    "require_sigma",
     "DrawReplay",
     "REPLAY_BLOCK_WORDS",
 ]
@@ -102,6 +103,12 @@ def require_stream(rng: RngStream) -> None:
         raise ValidationError(f"expected an RngStream, got {type(rng).__name__}")
 
 
+def require_sigma(sigma: float) -> None:
+    """Refuse a smoothness parameter outside (0, 1], NaN included."""
+    if not (0.0 < sigma <= 1.0):
+        raise ValidationError(f"sigma must lie in (0, 1], got {sigma!r}")
+
+
 # The most 64-bit words a DrawReplay reads from its generator at once.
 REPLAY_BLOCK_WORDS = 4096
 
@@ -118,15 +125,20 @@ class DrawReplay:
     nothing); ``random`` takes a whole word w per value, (w >> 11) * 2^-53,
     and leaves a pending half pending.
 
-    Words are read ahead with ``random_raw``, ``words`` at a time (clamped to
-    16 .. ``REPLAY_BLOCK_WORDS``); ``close`` rewinds the generator to the
-    exact state numpy's own calls would have left, ``has_uint32`` and
-    ``uinteger`` included.  Use it as a context manager, so the rewind also
-    happens when a draw's caller raises, and do not draw from the generator
-    itself while the replay is open.
+    Each call makes the halves it needs readable and reads them in one pass:
+    ``random`` two a value, ``integers`` one a value.  When Lemire's rule
+    rejects some, ``integers`` draws the shortfall from the halves after
+    them with one more call of its own, which is numpy's order.  Words are
+    read with ``random_raw``, ``words`` at a time (clamped to 16 ..
+    ``REPLAY_BLOCK_WORDS``), so a call reads less than one block past what
+    it takes.  ``close`` rewinds the generator to the exact state numpy's
+    own calls would have left, ``has_uint32`` and ``uinteger`` included.
+    Use it as a context manager, so the rewind also happens when a draw's
+    caller raises, and do not draw from the generator itself while the
+    replay is open.
     """
 
-    __slots__ = ("_bitgen", "_start", "_block", "_chunk", "_halves", "_pos", "_dropped")
+    __slots__ = ("_bitgen", "_start", "_block", "_halves", "_pos", "_dropped")
 
     def __init__(self, gen: np.random.Generator, words: int = REPLAY_BLOCK_WORDS) -> None:
         bitgen = gen.bit_generator
@@ -135,7 +147,6 @@ class DrawReplay:
         self._bitgen = bitgen
         self._start = bitgen.state
         self._block = min(max(int(words), 16), REPLAY_BLOCK_WORDS)
-        self._chunk = self._block // 2  # values per fill step, so one read covers a step
         # The 32-bit halves in draw order, low half of each word first.  Slot 1
         # holds the start's uinteger, so an odd position means a pending high
         # half, and the high half at (pos - 1) | 1 is always the uinteger.
@@ -165,63 +176,30 @@ class DrawReplay:
         """The values of ``gen.integers(low, high, size=size)``, as Python ints."""
         low, size = int(low), int(size)
         r = int(high) - low
-        pos = self._pos
-        end = pos + size
-        if not (1 < r < 1 << 32 and 0 < size <= self._chunk):
-            return self._integers_in_steps(low, r, size)
-        held = self._halves
-        if end > len(held):
-            self._read(size)
-            pos = self._pos
-            end = pos + size
-        draws = held[pos:end]
-        threshold = (1 << 32) % r
-        if threshold:
-            for u in draws:
-                if u * r & 0xFFFFFFFF < threshold:
-                    return self._rejecting(low, r, threshold, size)
-            self._pos = end
-            return [(u * r >> 32) + low for u in draws]
-        # r is a power of two, so (u * r) >> 32 is a shift and nothing is rejected.
-        self._pos = end
-        shift = 33 - r.bit_length()
-        return [(u >> shift) + low for u in draws]
-
-    def _integers_in_steps(self, low: int, r: int, size: int) -> list[int]:
-        """``integers`` outside its one-step case: a fill longer than a step,
-        a range of one, an empty fill, or bad arguments."""
         if not 0 < r < 1 << 32:
             raise ValidationError(f"replayed integers need 1 <= high - low < 2^32, got {r}")
         if size < 0:
             raise ValidationError(f"size must be >= 0, got {size}")
-        if r == 1 or size == 0:
+        if r == 1:
             return [low] * size
-        out: list[int] = []
-        for done in range(0, size, self._chunk):
-            out += self.integers(low, low + r, min(self._chunk, size - done))
-        return out
-
-    def _rejecting(self, low: int, r: int, threshold: int, size: int) -> list[int]:
-        """The Lemire loop one half at a time, for a fill that rejects a draw."""
-        out = []
-        for _ in range(size):
-            m = 0
-            while m & 0xFFFFFFFF < threshold:
-                if self._pos == len(self._halves):
-                    self._read(1)
-                m = self._halves[self._pos] * r
-                self._pos += 1
-            out.append((m >> 32) + low)
+        if self._pos + size > len(self._halves):
+            self._read(size)
+        held, pos = self._halves, self._pos
+        end = self._pos = pos + size
+        threshold = (1 << 32) % r
+        if not threshold:
+            # r is a power of two, so (u * r) >> 32 is a shift and nothing is rejected.
+            shift = 33 - r.bit_length()
+            return [(u >> shift) + low for u in held[pos:end]]
+        # Lemire's rule: a half is rejected when the low word of u * r is under the threshold.
+        out = [(m >> 32) + low for u in held[pos:end] if (m := u * r) & 0xFFFFFFFF >= threshold]
+        if len(out) < size:
+            out += self.integers(low, low + r, size - len(out))
         return out
 
     def random(self, size: int) -> list[float]:
         """The values of ``gen.random(size)``, as Python floats."""
         size = int(size)
-        if size > self._chunk:
-            out = []
-            for done in range(0, size, self._chunk):
-                out += self.random(min(self._chunk, size - done))
-            return out
         if size < 0:
             raise ValidationError(f"size must be >= 0, got {size}")
         odd = self._pos & 1
@@ -255,8 +233,7 @@ class DrawReplay:
 
 def min_support_size(sigma: float, n: int) -> int:
     """ceil(sigma*n) with a tolerance guard against float noise like 0.2*5 = 1.0000000000000002."""
-    if not (0.0 < sigma <= 1.0):
-        raise ValidationError(f"sigma must lie in (0, 1], got {sigma!r}")
+    require_sigma(sigma)
     return max(1, math.ceil(sigma * n - 1e-9))
 
 
@@ -284,13 +261,6 @@ class UniformOnSet:
         return len(self.members)
 
     @functools.cached_property
-    def members_array(self) -> np.ndarray:
-        """The members as a read-only int64 array, built once per set."""
-        arr = np.array(self.members, dtype=np.int64)
-        arr.flags.writeable = False
-        return arr
-
-    @functools.cached_property
     def member_set(self) -> frozenset[int]:
         """The members as a frozenset, built once per set, for membership tests."""
         return frozenset(self.members)
@@ -298,7 +268,7 @@ class UniformOnSet:
     def mass_vector(self) -> np.ndarray:
         """Dense pmf; the oracle for rebuilding a ``decompose_smooth`` component."""
         mass = np.zeros(self.domain.n)
-        mass[self.members_array - 1] = 1.0 / len(self.members)
+        mass[np.asarray(self.members) - 1] = 1.0 / len(self.members)
         return mass
 
 
@@ -316,8 +286,7 @@ class SmoothPmf:
         object.__setattr__(self, "mass", mass)
         if mass.shape != (self.domain.n,):
             raise ValidationError(f"mass must have shape ({self.domain.n},), got {mass.shape}")
-        if not (0.0 < self.sigma <= 1.0):
-            raise ValidationError(f"sigma must lie in (0, 1], got {self.sigma!r}")
+        require_sigma(self.sigma)
         if not np.all(np.isfinite(mass)):
             raise ValidationError("mass contains NaN or infinity")
         if np.any(mass < 0):
@@ -377,8 +346,7 @@ def validate_smooth(mass: Sequence[float] | np.ndarray, sigma: float) -> bool:
     arr = np.asarray(mass, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValidationError(f"pmf must be a nonempty 1-D array, got shape {arr.shape}")
-    if not (0.0 < sigma <= 1.0):
-        raise ValidationError(f"sigma must lie in (0, 1], got {sigma!r}")
+    require_sigma(sigma)
     if not np.all(np.isfinite(arr)):
         raise ValidationError("pmf contains NaN or infinity")
     if np.any(arr < 0):

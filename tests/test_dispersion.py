@@ -371,6 +371,8 @@ def test_dispersion_bound_validation():
         dispersion_bound(10, 5, 0.0, 0.02, 0.05)
     with pytest.raises(ValidationError):
         dispersion_bound(10, 5, 0.1, 0.0, 0.05)
+    with pytest.raises(ValidationError, match=r"w must lie in \(0, 1\]"):
+        dispersion_bound(10, 5, 0.1, 2.0, 0.05)
     with pytest.raises(ValidationError):
         dispersion_bound(10, 5, 0.1, 0.02, 1.0)
 

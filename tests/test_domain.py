@@ -255,6 +255,30 @@ def test_replay_reads_at_most_one_block_ahead():
         assert len(draws._halves) <= 3 * REPLAY_BLOCK_WORDS + 2
 
 
+def test_replay_redraws_a_long_rejecting_fill_across_blocks():
+    # At r = 2^31 + 1 almost half the draws are rejected, so the shortfall is
+    # redrawn over and over, each time past the end of a 16-word block.
+    gen = RngStream(seed=11).generator()
+    twin = RngStream(seed=11).generator()
+    r = 2**31 + 1
+    with DrawReplay(gen, words=16) as draws:
+        assert draws.integers(-5, r - 5, 50_000) == twin.integers(-5, r - 5, size=50_000).tolist()
+    assert gen.bit_generator.state == twin.bit_generator.state
+
+
+def test_replay_empty_fills_keep_a_pending_half():
+    gen = RngStream(seed=12).generator()
+    twin = RngStream(seed=12).generator()
+    for g in (gen, twin):
+        g.integers(5, size=1)
+    assert gen.bit_generator.state["has_uint32"] == 1
+    with DrawReplay(gen) as draws:
+        assert draws.integers(0, 7, 0) == twin.integers(0, 7, size=0).tolist() == []
+        assert draws.random(0) == twin.random(0).tolist() == []
+    assert gen.bit_generator.state == twin.bit_generator.state
+    assert gen.integers(0, 7, size=3).tolist() == twin.integers(0, 7, size=3).tolist()
+
+
 def test_replay_refuses_other_generators_and_ranges():
     with pytest.raises(ValidationError, match="MT19937"):
         DrawReplay(np.random.Generator(np.random.MT19937(1)))

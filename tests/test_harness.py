@@ -255,6 +255,7 @@ BAD_GAMES = [
     ("discrepancy-lowerbound", "T", "0", {}, "'T'"),
     ("dispersion", "k", "-5", {}, "k must be finite and >= 0"),
     ("dispersion", "k", "NaN", {}, "k must be finite and >= 0"),
+    ("dispersion", "w", "2", {}, "w must lie in (0, 1]"),
 ]
 
 
@@ -781,6 +782,17 @@ def test_cli_config_file_rejects_non_integer_trials_and_seed(tmp_path, capsys):
         assert cli_main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_config_file_refuses_params_that_are_not_an_object(tmp_path, capsys):
+    for bad in (5, [["n", 8]], "n=8", None):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(json.dumps({"params": bad}))
+        argv = ["coupling", "--config", str(cfg_file), "--out-dir", str(tmp_path / "run")]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "params" in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
 
 
