@@ -191,8 +191,11 @@ class DrawReplay:
             # r is a power of two, so (u * r) >> 32 is a shift and nothing is rejected.
             shift = 33 - r.bit_length()
             return [(u >> shift) + low for u in held[pos:end]]
-        # Lemire's rule: a half is rejected when the low word of u * r is under the threshold.
-        out = [(m >> 32) + low for u in held[pos:end] if (m := u * r) & 0xFFFFFFFF >= threshold]
+        # Lemire's rule: a half is rejected when the low word of u * r is under
+        # the threshold.  The product is taken twice: on Python 3.11 a walrus
+        # would make its target a closure cell of this method, which every call
+        # pays for, the power-of-two fills included.
+        out = [(u * r >> 32) + low for u in held[pos:end] if u * r & 0xFFFFFFFF >= threshold]
         if len(out) < size:
             out += self.integers(low, low + r, size - len(out))
         return out
