@@ -45,7 +45,6 @@ def _add_run_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, help="base seed; trial i uses stream i (default 0)")
     sp.add_argument("--out-dir", help="run directory (default derived from SMOOTHLAB_OUT_DIR)")
     sp.add_argument("--parallelism", type=int, default=1, help="worker processes (default 1)")
-    sp.add_argument("--no-traces", action="store_true", help="skip raw trace files")
     sp.add_argument(
         "--assert",
         dest="check",
@@ -113,9 +112,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else file_cfg.get("seed", 0)
     cfg = make_config(args.kind, params, trials, seed)
     out_dir = args.out_dir if args.out_dir is not None else default_run_dir(args.kind, seed)
-    result = run_experiment(
-        cfg, out_dir, parallelism=args.parallelism, write_traces=not args.no_traces
-    )
+    result = run_experiment(cfg, out_dir, parallelism=args.parallelism)
     print(
         f"[{cfg.kind}] trials={cfg.trials} completed={result.summary['completed']} "
         f"errors={result.summary['errors']} out={result.run_dir}"

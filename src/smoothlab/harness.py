@@ -95,10 +95,10 @@ class KindSpec:
     ``params`` before it runs.  ``options`` maps each choice parameter to its
     table of accepted values.  ``game(params)`` builds every object a trial
     plays from resolved parameters; make_config calls it once, so every check
-    those constructors make runs before any trial.  It returns
-    ``play(rng, keep_raw)``, which plays one trial on the RngStream ``rng``
-    and returns the trial's metrics and, when ``keep_raw``, the contents of
-    ``raw_files`` in order, where NNNN in a name stands for the trial index.
+    those constructors make runs before any trial.  It returns ``play(rng)``,
+    which plays one trial on the RngStream ``rng`` and returns the trial's
+    metrics and the contents of ``raw_files`` in order, where NNNN in a name
+    stands for the trial index.
     ``summary_hook(run_dir, config, completed_rows)`` returns extra summary
     blocks, and ``check(params, summary)`` the kind's ``--assert`` failures.
 
@@ -110,7 +110,7 @@ class KindSpec:
     params: tuple[str, ...]
     resolve: Callable[[str, dict], dict]
     options: dict[str, dict[str, Callable]]
-    game: Callable[[dict], Callable[[RngStream, bool], tuple[dict, tuple[str, ...]]]]
+    game: Callable[[dict], Callable[[RngStream], tuple[dict, tuple[str, ...]]]]
     raw_files: tuple[str, ...]
     check: Callable[[dict, dict], list[str]]
     summary_hook: Callable[[Path, dict, list[dict]], dict] | None = None
@@ -275,7 +275,7 @@ def _coupling_game(params: dict):
     adv = _COUPLING_ADVERSARIES[params["adversary"]](params, FiniteDomain(params["n"]))
     cfg = CouplingConfig(T=params["T"], k=params["k"])
 
-    def play(rng: RngStream, keep_raw: bool):
+    def play(rng: RngStream):
         trace = couple_adaptive(adv, cfg, rng.generator())
         # Plain list operations: three numpy reductions cost more at these sizes.
         rounds = trace.contained_rounds.tolist()
@@ -285,46 +285,44 @@ def _coupling_game(params: dict):
             "failed_round": -1 if contained else rounds.index(False) + 1,
             "n_contained_rounds": sum(rounds),
         }
-        return metrics, (traces_to_jsonl([trace]),) if keep_raw else ()
+        return metrics, (traces_to_jsonl([trace]),)
 
     return play
 
 
 def _summarize_coupling(run_dir: Path, cfg: dict, good: list[dict]) -> dict:
     """The containment-failure rate, plus chi-square marginal diagnostics when at
-    least MARGINAL_MIN_TRACES traces were persisted.  traces.jsonl is always
-    checked, and must hold one trace per completed trial whose containment
-    agrees with the trial's metrics row."""
+    least MARGINAL_MIN_TRACES traces were persisted.  traces.jsonl must exist
+    and hold one trace per completed trial whose containment agrees with the
+    trial's metrics row."""
     failures = sum(0 if r["contained"] else 1 for r in good)
     extra = {"containment_failure": _rate_block(failures, len(good))}
-    traces_path = run_dir / "traces.jsonl"
-    if traces_path.is_file():
-        n = cfg["params"]["n"]
-        with open(traces_path) as lines:
-            X, Z = traces_from_jsonl(lines, n)
-        if X.shape[0] != len(good):
-            raise ValidationError(
-                f"traces.jsonl holds {X.shape[0]} traces for {len(good)} completed trials"
-            )
-        expected = np.fromiter((r["contained"] for r in good), dtype=bool, count=len(good))
-        bad = containment_flags(X, Z) != expected
-        if bad.any():
-            i = int(bad.argmax())
-            raise ValidationError(
-                f"trace {i + 1} contradicts the containment flag of trial {good[i]['trial']} "
-                "in metrics.jsonl"
-            )
-        if X.shape[0] >= MARGINAL_MIN_TRACES:
-            report = verify_marginals(X, Z, n, n_pairs=20, pair_seed=0)
-            extra["marginals"] = {
-                "n_traces": report.n_traces,
-                "min_cell_pvalue": float(report.cell_pvalues.min()),
-                "min_pair_pvalue": min(report.pair_pvalues) if report.pair_pvalues else None,
-                "min_homogeneity_pvalue": (
-                    min(report.homogeneity_pvalues) if report.homogeneity_pvalues else None
-                ),
-                "passed": report.passed(),
-            }
+    n = cfg["params"]["n"]
+    with _open_run_file(run_dir, "traces.jsonl") as lines:
+        X, Z = traces_from_jsonl(lines, n)
+    if X.shape[0] != len(good):
+        raise ValidationError(
+            f"traces.jsonl holds {X.shape[0]} traces for {len(good)} completed trials"
+        )
+    expected = np.fromiter((r["contained"] for r in good), dtype=bool, count=len(good))
+    bad = containment_flags(X, Z) != expected
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValidationError(
+            f"trace {i + 1} contradicts the containment flag of trial {good[i]['trial']} "
+            "in metrics.jsonl"
+        )
+    if X.shape[0] >= MARGINAL_MIN_TRACES:
+        report = verify_marginals(X, Z, n, n_pairs=20, pair_seed=0)
+        extra["marginals"] = {
+            "n_traces": report.n_traces,
+            "min_cell_pvalue": float(report.cell_pvalues.min()),
+            "min_pair_pvalue": min(report.pair_pvalues) if report.pair_pvalues else None,
+            "min_homogeneity_pvalue": (
+                min(report.homogeneity_pvalues) if report.homogeneity_pvalues else None
+            ),
+            "passed": report.passed(),
+        }
     return extra
 
 
@@ -390,7 +388,7 @@ def _balancing_game(params: dict, adv, ok_floor=None):
     """
     rule = _ALGORITHMS[params["algorithm"]](params, adv.sigma)
 
-    def play(rng: RngStream, keep_raw: bool):
+    def play(rng: RngStream):
         trace = run_discrepancy(rule, adv, params["T"], rng)
         metrics = {
             "max_inf": float(trace.max_inf),
@@ -404,7 +402,7 @@ def _balancing_game(params: dict, adv, ok_floor=None):
         }
         if ok_floor is not None:
             metrics["ok"] = bool(metrics["final_d2_sq"] >= ok_floor)
-        return metrics, (trace_to_csv(trace), trace_header_json(trace) + "\n") if keep_raw else ()
+        return metrics, (trace_to_csv(trace), trace_header_json(trace) + "\n")
 
     return play
 
@@ -475,14 +473,14 @@ def _learning_game(params: dict):
     cover = build_cover(cls, params["beta"])
     adv = _LEARNING_ADVERSARIES[params["adversary"]](params, cls)
 
-    def play(rng: RngStream, keep_raw: bool):
+    def play(rng: RngStream):
         ledger = run_learning_game(params["learner"], adv, cover, params["T"], rng)
         metrics = {
             "regret": int(ledger.regret),
             "cum_loss": int(ledger.cum_loss),
             "best_loss": int(ledger.best_loss),
         }
-        return metrics, (ledger.to_csv(), ledger.config_json() + "\n") if keep_raw else ()
+        return metrics, (ledger.to_csv(), ledger.config_json() + "\n")
 
     return play
 
@@ -541,7 +539,7 @@ def _dispersion_game(params: dict):
     split_ceiling(params.get("k"), bound)
     adv = _INTERVAL_ADVERSARIES[params["adversary"]](params)
 
-    def play(rng: RngStream, keep_raw: bool):
+    def play(rng: RngStream):
         sample = generate_discontinuities(adv, T, ell, sigma, rng.generator())
         passed, report = check_dispersed(
             sample,
@@ -558,7 +556,7 @@ def _dispersion_game(params: dict):
             "within_bound": bool(report.total <= report.bound),
             "passed": bool(passed),
         }
-        return metrics, (sample_to_jsonl(sample), report_csv(report)) if keep_raw else ()
+        return metrics, (sample_to_jsonl(sample), report_csv(report))
 
     return play
 
@@ -640,10 +638,10 @@ def _run_single_trial(job: tuple) -> tuple[dict, dict]:
     Module-level so process pools can pickle it; the job tuple carries only
     plain values for the same reason.
     """
-    kind, params, seed, index, keep_raw = job
+    kind, params, seed, index = job
     spec = KINDS[kind]
     try:
-        metrics, contents = spec.game(params)(RngStream(seed=seed, stream_id=index), keep_raw)
+        metrics, contents = spec.game(params)(RngStream(seed=seed, stream_id=index))
     except Exception as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}, {}
     names = (name.replace("NNNN", f"{index:04d}") for name in spec.raw_files)
@@ -680,23 +678,19 @@ class RunResult:
     summary: dict
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    out_dir: str | Path,
-    parallelism: int = 1,
-    write_traces: bool = True,
-) -> RunResult:
+def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, parallelism: int = 1) -> RunResult:
     """Run every trial, persist the run directory, and summarize it.
 
     Trial i draws from RngStream(cfg.seed, i), so the persisted bytes are
-    identical for any parallelism degree.  Files are always written by the
-    parent process, trial by trial in trial order, as each result arrives:
-    a shared raw file stays open for the run and takes each trial's part
-    (a CSV part without its header after the first), and a per-trial file
-    is written and closed at once.  An interrupted run leaves a partial
-    metrics.jsonl and raw files, and no summary.json.  When ``out_dir`` is
-    reused, the files an earlier run wrote there are removed first; other
-    files are kept.
+    identical for any parallelism degree.  Each trial's ``play(rng)`` returns
+    its metrics and the contents of every raw file the kind names; the
+    parent process writes them all, trial by trial in trial order, as each
+    result arrives: a shared raw file stays open for the run and takes each
+    trial's part (a CSV part without its header after the first), and a
+    per-trial file is written and closed at once.  An interrupted run leaves
+    a partial metrics.jsonl and raw files, and no summary.json.  When
+    ``out_dir`` is reused, the files an earlier run wrote there are removed
+    first; other files are kept.
     """
     if parallelism < 1:
         raise ValidationError(f"parallelism must be >= 1, got {parallelism}")
@@ -709,7 +703,7 @@ def run_experiment(
     (run_dir / "config.json").write_text(resolved.to_json())
 
     raw_files = KINDS[cfg.kind].raw_files
-    jobs = ((cfg.kind, resolved.params, cfg.seed, i, write_traces) for i in range(cfg.trials))
+    jobs = ((cfg.kind, resolved.params, cfg.seed, i) for i in range(cfg.trials))
     with ExitStack() as stack:
         if parallelism == 1 or cfg.trials == 1:
             results = map(_run_single_trial, jobs)
@@ -743,11 +737,17 @@ def summary_to_json(summary: dict) -> str:
     return json.dumps(summary, sort_keys=True, indent=2) + "\n"
 
 
-def _read_metrics(run_dir: Path) -> list[dict]:
-    path = run_dir / "metrics.jsonl"
+def _open_run_file(run_dir: Path, name: str):
+    """The file ``name`` of a run directory, open for reading; ValidationError when
+    the directory has none."""
+    path = run_dir / name
     if not path.is_file():
-        raise ValidationError(f"no metrics.jsonl in {run_dir}")
-    with open(path) as lines:
+        raise ValidationError(f"no {name} in {run_dir}")
+    return open(path)
+
+
+def _read_metrics(run_dir: Path) -> list[dict]:
+    with _open_run_file(run_dir, "metrics.jsonl") as lines:
         return [json.loads(line) for line in lines if line.strip()]
 
 
@@ -766,10 +766,8 @@ def summarize(run_dir: str | Path) -> dict:
     the kind's ``summary_hook`` adds its own blocks.
     """
     run_dir = Path(run_dir)
-    cfg_path = run_dir / "config.json"
-    if not cfg_path.is_file():
-        raise ValidationError(f"no config.json in {run_dir}")
-    cfg = json.loads(cfg_path.read_text())
+    with _open_run_file(run_dir, "config.json") as config_file:
+        cfg = json.load(config_file)
     rows = _read_metrics(run_dir)
     good = [r for r in rows if "error" not in r]
 

@@ -488,12 +488,9 @@ class MistakeTreeAdversary:
         self.sigma = cls.sigma
         self.m = cls.m
         self.name = "mistake-tree"
-        self.reset()
-
-    def reset(self) -> None:
-        self.active = [self.cls.block_range(i) for i in range(self.cls.d)]
+        self.active = [cls.block_range(i) for i in range(cls.d)]
         self.cursor = 0
-        self.shrink_counts = [0] * self.cls.d
+        self.shrink_counts = [0] * cls.d
 
     def play(self, gen: np.random.Generator) -> tuple[int, int]:
         i = self.cursor

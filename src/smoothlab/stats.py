@@ -124,20 +124,29 @@ def one_sided_bound_check(successes: int, trials: int, bound: float, z: float = 
     return BoundCheck(rate=rate, bound=bound, stderr=se, z=z, passed=rate <= bound + z * se)
 
 
-def median(values: np.ndarray) -> float:
-    """``np.median`` of a nonempty 1-D float array, bit for bit.
+def median(values: np.ndarray) -> float | np.ndarray:
+    """``np.median(values, axis=-1)`` of a float array, bit for bit, in numpy's own
+    steps: a partition at the middle index or indices and at -1, the mean of the
+    middle slice, and NaN where the last partitioned value is NaN.  A 1-D array
+    gives a float.  Unlike ``np.median``, it never loads ``numpy.ma``."""
+    half = values.shape[-1] // 2
+    middle = [half - 1, half] if values.shape[-1] % 2 == 0 else [half]
+    part = np.partition(values, middle + [-1], axis=-1)
+    last = part[..., -1]
+    centre = np.where(np.isnan(last), last, part[..., middle[0] : half + 1].mean(axis=-1))
+    return float(centre) if values.ndim == 1 else centre
 
-    It takes numpy's own steps: a partition at the middle index or indices
-    and at -1, the mean of the middle slice, and NaN when the last
-    partitioned value is NaN.  Unlike ``np.median``, it never loads
-    ``numpy.ma``.
-    """
-    half = values.size // 2
-    middle = [half - 1, half] if values.size % 2 == 0 else [half]
-    part = np.partition(values, middle + [-1])
-    if np.isnan(part[-1]):
-        return float(part[-1])
-    return float(part[middle[0] : half + 1].mean())
+
+def _quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` of a nonempty 1-D float array, bit for bit, in the
+    steps of numpy's linear method, whose ``np.unique`` call loads ``numpy.ma``."""
+    index = (values.size - 1) * q
+    below = -1 if index >= values.size - 1 else math.floor(index)
+    above = -1 if below == -1 else below + 1
+    part = np.partition(values, [0, -1, below, above])
+    lo, hi, gamma = part[below], part[above], index - below
+    mixed = hi - (hi - lo) * (1 - gamma) if gamma >= 0.5 else lo + (hi - lo) * gamma
+    return float(part[-1] if np.isnan(part[-1]) else mixed)
 
 
 def bootstrap_ratio_ci(
@@ -157,13 +166,11 @@ def bootstrap_ratio_ci(
         raise ValueError("cannot bootstrap an empty sample")
     if n_resamples < 1:
         raise ValidationError(f"n_resamples must be at least 1, got {n_resamples}")
-    ia = gen.integers(a.size, size=(n_resamples, a.size))
-    ib = gen.integers(b.size, size=(n_resamples, b.size))
-    num = np.median(a[ia], axis=1)
-    den = np.median(b[ib], axis=1)
+    num = median(a[gen.integers(a.size, size=(n_resamples, a.size))])
+    den = median(b[gen.integers(b.size, size=(n_resamples, b.size))])
     keep = den != 0
     if not np.any(keep):
         raise ValueError("all bootstrap denominators are zero")
     ratios = num[keep] / den[keep]
     lo = (1.0 - _BOOTSTRAP_LEVEL) / 2.0
-    return float(np.quantile(ratios, lo)), float(np.quantile(ratios, 1.0 - lo))
+    return _quantile(ratios, lo), _quantile(ratios, 1.0 - lo)

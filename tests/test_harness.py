@@ -428,6 +428,27 @@ def test_summarize_rejects_missing_traces(tmp_path):
         summarize(run_dir)
 
 
+def test_summarize_refuses_a_completed_coupling_run_without_its_trace_file(tmp_path):
+    run_dir, _, _ = _coupling_run_with_failures(tmp_path)
+    (run_dir / "traces.jsonl").unlink()
+    with pytest.raises(ValidationError, match="no traces.jsonl in"):
+        summarize(run_dir)
+
+
+def test_coupling_run_whose_every_trial_errored_still_summarizes(tmp_path, monkeypatch):
+    def broken(adv, cfg, gen):
+        raise RuntimeError("injected trial fault")
+
+    monkeypatch.setattr(harness, "couple_adaptive", broken)
+    cfg = make_config("coupling", {"n": 4, "sigma": 0.5, "T": 2}, trials=3, seed=0)
+    result = run_experiment(cfg, tmp_path / "run", parallelism=1)
+    assert not (tmp_path / "run" / "traces.jsonl").exists()
+    assert result.summary["completed"] == 0
+    assert result.summary["error_trials"] == [0, 1, 2]
+    assert "containment_failure" not in result.summary
+    assert summary_to_json(summarize(tmp_path / "run")) == summary_to_json(result.summary)
+
+
 def test_summarize_rejects_traces_that_contradict_the_metrics(tmp_path):
     run_dir, rows, lines = _coupling_run_with_failures(tmp_path)
     failed = next(r["trial"] for r in rows if not r["contained"])
@@ -466,13 +487,6 @@ def test_coupling_marginals_with_one_cell(tmp_path):
     assert block["passed"] is True
 
 
-def test_no_traces_skips_raw_files(tmp_path):
-    cfg = make_config("dispersion", {"T": 10, "ell": 2, "sigma": 0.2}, trials=3, seed=1)
-    run_experiment(cfg, tmp_path / "run", parallelism=1, write_traces=False)
-    names = {p.name for p in (tmp_path / "run").iterdir()}
-    assert names == {"config.json", "metrics.jsonl", "summary.json"}
-
-
 def test_reused_run_dir_drops_stale_raw_files(tmp_path):
     run = tmp_path / "run"
     params = {"algorithm": "random-sign", "n": 4, "T": 30}
@@ -489,12 +503,6 @@ def test_reused_run_dir_drops_stale_raw_files(tmp_path):
     run_experiment(make_config("discrepancy", params, trials=1, seed=2), fresh)
     owned = {k: v for k, v in _dir_bytes(run).items() if k not in ("notes.txt", "run_notes.json")}
     assert owned == _dir_bytes(fresh)
-
-    # A coupling rerun without traces must not leave an old traces.jsonl for summarize().
-    cfg = make_config("coupling", {"n": 4, "sigma": 0.5, "T": 2}, trials=4, seed=0)
-    run_experiment(cfg, tmp_path / "coupling")
-    run_experiment(cfg, tmp_path / "coupling", write_traces=False)
-    assert not (tmp_path / "coupling" / "traces.jsonl").exists()
 
 
 def test_dispersion_reports_csv_merges_one_header(tmp_path):
@@ -723,7 +731,7 @@ def test_assert_report_checks_by_kind():
     assert assert_report("learning", learning_params, learning_summary) == []
 
 
-def test_cli_run_assert_and_exit_codes(tmp_path):
+def test_cli_run_assert_and_exit_codes(tmp_path, capsys):
     out = tmp_path / "run"
     code = cli_main(
         [
@@ -745,6 +753,11 @@ def test_cli_run_assert_and_exit_codes(tmp_path):
     # Bad flag usage is also a config error, not an argparse exit 2.
     assert cli_main(["coupling", "--trials", "not-a-number"]) == 1
     assert cli_main(["coupling", "--param", "malformed"]) == 1
+    # Every run writes its raw files: no flag skips them.
+    capsys.readouterr()
+    assert cli_main(["coupling", "--no-traces"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unrecognized arguments: --no-traces") and "Traceback" not in err
 
 
 def test_cli_config_file_with_overrides(tmp_path):

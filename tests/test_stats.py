@@ -14,6 +14,7 @@ from scipy import stats as sps
 
 from smoothlab.domain import RngStream, ValidationError
 from smoothlab.stats import (
+    _quantile,
     bootstrap_ratio_ci,
     chi_square_fit,
     chi_square_table,
@@ -197,16 +198,16 @@ def test_runs_that_need_a_special_function_load_scipy_special(run):
 
 
 def test_summaries_load_no_numpy_ma():
-    # np.median would load numpy.ma (about 12 ms and 1.3 MiB), so summarize
-    # takes its medians through stats.median.  Only the bootstrap of
-    # compare_runs still calls np.median.
+    # np.median and np.quantile would load numpy.ma (about 12 ms and 1.3 MiB),
+    # so summarize and the bootstrap of compare_runs take theirs through stats.
     code = """
 import sys, tempfile
-from smoothlab.harness import make_config, run_experiment, summarize
+from smoothlab.harness import compare_runs, make_config, run_experiment, summarize
 assert "numpy.ma" not in sys.modules
 with tempfile.TemporaryDirectory() as tmp:
     run_experiment(make_config("coupling", {"n": 16, "sigma": 0.25, "T": 8}, 50, 3), tmp)
     summarize(tmp)
+    compare_runs(tmp, tmp, "n_contained_rounds", n_resamples=200)
 print("numpy.ma" in sys.modules)
 """
     out = subprocess.run(
@@ -253,12 +254,35 @@ _MEDIAN_VALUES = st.one_of(
 )
 
 
+# Rows of one length, as the bootstrap's resample batches are.
+_MEDIAN_ROWS = st.integers(1, 50).flatmap(
+    lambda n: st.lists(st.lists(_MEDIAN_VALUES, min_size=n, max_size=n), min_size=1, max_size=8)
+)
+
+
 @settings(max_examples=500, deadline=None)
-@given(values=st.lists(_MEDIAN_VALUES, min_size=1, max_size=50))
+@given(values=st.one_of(st.lists(_MEDIAN_VALUES, min_size=1, max_size=50), _MEDIAN_ROWS))
 def test_median_equals_numpy_median_bit_for_bit(values):
     arr = np.asarray(values, dtype=float)
     with np.errstate(all="ignore"):  # the mean of inf and -inf, as np.median takes it
-        got, want = median(arr), np.median(arr)
+        got, want = median(arr), np.median(arr, axis=-1)
+    if arr.ndim == 1:
+        assert type(got) is float
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert arr.tobytes() == np.asarray(values, dtype=float).tobytes()  # input untouched
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    values=st.lists(_MEDIAN_VALUES, min_size=1, max_size=50),
+    q=st.one_of(st.sampled_from([0.0, 0.025, 0.5, 0.975, 1.0]), st.floats(0.0, 1.0)),
+)
+def test_quantile_equals_numpy_quantile_bit_for_bit(values, q):
+    arr = np.asarray(values, dtype=float)
+    with np.errstate(all="ignore"):  # inf - inf in the interpolation, as numpy takes it
+        got, want = _quantile(arr, q), np.quantile(arr, q)
     assert type(got) is float
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
     assert arr.tobytes() == np.asarray(values, dtype=float).tobytes()  # input untouched
