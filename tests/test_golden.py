@@ -122,6 +122,19 @@ CASES: dict[str, tuple[str, dict, int]] = {
         {"m": 16, "d": 2, "T": 40, "learner": "hedge-on-cover", "adversary": "realizable"},
         3,
     ),
+    # beta=0.2 gives spacing floor(0.2 * 64 / 4) = 3: each block grid skips thresholds.
+    "learning-hedge-coarse-cover": (
+        "learning",
+        {
+            "m": 64,
+            "d": 4,
+            "T": 40,
+            "beta": 0.2,
+            "learner": "hedge-on-cover",
+            "adversary": "stationary-smooth",
+        },
+        3,
+    ),
     "dispersion-iid-uniform": (
         "dispersion",
         {"T": 20, "ell": 2, "sigma": 0.2, "adversary": "iid-uniform"},
