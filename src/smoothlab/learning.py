@@ -13,6 +13,13 @@ binary-search lower-bound adversary.  Blocks are disjoint and the cover is a
 full product grid, so the oracles and the learner all decompose across
 blocks: Hedge over the cover is d per-block Hedge instances sharing one eta,
 and no run builds anything of the cover's size.
+
+A block grid is strictly increasing, so at a point x its thresholds predict
+1 up to c = bisect_right(grid, x) and 0 after: every loss row a game charges
+is a window of one of two step arrays built once per block, and no round
+compares x with the grid.  Hedge states are immutable (their arrays are
+read-only), so each state computes its probabilities at most once, however
+many rounds read them.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -161,13 +169,33 @@ class CoverGrid:
     sum to at most beta*m, so the grid is a beta-cover in uniform distance.
     When beta*m/d < 1 the spacing floors at one index and the grid is the
     whole class.  The cover is held as its d block grids; its hypotheses are
-    their product in ``itertools.product`` order.
+    their product in ``itertools.product`` order.  Each block grid must be
+    nonempty and strictly increasing inside its block: the game reads a
+    round's predictions off a grid's sorted order.
     """
 
     cls: ThresholdUnionClass
     beta: float
     spacing: int
     block_grids: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        if len(self.block_grids) != self.cls.d:
+            raise ValidationError(
+                f"need {self.cls.d} block grids, got {len(self.block_grids)}"
+            )
+        for i, grid in enumerate(self.block_grids):
+            lo, hi = self.cls.block_range(i)
+            if not (
+                grid
+                and lo <= grid[0]
+                and grid[-1] <= hi
+                and all(a < b for a, b in zip(grid, grid[1:]))
+            ):
+                raise ValidationError(
+                    f"block grid {i} must be nonempty and strictly increasing "
+                    f"inside {lo}..{hi}"
+                )
 
     @property
     def size(self) -> int:
@@ -219,19 +247,35 @@ def cover_distance_profile(cover: CoverGrid) -> float:
 
 @dataclass(frozen=True, eq=False)
 class HedgeState:
-    """Log-domain multiplicative weights over a finite expert set."""
+    """Log-domain multiplicative weights over a finite expert set.
+
+    A state never changes: building one makes its ``log_w`` and
+    ``cum_losses`` read-only, and ``hedge_step`` returns a new state.  So
+    ``probs()`` computes the distribution on its first call and returns the
+    same read-only array on every later one.
+    """
 
     log_w: np.ndarray
     eta: float
     cum_losses: np.ndarray
+    _probs = None  # not a field: probs() sets it on the instance
+
+    def __post_init__(self) -> None:
+        self.log_w.setflags(write=False)
+        self.cum_losses.setflags(write=False)
 
     @property
     def n_experts(self) -> int:
         return int(self.log_w.shape[0])
 
     def probs(self) -> np.ndarray:
-        w = np.exp(self.log_w - self.log_w.max())
-        return w / w.sum()
+        probs = self._probs
+        if probs is None:
+            w = np.exp(self.log_w - self.log_w.max())
+            probs = w / w.sum()
+            probs.setflags(write=False)
+            object.__setattr__(self, "_probs", probs)
+        return probs
 
 
 def _default_eta(n_experts: int, T: int) -> float:
@@ -255,7 +299,8 @@ def make_hedge(n_experts: int, T: int | None = None, eta: float | None = None) -
 
 
 def hedge_step(state: HedgeState, losses: np.ndarray) -> tuple[np.ndarray, HedgeState]:
-    """One Hedge round: return the pre-update distribution and the new state."""
+    """One Hedge round: return the pre-update distribution (the state's read-only
+    ``probs()``) and the new state."""
     losses = np.asarray(losses, dtype=float)
     if losses.shape != (state.n_experts,):
         raise ValidationError(
@@ -397,12 +442,11 @@ class BlockMistakeTracker:
     def __init__(self, cls: ThresholdUnionClass) -> None:
         self.cls = cls
         self._mistakes = [np.zeros(cls.block_size, dtype=int) for _ in range(cls.d)]
-        self._block_min = np.zeros(cls.d, dtype=int)
+        self._block_min = [0] * cls.d
 
     def update(self, x: int, y: int) -> None:
         i = self.cls.block_of(x)
-        lo, _ = self.cls.block_range(i)
-        offset = x - lo
+        offset = x - 1 - i * self.cls.block_size
         if y == 1:
             # Thresholds strictly above x predict 0 there: mistake.
             self._mistakes[i][offset + 1 :] += 1
@@ -412,7 +456,7 @@ class BlockMistakeTracker:
         self._block_min[i] = int(self._mistakes[i].min())
 
     def best(self) -> int:
-        return int(self._block_min.sum())
+        return sum(self._block_min)
 
 
 @dataclass(frozen=True)
@@ -539,14 +583,13 @@ class RegretLedger:
         return int(self.cum_losses[-1])
 
     def to_csv(self) -> str:
-        lines = ["t,x,y,prediction,loss,cum_loss,regret_so_far"]
-        for t in range(self.T):
-            lines.append(
-                f"{t + 1},{int(self.xs[t])},{int(self.ys[t])},"
-                f"{int(self.predictions[t])},{int(self.losses[t])},"
-                f"{int(self.cum_losses[t])},{int(self.regret_curve[t])}"
-            )
-        return "\n".join(lines) + "\n"
+        columns = (
+            self.xs, self.ys, self.predictions, self.losses, self.cum_losses, self.regret_curve
+        )
+        rows = zip(range(1, self.T + 1), *(c.tolist() for c in columns))
+        return "t,x,y,prediction,loss,cum_loss,regret_so_far\n" + "".join(
+            ["%d,%d,%d,%d,%d,%d,%d\n" % row for row in rows]
+        )
 
     def config_json(self) -> str:
         return json.dumps(self.config, sort_keys=True)
@@ -575,7 +618,9 @@ def _hedge_pick(states: list[HedgeState], block: int, losses: np.ndarray, gen):
 
     The weights are the product of the per-block weights, so the one uniform
     draw that ``gen.choice(N, p=probs)`` would take is mapped through each
-    block's inverse CDF in turn, block 0 first, down to the current block.
+    block's inverse CDF in turn, block 0 first, down to the current block.  An
+    earlier block's probabilities are its state's cached ``probs()``, which
+    that block's next ``hedge_step`` reads again without recomputing.
     """
     probs, state = hedge_step(states[block], losses)
     u = gen.random()
@@ -598,6 +643,21 @@ def _ftl_pick(states: list[HedgeState], block: int, losses: np.ndarray, gen):
 LEARNERS = {"hedge-on-cover": _hedge_pick, "ftl-on-cover": _ftl_pick}
 
 
+def _loss_steps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only arrays that an n-threshold grid's loss rows are windows of,
+    by label: ``[1]*n + [0]*n`` for y = 0 and ``[0]*n + [1]*n`` for y = 1.
+
+    At a point x the grid's first c = bisect_right(grid, x) thresholds predict
+    1 and the rest 0, so the round's 0/1 losses are ``steps[y][n - c : 2n - c]``.
+    """
+    down = np.zeros(2 * n)
+    down[:n] = 1.0
+    up = down[::-1].copy()
+    down.setflags(write=False)
+    up.setflags(write=False)
+    return down, up
+
+
 def run_learning_game(
     learner: str,
     adv,
@@ -616,8 +676,11 @@ def run_learning_game(
 
     A round's loss depends only on the threshold of the block x_t falls in,
     so the learner keeps one Hedge state per block, all with the eta of the
-    whole cover, and charges only the current block's grid.  The ledger's
-    config records the stream's seed and stream_id.
+    whole cover, and charges only the current block's grid.  That grid's loss
+    row is a read-only window of one of the block's two step arrays (see
+    ``_loss_steps``), and the picked threshold j predicts ``int(j < c)``;
+    neither takes a pass over the grid.  The ledger's config records the
+    stream's seed and stream_id.
     """
     require_stream(rng)
     pick = LEARNERS.get(learner)
@@ -633,19 +696,21 @@ def run_learning_game(
     gen = rng.generator()
     N = cover.size
     eta = _default_eta(N, T)
-    grids = [np.asarray(g, dtype=int) for g in cover.block_grids]
-    states = [make_hedge(g.size, eta=eta) for g in grids]
+    grids = cover.block_grids
+    steps = [_loss_steps(len(g)) for g in grids]
+    states = [make_hedge(len(g), eta=eta) for g in grids]
     tracker = BlockMistakeTracker(cls)
+    block_size = cls.block_size
 
-    xs = np.empty(T, dtype=int)
-    ys = np.empty(T, dtype=int)
-    predictions = np.empty(T, dtype=int)
-    losses = np.empty(T, dtype=int)
-    cum_losses = np.empty(T, dtype=int)
-    bih_curve = np.empty(T, dtype=int)
+    xs: list[int] = []
+    ys: list[int] = []
+    predictions: list[int] = []
+    losses: list[int] = []
+    cum_losses: list[int] = []
+    bih_curve: list[int] = []
     cum = 0
 
-    for t in range(T):
+    for _ in range(T):
         x, y = adv.play(gen)
         x = int(x)
         y = int(y)
@@ -653,21 +718,25 @@ def run_learning_game(
             raise ValidationError(f"adversary played x={x} outside 1..{cls.m}")
         if y not in (0, 1):
             raise ValidationError(f"adversary played label {y}, need 0 or 1")
-        block = cls.block_of(x)
-        expert_preds = (x >= grids[block]).astype(int)
-        expert_losses = (expert_preds != y).astype(float)
-        j, states[block] = pick(states, block, expert_losses, gen)
-        pred = int(expert_preds[j])
+        block = (x - 1) // block_size
+        grid = grids[block]
+        n = len(grid)
+        c = bisect_right(grid, x)
+        j, states[block] = pick(states, block, steps[block][y][n - c : 2 * n - c], gen)
+        pred = int(j < c)
         loss = int(pred != y)
         cum += loss
         tracker.update(x, y)
-        xs[t] = x
-        ys[t] = y
-        predictions[t] = pred
-        losses[t] = loss
-        cum_losses[t] = cum
-        bih_curve[t] = tracker.best()
+        xs.append(x)
+        ys.append(y)
+        predictions.append(pred)
+        losses.append(loss)
+        cum_losses.append(cum)
+        bih_curve.append(tracker.best())
 
+    xs, ys, predictions, losses, cum_losses, bih_curve = (
+        np.array(v, dtype=int) for v in (xs, ys, predictions, losses, cum_losses, bih_curve)
+    )
     best_h, best_loss = best_in_hindsight(cls, xs, ys)
     config = {
         "m": cls.m,

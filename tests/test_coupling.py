@@ -940,7 +940,7 @@ def test_trace_jsonl_skips_blank_lines_and_checks_the_first_trace():
         traces_from_jsonl([json.dumps({**_GOOD_TRACE, "Z": [1, 3]})], n=4)
 
 
-def test_cached_member_arrays_are_read_only():
+def test_member_set_is_cached_and_outside_equality():
     S = UniformOnSet(FiniteDomain(6), (2, 5))
     assert S.member_set == frozenset({2, 5})
     assert S.member_set is S.member_set

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from smoothlab.domain import RngStream, ValidationError
 from smoothlab.harness import make_config
 from smoothlab.learning import (
     BlockMistakeTracker,
+    CoverGrid,
+    HedgeState,
     Hypothesis,
     MistakeTreeAdversary,
     RegretLedger,
@@ -186,6 +189,33 @@ def test_hedge_probs_normalize():
         assert abs(float(state.probs().sum()) - 1.0) <= 1e-9
 
 
+def test_hedge_probs_are_computed_once_and_read_only():
+    gen = RngStream(seed=420).generator()
+    _, state = hedge_step(make_hedge(9, eta=0.7), gen.random(9))
+    probs = state.probs()
+    w = np.exp(state.log_w - state.log_w.max())
+    assert probs.tobytes() == (w / w.sum()).tobytes()
+    assert not probs.flags.writeable
+    assert state.probs() is probs
+    with pytest.raises(ValueError):
+        probs[0] = 1.0
+
+
+def test_hedge_state_arrays_are_read_only():
+    for state in (make_hedge(4, eta=0.5), hedge_step(make_hedge(4, eta=0.5), np.ones(4))[1]):
+        with pytest.raises(ValueError):
+            state.log_w[0] = 5.0
+        with pytest.raises(ValueError):
+            state.log_w += 1.0
+        with pytest.raises(ValueError):
+            state.cum_losses[1] = 2.0
+    # A state built by hand freezes the arrays it is given.
+    log_w = np.zeros(3)
+    HedgeState(log_w=log_w, eta=0.1, cum_losses=np.zeros(3))
+    with pytest.raises(ValueError):
+        log_w[0] = 1.0
+
+
 def test_hedge_validation():
     with pytest.raises(ValidationError):
         make_hedge(0, T=10)
@@ -315,6 +345,81 @@ def test_tracker_matches_oracle_on_every_prefix():
         tracker.update(int(xs[t]), int(ys[t]))
         _, oracle = best_in_hindsight(cls, xs[: t + 1], ys[: t + 1])
         assert tracker.best() == oracle
+
+
+def test_tracker_best_is_a_python_int():
+    tracker = BlockMistakeTracker(ThresholdUnionClass(m=16, d=4))
+    tracker.update(3, 1)
+    tracker.update(14, 0)
+    assert type(tracker.best()) is int
+    assert tracker.best() == 0
+
+
+def test_cover_grid_refuses_grids_out_of_order():
+    cls = ThresholdUnionClass(m=16, d=2)
+    good = build_cover(cls, 0.25)
+    assert good.block_grids == ((1, 3, 5, 7), (9, 11, 13, 15))
+    for grids in (
+        ((1, 5, 3, 7), (9, 11, 13, 15)),  # decreasing inside block 0
+        ((1, 3, 3, 7), (9, 11, 13, 15)),  # a repeated threshold
+        ((7, 5, 3, 1), (9, 11, 13, 15)),
+        ((1, 3, 5, 9), (9, 11, 13, 15)),  # 9 lies in block 1
+        ((0, 3), (9, 11)),  # 0 is outside the domain
+        ((), (9, 11)),  # an empty grid
+        ((1, 3, 5, 7),),  # one grid for two blocks
+    ):
+        with pytest.raises(ValidationError):
+            CoverGrid(cls=cls, beta=0.25, spacing=2, block_grids=grids)
+
+
+_POWERS = st.integers(0, 8).map(lambda k: 1 << k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    m=_POWERS,
+    beta=st.floats(1e-3, 1.0),
+    y=st.integers(0, 1),
+)
+def test_loss_row_window_is_the_compared_row(data, m, beta, y):
+    d = data.draw(_POWERS.filter(lambda v: v <= m))
+    cls = ThresholdUnionClass(m, d)
+    cover = build_cover(cls, beta)
+    block = data.draw(st.integers(0, d - 1))
+    lo, hi = cls.block_range(block)
+    x = data.draw(st.integers(lo, hi))
+    grid = cover.block_grids[block]
+    n = len(grid)
+    c = bisect_right(grid, x)
+    row = learning._loss_steps(n)[y][n - c : 2 * n - c]
+    expected = ((x >= np.asarray(grid)).astype(int) != y).astype(float)
+    assert row.dtype == expected.dtype and row.shape == expected.shape
+    assert row.tobytes() == expected.tobytes()
+    assert not row.flags.writeable
+    for j in range(n):
+        assert int(j < c) == int(x >= grid[j])
+
+
+def _csv_by_index(led):
+    # The per-index formatting to_csv used before it read each column's tolist().
+    lines = ["t,x,y,prediction,loss,cum_loss,regret_so_far"]
+    for t in range(led.T):
+        lines.append(
+            f"{t + 1},{int(led.xs[t])},{int(led.ys[t])},"
+            f"{int(led.predictions[t])},{int(led.losses[t])},"
+            f"{int(led.cum_losses[t])},{int(led.regret_curve[t])}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("learner", sorted(learning.LEARNERS))
+def test_ledger_csv_matches_per_index_formatting(learner):
+    cls = ThresholdUnionClass(m=64, d=4)
+    cover = build_cover(cls, 0.2)
+    for adv in (stationary_smooth_adversary(cls), mistake_tree_adversary(cls)):
+        led = run_learning_game(learner, adv, cover, 300, RngStream(seed=421))
+        assert led.to_csv() == _csv_by_index(led)
 
 
 def test_run_learning_game_ledger_identity():
