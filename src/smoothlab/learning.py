@@ -702,12 +702,12 @@ def run_learning_game(
     tracker = BlockMistakeTracker(cls)
     block_size = cls.block_size
 
-    xs: list[int] = []
-    ys: list[int] = []
-    predictions: list[int] = []
-    losses: list[int] = []
-    cum_losses: list[int] = []
-    bih_curve: list[int] = []
+    xs = []
+    ys = []
+    predictions = []
+    losses = []
+    cum_losses = []
+    bih_curve = []
     cum = 0
 
     for _ in range(T):

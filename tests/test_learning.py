@@ -345,14 +345,7 @@ def test_tracker_matches_oracle_on_every_prefix():
         tracker.update(int(xs[t]), int(ys[t]))
         _, oracle = best_in_hindsight(cls, xs[: t + 1], ys[: t + 1])
         assert tracker.best() == oracle
-
-
-def test_tracker_best_is_a_python_int():
-    tracker = BlockMistakeTracker(ThresholdUnionClass(m=16, d=4))
-    tracker.update(3, 1)
-    tracker.update(14, 0)
-    assert type(tracker.best()) is int
-    assert tracker.best() == 0
+        assert type(tracker.best()) is int
 
 
 def test_cover_grid_refuses_grids_out_of_order():
@@ -372,18 +365,16 @@ def test_cover_grid_refuses_grids_out_of_order():
             CoverGrid(cls=cls, beta=0.25, spacing=2, block_grids=grids)
 
 
-_POWERS = st.integers(0, 8).map(lambda k: 1 << k)
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     data=st.data(),
-    m=_POWERS,
+    log_m=st.integers(0, 8),
     beta=st.floats(1e-3, 1.0),
     y=st.integers(0, 1),
 )
-def test_loss_row_window_is_the_compared_row(data, m, beta, y):
-    d = data.draw(_POWERS.filter(lambda v: v <= m))
+def test_loss_row_window_is_the_compared_row(data, log_m, beta, y):
+    m = 1 << log_m
+    d = 1 << data.draw(st.integers(0, log_m))
     cls = ThresholdUnionClass(m, d)
     cover = build_cover(cls, beta)
     block = data.draw(st.integers(0, d - 1))
