@@ -14,6 +14,7 @@ Frozen oracle values:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import sys
@@ -791,6 +792,39 @@ def test_failed_run_truncates_trace():
     assert tr is not None and tr.failed
     assert tr.failed_round == tr.t_done + 1
     assert trace_to_csv(tr).strip().split("\n")[-1].endswith(",1")
+
+
+# (c, adversary, failed round of streams 0..4, sha256 over the five traces),
+# frozen before the self-balancing rule took its inner product and infinity
+# norm from the run loop.  Every walk fails, so the Failure branch, which no
+# golden case reaches at its default c, keeps its bytes.
+_FAILING_WALKS = [
+    (0.6, "uniform-ball", (2, 2, 2, 4, 2), "a098b7b8ac971404ad3628561020134bf7b79e62a094b06320698b786e1940b8"),
+    (0.6, "adaptive-shell", (2, 2, 2, 2, 3), "ee0e5a356ae8204a5198f9a3a75e54c90049098c7bff09c6c712500922991532"),
+    (1.0, "uniform-ball", (4, 3, 8, 13, 3), "c7be6b64d2b6ebab2c4a11e484794fbf93c45bf0deeb9ee733ee09398fa9b6ed"),
+    (1.0, "adaptive-shell", (6, 3, 9, 6, 3), "338f3ef51142917d4f70906e4c248b5ed425aac4601c08be26993fd54f420678"),
+    (1.5, "uniform-ball", (13, 3, 19, 43, 22), "22f4996d9608a128907cc50cccf1525bf252212a1b94be408cfb8c9fa93d8c7e"),
+    (1.5, "adaptive-shell", (6, 15, 15, 6, 18), "c906570ff8ff97031f44772f2785ca7f87ddd9e09ea406baf46cfc27410b1866"),
+    (2.5, "uniform-ball", (18, 159, 224, 69, 57), "853599d59a26ec161d35cd1541d97d6a1464693070154b4f5b26f18bee6b9a46"),
+    (2.5, "adaptive-shell", (100, 15, 52, 44, 36), "bc5ff66c1d71198465529a6fea981b71c8d1238f5576cb52b18c6e7b2b5c0f19"),
+]
+
+
+@pytest.mark.parametrize("c,adversary,failed_rounds,digest", _FAILING_WALKS)
+def test_failing_selfbalancing_walks_keep_their_bytes(c, adversary, failed_rounds, digest):
+    make = {
+        "uniform-ball": lambda: uniform_ball_adversary(2),
+        "adaptive-shell": lambda: adaptive_shell_adversary(3, 0.25),
+    }[adversary]
+    h = hashlib.sha256()
+    rounds = []
+    for i in range(5):
+        tr = run_discrepancy(SelfBalancingConfig(c=c, delta=0.1), make(), 300, RngStream(11, i))
+        h.update((trace_to_csv(tr) + trace_header_json(tr)).encode())
+        h.update(tr.ips.tobytes())
+        rounds.append(tr.failed_round)
+    assert tuple(rounds) == failed_rounds
+    assert h.hexdigest() == digest
 
 
 def _reference_trace_csv(trace: DiscrepancyTrace) -> str:
