@@ -18,12 +18,15 @@ whose ``name`` goes into the run header:
 - ``RandomSign`` ("random-sign"): the fair-coin baseline.
 
 Lower-bound opposition comes from ``slab_lowerbound_adversary``: a vector
-drawn uniformly from the thin slab {||x||_2 <= 1, |<x, d>| <= n^-2 T^-2
-||d||_2} is nearly orthogonal to the running sum, so either sign grows
-||d||_2^2 by about ||x||^2 and no algorithm can keep the energy below T/20.
-The slab is sampled exactly by inverting the one-dimensional marginal of a
-ball coordinate (a regularized incomplete beta function); a from-scratch
-rejection sampler is kept as the distributional oracle.
+drawn uniformly from the thin slab {||x||_2 <= 1, |<x, d>| <= tau ||d||_2}
+with tau = n^-2 T^-2 is nearly orthogonal to the running sum, so either sign
+grows ||d||_2^2 by about ||x||^2 and no algorithm can keep the energy below
+T/20.  The slab width tau is a parameter of the slab functions
+(``slab_draw``, ``slab_draw_rejection``, ``slab_volume_fraction``); the
+adversary computes it once.  The slab is sampled exactly by inverting the
+one-dimensional marginal of a ball coordinate (a regularized incomplete beta
+function); a from-scratch rejection sampler is kept as the distributional
+oracle.
 
 A potential round whose cosh argument passes ``COSH_ARG_LIMIT`` blows up
 (PotentialOverflowError).  ``_phi_pair`` checks this through the row sums it
@@ -69,10 +72,10 @@ __all__ = [
     "uniform_ball_adversary",
     "shell_adversary",
     "adaptive_shell_adversary",
-    "slab_adversary_next",
-    "slab_adversary_next_rejection",
+    "slab_draw",
+    "slab_draw_rejection",
     "slab_lowerbound_adversary",
-    "slab_acceptance_rate",
+    "slab_volume_fraction",
     "IsotropyReport",
     "check_isotropy",
     "TailReport",
@@ -97,14 +100,8 @@ class AdversaryViolationError(ValidationError):
 
 
 class Failure:
-    """First-class Failure outcome of the self-balancing rule (not an exception)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """First-class Failure outcome of the self-balancing rule (not an exception);
+    ``FAILURE`` is its one instance."""
 
     def __repr__(self) -> str:
         return "FAILURE"
@@ -369,23 +366,18 @@ def choose_sign_potential(state, x: np.ndarray, cfg: PotentialConfig, pool: Prob
 
 
 def choose_sign_selfbalancing(
-    state, x: np.ndarray, cfg: SelfBalancingConfig, gen: np.random.Generator
+    ip: float, d_inf: float, cfg: SelfBalancingConfig, gen: np.random.Generator
 ):
-    """Self-balancing sign rule; returns +1, -1, or the FAILURE sentinel.
+    """Self-balancing sign rule from ip = <d, x> and d_inf = ||d||_inf;
+    returns +1, -1, or the FAILURE sentinel.
 
     Failure is declared when the walk already escaped (||d||_inf >= c) or the
-    current inner product is out of range (|<d, x>| > c); otherwise eps = +1
-    with probability 1/2 - <d, x>/(2c).
+    current inner product is out of range (|<d, x>| > c), and draws nothing;
+    otherwise eps = +1 with probability 1/2 - <d, x>/(2c).
     """
-    d = np.asarray(state, dtype=float)
-    x = _check_input_vector(x, d.size)
-    if float(np.abs(d).max(initial=0.0)) >= cfg.c:
+    if d_inf >= cfg.c or abs(ip) > cfg.c:
         return FAILURE
-    ip = float(d @ x)
-    if abs(ip) > cfg.c:
-        return FAILURE
-    p_plus = 0.5 - ip / (2.0 * cfg.c)
-    return +1 if gen.random() < p_plus else -1
+    return +1 if gen.random() < 0.5 - ip / (2.0 * cfg.c) else -1
 
 
 @dataclass(frozen=True)
@@ -465,8 +457,9 @@ def adaptive_shell_adversary(n: int, sigma: float) -> VectorAdversary:
     return VectorAdversary(n=n, sigma=sigma, next_fn=next_fn, name="adaptive-shell")
 
 
-def slab_adversary_next(d: np.ndarray, n: int, T: int, gen: np.random.Generator) -> np.ndarray:
-    """One exact draw from the slab {||x|| <= 1, |<x, dhat>| <= n^-2 T^-2}.
+def slab_draw(d: np.ndarray, tau: float, gen: np.random.Generator) -> np.ndarray:
+    """One exact draw from the slab {||x|| <= 1, |<x, dhat>| <= tau} in
+    dimension n = d.size.
 
     With d = 0 (or a slab wider than the ball) this is a plain uniform ball
     draw.  Otherwise the coordinate s along dhat has density proportional to
@@ -475,8 +468,8 @@ def slab_adversary_next(d: np.ndarray, n: int, T: int, gen: np.random.Generator)
     cross-section at s is a uniform (n-1)-ball of radius sqrt(1 - s^2).
     """
     d = np.asarray(d, dtype=float)
+    n = d.size
     nrm = _norm(d)
-    tau = 1.0 / (n * n * T * T)
     if nrm == 0.0 or tau >= 1.0:
         return uniform_ball(n, gen)
     if n == 1:
@@ -502,21 +495,20 @@ def slab_adversary_next(d: np.ndarray, n: int, T: int, gen: np.random.Generator)
     return s * dhat + radius * w
 
 
-def slab_adversary_next_rejection(
+def slab_draw_rejection(
     d: np.ndarray,
-    n: int,
-    T: int,
+    tau: float,
     gen: np.random.Generator,
     max_tries: int = 10_000_000,
 ) -> tuple[np.ndarray, int]:
-    """Rejection oracle for the slab draw: resample the ball until inside.
+    """Rejection oracle for ``slab_draw``: resample the ball until inside.
 
     Returns (vector, number of proposals).  Kept as the independent check of
-    the exact sampler; expected proposals scale with n^2 T^2.
+    the exact sampler; expected proposals scale with 1/tau.
     """
     d = np.asarray(d, dtype=float)
+    n = d.size
     nrm = _norm(d)
-    tau = 1.0 / (n * n * T * T)
     if nrm == 0.0 or tau >= 1.0:
         return uniform_ball(n, gen), 1
     dhat = d / nrm
@@ -531,23 +523,25 @@ def slab_lowerbound_adversary(n: int, T: int) -> VectorAdversary:
     """The thin-slab opponent; declared smoothness is its volume fraction bound."""
     if n < 1 or T < 1:
         raise ValidationError(f"need n >= 1 and T >= 1, got n={n}, T={T}")
+    tau = 1.0 / (n * n * T * T)
+    # Not tau / 20.0: that differs from this in the last bit for some (n, T).
     sigma = 1.0 / (20.0 * n * n * T * T)
     return VectorAdversary(
         n=n,
         sigma=sigma,
-        next_fn=lambda d, t, gen: slab_adversary_next(d, n, T, gen),
+        next_fn=lambda d, t, gen: slab_draw(d, tau, gen),
         name="slab-lowerbound",
     )
 
 
-def slab_acceptance_rate(n: int, T: int, n_samples: int, gen: np.random.Generator) -> float:
-    """Empirical fraction of uniform-ball draws landing inside the slab: checks the
-    slab adversary's declared sigma against its real volume fraction.
+def slab_volume_fraction(n: int, tau: float, n_samples: int, gen: np.random.Generator) -> float:
+    """Empirical fraction of uniform n-ball draws landing inside the slab of width
+    tau: checks the slab adversary's declared sigma against its real volume
+    fraction.
 
     Uses a fixed nonzero direction; by rotational symmetry of the ball the
     rate does not depend on it.
     """
-    tau = 1.0 / (n * n * T * T)
     pts = uniform_ball_batch(n, n_samples, gen)
     return float(np.mean(np.abs(pts[:, 0]) <= tau))
 
@@ -626,7 +620,7 @@ def run_discrepancy(
         S = np.zeros(n + pool.M)
         Xp = np.empty(n + pool.M)  # [x, ball @ x]
         # Views bound once per trial, not once per round.
-        S_basis, Xp_basis, Xp_ball = S[:n], Xp[:n], Xp[n:]
+        Xp_basis, Xp_ball = Xp[:n], Xp[n:]
         work = _phi_buffer(n, pool.M)
         header.update({"lam": rule.lam, "M": pool.M, "k": rule.k, "pool": list(pool.descriptor)})
     elif selfbalancing:
@@ -648,6 +642,7 @@ def run_discrepancy(
     phi_cross_round = -1
     blown_up = False
     t_done = 0
+    d_inf = 0.0  # ||d_{t-1}||_inf, as written to inf_norms
     next_vector = adv.next_vector
 
     # cosh overflows to inf past about 710.4; _phi_pair checks the row sums
@@ -655,7 +650,7 @@ def run_discrepancy(
     with np.errstate(over="ignore"):
         for t in range(1, T + 1):
             x = _check_input_vector(next_vector(d, t, gen), n, t)
-            ips[t - 1] = float(d @ x)
+            ip = ips[t - 1] = float(d @ x)
 
             if potential:
                 Xp_basis[:] = x
@@ -674,20 +669,20 @@ def run_discrepancy(
                 else:
                     S -= Xp
             elif selfbalancing:
-                outcome = choose_sign_selfbalancing(d, x, rule, gen)
-                if outcome is FAILURE:
+                sign = choose_sign_selfbalancing(ip, d_inf, rule, gen)
+                if sign is FAILURE:
                     failed = True
                     failed_round = t
                     break
-                sign = int(outcome)
             else:
                 sign = +1 if gen.random() < 0.5 else -1
 
             # d stays a fresh array each round: the adversary may keep the d it saw.
-            d = S_basis.copy() if potential else d + sign * x
+            # The potential's S[:n] got the same add or subtract of x, so it stays d bit for bit.
+            d = d + x if sign > 0 else d - x
             signs[t - 1] = sign
             # Every x passed the norm check, so d is finite: the same bits as np.abs(d).max().
-            inf_norms[t - 1] = max(map(abs, d.tolist()))
+            d_inf = inf_norms[t - 1] = max(map(abs, d.tolist()))
             two_norms[t - 1] = _norm(d)
             X[t - 1] = x
             t_done = t

@@ -28,7 +28,7 @@ import itertools
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -505,14 +505,11 @@ def stationary_smooth_adversary(
 def constant_label_adversary(
     cls: ThresholdUnionClass, target: Hypothesis | None = None
 ) -> SmoothLabelAdversary:
-    """Realizable source: uniform points, labels exactly from a class hypothesis."""
-    h_star = _canonical_target(cls) if target is None else target
+    """Realizable source: uniform points, labels exactly from a class hypothesis.
 
-    def rule(gen: np.random.Generator) -> tuple[int, int]:
-        x = int(gen.integers(1, cls.m + 1))
-        return x, h_star.predict(x)
-
-    return SmoothLabelAdversary(sigma=cls.sigma, m=cls.m, rule=rule, name="realizable")
+    The stationary source at flip 0, which draws no coin, under its own name.
+    """
+    return replace(stationary_smooth_adversary(cls, 0.0, target), name="realizable")
 
 
 class MistakeTreeAdversary:

@@ -50,10 +50,10 @@ from smoothlab.discrepancy import (
     potential_value,
     run_discrepancy,
     shell_adversary,
-    slab_acceptance_rate,
-    slab_adversary_next,
-    slab_adversary_next_rejection,
+    slab_draw,
+    slab_draw_rejection,
     slab_lowerbound_adversary,
+    slab_volume_fraction,
     tail_probability_check,
     trace_header_json,
     trace_to_csv,
@@ -180,11 +180,8 @@ def test_choose_sign_potential_rejects_long_vectors():
 def test_selfbalancing_unbiased_at_origin():
     cfg = SelfBalancingConfig(c=10.0, delta=0.1)
     gen = RngStream(seed=307).generator()
-    x = np.array([1.0, 0.0])
     n_trials = 20_000
-    plus = sum(
-        1 for _ in range(n_trials) if choose_sign_selfbalancing(np.zeros(2), x, cfg, gen) == 1
-    )
+    plus = sum(1 for _ in range(n_trials) if choose_sign_selfbalancing(0.0, 0.0, cfg, gen) == 1)
     assert abs(plus / n_trials - 0.5) <= 3 * binomial_stderr(0.5, n_trials)
 
 
@@ -192,10 +189,8 @@ def test_selfbalancing_bias_matches_inner_product():
     # d=(1,0), x=(1,0), c=2: P(+1) = 1/2 - 1/4 = 1/4.
     cfg = SelfBalancingConfig(c=2.0, delta=0.1)
     gen = RngStream(seed=308).generator()
-    d = np.array([1.0, 0.0])
-    x = np.array([1.0, 0.0])
     n_trials = 20_000
-    plus = sum(1 for _ in range(n_trials) if choose_sign_selfbalancing(d, x, cfg, gen) == 1)
+    plus = sum(1 for _ in range(n_trials) if choose_sign_selfbalancing(1.0, 1.0, cfg, gen) == 1)
     assert abs(plus / n_trials - 0.25) <= 3 * binomial_stderr(0.25, n_trials)
 
 
@@ -205,18 +200,23 @@ def test_selfbalancing_boundary_inner_product_forces_minus():
     gen = RngStream(seed=309).generator()
     d = np.full(4, 1.5)
     x = np.full(4, 0.5)
-    assert float(d @ x) == cfg.c
+    ip, d_inf = float(d @ x), float(np.abs(d).max())
+    assert ip == cfg.c
     for _ in range(500):
-        assert choose_sign_selfbalancing(d, x, cfg, gen) == -1
+        assert choose_sign_selfbalancing(ip, d_inf, cfg, gen) == -1
 
 
 def test_selfbalancing_failure_cases():
     cfg = SelfBalancingConfig(c=3.0, delta=0.1)
     gen = RngStream(seed=310).generator()
-    # Inner product beyond c.
-    assert choose_sign_selfbalancing(np.full(4, 1.75), np.full(4, 0.5), cfg, gen) is FAILURE
-    # Walk already escaped in infinity norm.
-    assert choose_sign_selfbalancing(np.array([3.0, 0.0]), np.array([0.0, 1.0]), cfg, gen) is FAILURE
+    state = gen.bit_generator.state
+    # Inner product beyond c: d = 1.75*ones(4), x = 0.5*ones(4).
+    assert choose_sign_selfbalancing(3.5, 1.75, cfg, gen) is FAILURE
+    assert choose_sign_selfbalancing(-3.5, 1.75, cfg, gen) is FAILURE
+    # Walk already escaped in infinity norm: d = (3, 0), x = (0, 1).
+    assert choose_sign_selfbalancing(0.0, 3.0, cfg, gen) is FAILURE
+    # A Failure draws nothing.
+    assert gen.bit_generator.state == state
 
 
 def test_run_discrepancy_single_round():
@@ -355,6 +355,40 @@ def test_run_discrepancy_signed_sum_rebuild():
     rebuilt = (tr.signs[:, None] * tr.X).sum(axis=0)
     assert float(np.abs(rebuilt - tr.d_final).max()) <= 1e-9
     assert tr.max_inf == pytest.approx(float(tr.inf_norms.max()))
+
+
+@pytest.mark.parametrize(
+    "rule,adversary",
+    [
+        ("potential", "adaptive-shell"),
+        ("selfbalancing", "adaptive-shell"),
+        ("random-sign", "adaptive-shell"),
+        ("potential", "slab"),
+        ("selfbalancing", "slab"),
+        ("random-sign", "slab"),
+        ("failing-walk", "uniform-ball"),
+    ],
+)
+def test_d_final_is_the_left_to_right_signed_sum(rule, adversary):
+    T = 200
+    adv = {
+        "adaptive-shell": adaptive_shell_adversary(4, 0.5),
+        "slab": slab_lowerbound_adversary(3, T),
+        "uniform-ball": uniform_ball_adversary(2),
+    }[adversary]
+    cfg = {
+        "potential": PotentialConfig.default(adv.n, T, adv.sigma, M=64),
+        "selfbalancing": SelfBalancingConfig.default(adv.n, T, adv.sigma),
+        "random-sign": RandomSign(),
+        "failing-walk": SelfBalancingConfig(c=2.5, delta=0.1),
+    }[rule]
+    tr = run_discrepancy(cfg, adv, T, RngStream(seed=340))
+    assert tr.failed == (rule == "failing-walk")
+    # d_t = d_{t-1} + x_t or d_{t-1} - x_t, one coordinate at a time, in float64.
+    d = [0.0] * adv.n
+    for sign, x in zip(tr.signs.tolist(), tr.X.tolist()):
+        d = [a + b if sign > 0 else a - b for a, b in zip(d, x)]
+    assert tr.d_final.tobytes() == np.array(d).tobytes()
 
 
 def test_run_discrepancy_greedy_choice_is_replayable():
@@ -637,11 +671,10 @@ def test_potential_beats_random_sign_against_adaptive_shell():
 def test_slab_draw_respects_constraints():
     gen = RngStream(seed=320).generator()
     d = np.array([1.0, -2.0, 0.5, 0.25])
-    n, T = 4, 7
-    tau = 1.0 / (n * n * T * T)
+    tau = 1.0 / (4 * 4 * 7 * 7)
     dhat = d / np.linalg.norm(d)
     for _ in range(500):
-        v = slab_adversary_next(d, n, T, gen)
+        v = slab_draw(d, tau, gen)
         assert abs(float(v @ dhat)) <= tau + 1e-15
         assert float(np.linalg.norm(v)) <= 1.0 + 1e-12
 
@@ -649,14 +682,14 @@ def test_slab_draw_respects_constraints():
 def test_slab_draw_at_origin_is_uniform_ball():
     gen = RngStream(seed=321).generator()
     n = 4
-    draws = np.array([slab_adversary_next(np.zeros(n), n, 5, gen) for _ in range(4000)])
+    draws = np.array([slab_draw(np.zeros(n), 1.0 / (n * n * 5 * 5), gen) for _ in range(4000)])
     radii_pow = np.linalg.norm(draws, axis=1) ** n
     _, p = sps.kstest(radii_pow, "uniform")
     assert p > 0.001
 
 
 def test_slab_exact_matches_rejection_oracle():
-    n, T = 3, 2
+    tau = 1.0 / (3 * 3 * 2 * 2)
     d = np.array([0.3, -0.1, 0.9])
     dhat = d / np.linalg.norm(d)
     exact_gen = RngStream(seed=322).generator()
@@ -667,10 +700,10 @@ def test_slab_exact_matches_rejection_oracle():
     norms_exact = np.empty(n_draws)
     norms_rej = np.empty(n_draws)
     for i in range(n_draws):
-        v = slab_adversary_next(d, n, T, exact_gen)
+        v = slab_draw(d, tau, exact_gen)
         s_exact[i] = float(v @ dhat)
         norms_exact[i] = float(np.linalg.norm(v))
-        w, _ = slab_adversary_next_rejection(d, n, T, rej_gen)
+        w, _ = slab_draw_rejection(d, tau, rej_gen)
         s_rej[i] = float(w @ dhat)
         norms_rej[i] = float(np.linalg.norm(w))
     _, p_s = sps.ks_2samp(s_exact, s_rej)
@@ -679,10 +712,24 @@ def test_slab_exact_matches_rejection_oracle():
     assert p_n > 0.001
 
 
-def test_slab_acceptance_rate_above_bound():
+def test_slab_volume_fraction_above_bound():
     n, T = 4, 50
-    rate = slab_acceptance_rate(n, T, 2_000_000, RngStream(seed=324).generator())
-    assert rate >= 1.0 / (20.0 * n * n * T * T)
+    gen = RngStream(seed=324).generator()
+    rate = slab_volume_fraction(n, 1.0 / (n * n * T * T), 2_000_000, gen)
+    assert rate >= slab_lowerbound_adversary(n, T).sigma
+
+
+def test_slab_sigma_keeps_its_one_division():
+    # sigma is written to every lowerbound header and sizes k, lam and c, so it
+    # stays 1/(20 n^2 T^2) in one division, not the slab width divided by 20.
+    differs = 0
+    for n in range(1, 17):
+        for T in range(1, 201):
+            tau = 1.0 / (n * n * T * T)
+            sigma = 1.0 / (20.0 * n * n * T * T)
+            assert slab_lowerbound_adversary(n, T).sigma == sigma
+            differs += tau / 20.0 != sigma
+    assert differs > 0
 
 
 def test_slab_forces_energy_growth():

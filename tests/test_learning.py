@@ -440,6 +440,26 @@ def test_run_learning_game_realizable_on_grid_target():
     assert led.regret <= math.sqrt(T * math.log(cover.size) / 2.0) + 3.0 * math.sqrt(T)
 
 
+@pytest.mark.parametrize("gamma", [None, (3, 60)])
+def test_realizable_source_plays_the_stationary_stream_at_flip_zero(gamma):
+    cls = ThresholdUnionClass(m=64, d=2)
+    target = None if gamma is None else Hypothesis(cls, gamma)
+    h_star = Hypothesis(cls, (17, 49)) if gamma is None else target
+    realizable = constant_label_adversary(cls, target=target)
+    stationary = stationary_smooth_adversary(cls, 0.0, target)
+    assert realizable.name == "realizable"
+    assert (realizable.sigma, realizable.m) == (stationary.sigma, stationary.m)
+    gens = [RngStream(seed=415).generator() for _ in range(3)]
+    # The reference: a uniform point on [m], labelled by the target, and no coin.
+    reference = []
+    for _ in range(2000):
+        x = int(gens[2].integers(1, cls.m + 1))
+        reference.append((x, h_star.predict(x)))
+    assert [realizable.play(gens[0]) for _ in range(2000)] == reference
+    assert [stationary.play(gens[1]) for _ in range(2000)] == reference
+    assert gens[0].bit_generator.state == gens[1].bit_generator.state == gens[2].bit_generator.state
+
+
 def test_run_learning_game_ftl():
     cls = ThresholdUnionClass(m=64, d=2)
     cover = build_cover(cls, 0.1)
