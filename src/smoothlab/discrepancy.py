@@ -18,15 +18,13 @@ whose ``name`` goes into the run header:
 - ``RandomSign`` ("random-sign"): the fair-coin baseline.
 
 Lower-bound opposition comes from ``slab_lowerbound_adversary``: a vector
-drawn uniformly from the thin slab {||x||_2 <= 1, |<x, d>| <= tau ||d||_2}
-with tau = n^-2 T^-2 is nearly orthogonal to the running sum, so either sign
+drawn uniformly from the thin slab {||x||_2 <= 1, |<x, d>| <= tau ||d||_2},
+tau = n^-2 T^-2, is nearly orthogonal to the running sum, so either sign
 grows ||d||_2^2 by about ||x||^2 and no algorithm can keep the energy below
-T/20.  The slab width tau is a parameter of the slab functions
-(``slab_draw``, ``slab_draw_rejection``, ``slab_volume_fraction``); the
-adversary computes it once.  The slab is sampled exactly by inverting the
-one-dimensional marginal of a ball coordinate (a regularized incomplete beta
-function); a from-scratch rejection sampler is kept as the distributional
-oracle.
+T/20.  The slab functions take tau as a parameter.  The slab is sampled
+exactly by inverting the one-dimensional marginal of a ball coordinate (a
+regularized incomplete beta function); a from-scratch rejection sampler is
+kept as the distributional oracle.
 
 A potential round whose cosh argument passes ``COSH_ARG_LIMIT`` blows up
 (PotentialOverflowError).  ``_phi_pair`` checks this through the row sums it
@@ -100,8 +98,7 @@ class AdversaryViolationError(ValidationError):
 
 
 class Failure:
-    """First-class Failure outcome of the self-balancing rule (not an exception);
-    ``FAILURE`` is its one instance."""
+    """Self-balancing Failure outcome (not an exception); ``FAILURE`` is its one instance."""
 
     def __repr__(self) -> str:
         return "FAILURE"
@@ -368,11 +365,10 @@ def choose_sign_potential(state, x: np.ndarray, cfg: PotentialConfig, pool: Prob
 def choose_sign_selfbalancing(
     ip: float, d_inf: float, cfg: SelfBalancingConfig, gen: np.random.Generator
 ):
-    """Self-balancing sign rule from ip = <d, x> and d_inf = ||d||_inf;
-    returns +1, -1, or the FAILURE sentinel.
+    """Self-balancing sign from ip = <d, x> and d_inf = ||d||_inf: +1, -1 or FAILURE.
 
-    Failure is declared when the walk already escaped (||d||_inf >= c) or the
-    current inner product is out of range (|<d, x>| > c), and draws nothing;
+    Failure is declared, with no draw, when the walk already escaped
+    (||d||_inf >= c) or the inner product is out of range (|<d, x>| > c);
     otherwise eps = +1 with probability 1/2 - <d, x>/(2c).
     """
     if d_inf >= cfg.c or abs(ip) > cfg.c:
@@ -458,8 +454,7 @@ def adaptive_shell_adversary(n: int, sigma: float) -> VectorAdversary:
 
 
 def slab_draw(d: np.ndarray, tau: float, gen: np.random.Generator) -> np.ndarray:
-    """One exact draw from the slab {||x|| <= 1, |<x, dhat>| <= tau} in
-    dimension n = d.size.
+    """One exact draw from the slab {||x|| <= 1, |<x, dhat>| <= tau} in R^n, n = d.size.
 
     With d = 0 (or a slab wider than the ball) this is a plain uniform ball
     draw.  Otherwise the coordinate s along dhat has density proportional to
@@ -535,9 +530,8 @@ def slab_lowerbound_adversary(n: int, T: int) -> VectorAdversary:
 
 
 def slab_volume_fraction(n: int, tau: float, n_samples: int, gen: np.random.Generator) -> float:
-    """Empirical fraction of uniform n-ball draws landing inside the slab of width
-    tau: checks the slab adversary's declared sigma against its real volume
-    fraction.
+    """Empirical fraction of uniform n-ball draws inside the slab of width tau: checks
+    the slab adversary's declared sigma against its real volume fraction.
 
     Uses a fixed nonzero direction; by rotational symmetry of the ball the
     rate does not depend on it.

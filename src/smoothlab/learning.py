@@ -505,10 +505,8 @@ def stationary_smooth_adversary(
 def constant_label_adversary(
     cls: ThresholdUnionClass, target: Hypothesis | None = None
 ) -> SmoothLabelAdversary:
-    """Realizable source: uniform points, labels exactly from a class hypothesis.
-
-    The stationary source at flip 0, which draws no coin, under its own name.
-    """
+    """Realizable source: uniform points, labels exactly from a class hypothesis; the
+    stationary source at flip 0, which draws no coin, under its own name."""
     return replace(stationary_smooth_adversary(cls, 0.0, target), name="realizable")
 
 
