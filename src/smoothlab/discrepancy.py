@@ -9,12 +9,13 @@ should stay small in infinity norm.
 whose ``name`` goes into the run header:
 
 - ``PotentialConfig`` ("potential"): greedy minimization of
-  Phi(d) = E_W[cosh(lam * <d, W>)] over a frozen probe pool W (half uniform
-  ball, half signed basis vectors), with lam = 1/(1000 * ln(k n T)).
+  Phi(d) = E_W[cosh(lam * <d, W>)] over a frozen probe law W (half uniform
+  ball, half signed basis vectors), with lam = 1/(1000 * ln(k n T)).  The
+  probe pool is the (M, n) array of ball draws; the basis half needs none.
 - ``SelfBalancingConfig`` ("selfbalancing"): the self-balancing walk,
   eps = +1 with probability 1/2 - <d, x>/(2c) for a threshold
-  c = 8*pi*ln(20 k n T / delta), declaring Failure when |<d, x>| > c or when
-  ||d||_inf already reached c.
+  c = 8*pi*ln(20 k n T / delta), declaring Failure (sign 0) when
+  |<d, x>| > c or when ||d||_inf already reached c.
 - ``RandomSign`` ("random-sign"): the fair-coin baseline.
 
 Lower-bound opposition comes from ``slab_lowerbound_adversary``: a vector
@@ -49,12 +50,9 @@ from smoothlab.stats import binomial_stderr
 __all__ = [
     "PotentialOverflowError",
     "AdversaryViolationError",
-    "FAILURE",
-    "Failure",
     "PotentialConfig",
     "SelfBalancingConfig",
     "RandomSign",
-    "ProbePool",
     "DiscrepancyTrace",
     "VectorAdversary",
     "default_balance_k",
@@ -95,16 +93,6 @@ class PotentialOverflowError(OverflowError):
 
 class AdversaryViolationError(ValidationError):
     """The adversary emitted a vector with ||x||_2 > 1 or a NaN norm."""
-
-
-class Failure:
-    """Self-balancing Failure outcome (not an exception); ``FAILURE`` is its one instance."""
-
-    def __repr__(self) -> str:
-        return "FAILURE"
-
-
-FAILURE = Failure()
 
 
 def default_balance_k(sigma: float, T: int) -> int:
@@ -181,24 +169,6 @@ class RandomSign:
     name = "random-sign"
 
 
-@dataclass(frozen=True, eq=False)
-class ProbePool:
-    """Frozen probe pool: the 2n signed basis vectors plus M uniform-ball draws.
-
-    Only the ball probes are stored; the basis half is evaluated in closed
-    form.  ``descriptor`` is ("stream", seed, stream_id), the stream the pool
-    was drawn from, for the run header.
-    """
-
-    n: int
-    ball: np.ndarray  # shape (M, n)
-    descriptor: tuple
-
-    @property
-    def M(self) -> int:
-        return int(self.ball.shape[0])
-
-
 def _norm(v: np.ndarray) -> float:
     """||v||_2 of a 1-D float vector: the sqrt(v.dot(v)) that np.linalg.norm
     computes for it, bit for bit, without that function's dispatch."""
@@ -230,11 +200,11 @@ def uniform_ball_batch(n: int, size: int, gen: np.random.Generator) -> np.ndarra
     return g / nrms * radii[:, None]
 
 
-def build_probe_pool(n: int, M: int, rng: RngStream) -> ProbePool:
-    """Draw the M ball probes once; they stay frozen for the whole run."""
+def build_probe_pool(n: int, M: int, rng: RngStream) -> np.ndarray:
+    """Draw the M ball probes once, as an (M, n) array that stays frozen for the
+    whole run; the 2n signed basis probes are evaluated in closed form."""
     require_stream(rng)
-    ball = uniform_ball_batch(n, M, rng.generator()) if M > 0 else np.empty((0, n))
-    return ProbePool(n=n, ball=ball, descriptor=("stream", rng.seed, rng.stream_id))
+    return uniform_ball_batch(n, M, rng.generator()) if M > 0 else np.empty((0, n))
 
 
 class _PhiBuffer(NamedTuple):
@@ -309,23 +279,24 @@ def _with_projections(v: np.ndarray, ball: np.ndarray) -> np.ndarray:
     return np.concatenate([v, ball @ v])
 
 
-def potential_value(d: np.ndarray, lam: float, pool: ProbePool) -> float:
+def potential_value(d: np.ndarray, lam: float, ball: np.ndarray) -> float:
     """Phi(d) = mean of cosh(lam <d, W>) under the probe mixture; the single-state
     twin that the ``run_discrepancy`` phis are tested against.
 
     The probe law is half uniform-ball, half uniform on the 2n signed basis
-    vectors; with no ball probes (M = 0) the basis half carries full weight.
-    cosh is even, so the signed-basis average equals the average of
-    cosh(lam d_i) over coordinates.  Arguments beyond ``COSH_ARG_LIMIT``
-    raise PotentialOverflowError.
+    vectors; ``ball`` is the (M, n) probe pool, and with no ball probes
+    (M = 0) the basis half carries full weight.  cosh is even, so the
+    signed-basis average equals the average of cosh(lam d_i) over
+    coordinates.  Arguments beyond ``COSH_ARG_LIMIT`` raise
+    PotentialOverflowError.
     """
     if not lam >= 0.0:
         raise ValidationError(f"lam must be >= 0, got {lam!r}")
-    d = _state_d(d, pool.n)
-    S = _with_projections(d, pool.ball)
+    M, n = ball.shape
+    S = _with_projections(_state_d(d, n), ball)
     # With x = 0 both rows of the kernel are Phi(d).
     with np.errstate(over="ignore"):
-        return _phi_pair(_phi_buffer(pool.n, pool.M), S, np.zeros_like(S), lam)[0]
+        return _phi_pair(_phi_buffer(n, M), S, np.zeros_like(S), lam)[0]
 
 
 def _state_d(state, n: int) -> np.ndarray:
@@ -349,30 +320,31 @@ def _check_input_vector(x: np.ndarray, n: int, t: int = 0) -> np.ndarray:
     raise AdversaryViolationError((f"round {t}: " if t else "") + f"input vector has {problem}")
 
 
-def choose_sign_potential(state, x: np.ndarray, cfg: PotentialConfig, pool: ProbePool) -> int:
-    """Greedy sign minimizing the potential, ties within 1e-12 to +1; the single-step
-    twin of the ``run_discrepancy`` loop, tested sign for sign against it."""
-    if cfg.M != pool.M:
-        raise ValidationError(f"config has M={cfg.M} but the probe pool has {pool.M} ball probes")
-    d = _state_d(state, pool.n)
-    x = _check_input_vector(x, pool.n)
-    S = _with_projections(d, pool.ball)
-    X = _with_projections(x, pool.ball)
+def choose_sign_potential(state, x: np.ndarray, cfg: PotentialConfig, ball: np.ndarray) -> int:
+    """Greedy sign minimizing the potential over the (M, n) probe pool ``ball``,
+    ties within 1e-12 to +1; the single-step twin of the ``run_discrepancy``
+    loop, tested sign for sign against it."""
+    M, n = ball.shape
+    if cfg.M != M:
+        raise ValidationError(f"config has M={cfg.M} but the probe pool has {M} ball probes")
+    S = _with_projections(_state_d(state, n), ball)
+    X = _with_projections(_check_input_vector(x, n), ball)
     with np.errstate(over="ignore"):
-        return _lower_sign(*_phi_pair(_phi_buffer(pool.n, pool.M), S, X, cfg.lam))[0]
+        return _lower_sign(*_phi_pair(_phi_buffer(n, M), S, X, cfg.lam))[0]
 
 
 def choose_sign_selfbalancing(
     ip: float, d_inf: float, cfg: SelfBalancingConfig, gen: np.random.Generator
-):
-    """Self-balancing sign from ip = <d, x> and d_inf = ||d||_inf: +1, -1 or FAILURE.
+) -> int:
+    """Self-balancing sign from ip = <d, x> and d_inf = ||d||_inf: +1, -1, or 0
+    for Failure.
 
     Failure is declared, with no draw, when the walk already escaped
     (||d||_inf >= c) or the inner product is out of range (|<d, x>| > c);
     otherwise eps = +1 with probability 1/2 - <d, x>/(2c).
     """
     if d_inf >= cfg.c or abs(ip) > cfg.c:
-        return FAILURE
+        return 0
     return +1 if gen.random() < 0.5 - ip / (2.0 * cfg.c) else -1
 
 
@@ -584,7 +556,7 @@ def run_discrepancy(
     sigma)`` sizes either from the adversary's smoothness) or RandomSign();
     the header records ``rule.name`` as "algorithm".  The potential rule draws
     its probe pool once at the start, from ``rng.substream(1)``, and records
-    that stream in the header.
+    that stream in the header as ["stream", seed, stream_id].
     """
     require_stream(rng)
     if T < 1:
@@ -606,17 +578,19 @@ def run_discrepancy(
     gen = rng.generator()
 
     if potential:
-        pool = build_probe_pool(n, rule.M, rng.substream(1))
-        ball = pool.ball
+        pool_stream = rng.substream(1)
+        ball = build_probe_pool(n, rule.M, pool_stream)
+        M = ball.shape[0]
         lam = rule.lam
         # S = [d, ball @ d] is kept incrementally: a fresh matvec of
         # ball @ (d +- x) is not bitwise equal and could flip near-ties.
-        S = np.zeros(n + pool.M)
-        Xp = np.empty(n + pool.M)  # [x, ball @ x]
+        S = np.zeros(n + M)
+        Xp = np.empty(n + M)  # [x, ball @ x]
         # Views bound once per trial, not once per round.
         Xp_basis, Xp_ball = Xp[:n], Xp[n:]
-        work = _phi_buffer(n, pool.M)
-        header.update({"lam": rule.lam, "M": pool.M, "k": rule.k, "pool": list(pool.descriptor)})
+        work = _phi_buffer(n, M)
+        pool = ["stream", pool_stream.seed, pool_stream.stream_id]
+        header.update({"lam": rule.lam, "M": M, "k": rule.k, "pool": pool})
     elif selfbalancing:
         header.update({"c": rule.c, "delta": rule.delta})
 
@@ -664,7 +638,7 @@ def run_discrepancy(
                     S -= Xp
             elif selfbalancing:
                 sign = choose_sign_selfbalancing(ip, d_inf, rule, gen)
-                if sign is FAILURE:
+                if not sign:
                     failed = True
                     failed_round = t
                     break

@@ -377,8 +377,6 @@ def decompose_smooth(pmf: SmoothPmf) -> MixtureOfUniforms:
     """
     n = pmf.domain.n
     s = min_support_size(pmf.sigma, n)
-    if not validate_smooth(pmf.mass, pmf.sigma):
-        raise ValidationError("input pmf is not sigma-smooth")
     if float(pmf.mass.max()) > 1.0 / s + 1e-12:
         raise DecompositionError(
             f"max mass {float(pmf.mass.max())!r} exceeds 1/{s}; no mixture of "

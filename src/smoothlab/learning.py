@@ -9,10 +9,11 @@ masses and remain smooth.
 
 The module provides the uniform-distance cover, Hedge over the cover in log
 domain, exact best-in-hindsight and net-error oracles, the game loop, and the
-binary-search lower-bound adversary.  Blocks are disjoint and the cover is a
-full product grid, so the oracles and the learner all decompose across
-blocks: Hedge over the cover is d per-block Hedge instances sharing one eta,
-and no run builds anything of the cover's size.
+label sources.  Every source is a ``SmoothLabelAdversary``; the binary-search
+lower-bound adversary is one whose rule keeps its own state.  Blocks are
+disjoint and the cover is a full product grid, so the oracles and the learner
+all decompose across blocks: Hedge over the cover is d per-block Hedge
+instances sharing one eta, and no run builds anything of the cover's size.
 
 A block grid is strictly increasing, so at a point x its thresholds predict
 1 up to c = bisect_right(grid, x) and 0 after: every loss row a game charges
@@ -41,7 +42,6 @@ __all__ = [
     "HedgeState",
     "Hypothesis",
     "LEARNERS",
-    "MistakeTreeAdversary",
     "RegretLedger",
     "SmoothLabelAdversary",
     "ThresholdUnionClass",
@@ -462,7 +462,8 @@ class BlockMistakeTracker:
 @dataclass(frozen=True)
 class SmoothLabelAdversary:
     """Labeled-example source: ``rule(gen)`` draws the round's (x, y) and reads
-    nothing from the game."""
+    nothing from the game; an adaptive rule is an object that keeps its own
+    state (``_MistakeTreeRule``)."""
 
     sigma: float
     m: int
@@ -488,11 +489,12 @@ def stationary_smooth_adversary(
     """Uniform points on [m]; labels from a fixed hypothesis, flipped with prob flip."""
     if not (0.0 <= flip <= 0.5):
         raise ValidationError(f"flip probability must lie in [0, 0.5], got {flip!r}")
-    h_star = _canonical_target(cls) if target is None else target
+    gamma = (_canonical_target(cls) if target is None else target).gamma
+    block_size = cls.block_size
 
     def rule(gen: np.random.Generator) -> tuple[int, int]:
         x = int(gen.integers(1, cls.m + 1))
-        y = h_star.predict(x)
+        y = int(x >= gamma[(x - 1) // block_size])
         if flip > 0.0 and gen.random() < flip:
             y = 1 - y
         return x, y
@@ -510,30 +512,26 @@ def constant_label_adversary(
     return replace(stationary_smooth_adversary(cls, 0.0, target), name="realizable")
 
 
-class MistakeTreeAdversary:
-    """Binary-search opponent descending one shattered tree per block.
+class _MistakeTreeRule:
+    """Binary-search rule descending one shattered tree per block.
 
-    Blocks are visited round-robin.  The adversary plays the midpoint cell of
-    the active interval in the current block and labels it by a fair coin;
-    label 1 keeps the lower half of candidate thresholds, label 0 the upper
-    half.  Once an interval is a single cell the adversary parks there and
-    keeps tossing coins.  Point masses on [m] are sigma-smooth because each
-    integer cell has width sigma = 1/m.  One instance drives one game; build a
-    fresh one per trial.
+    Blocks are visited round-robin.  The rule plays the midpoint cell of the
+    active interval in the current block and labels it by a fair coin; label
+    1 keeps the lower half of candidate thresholds, label 0 the upper half.
+    Once an interval is a single cell the rule parks there and keeps tossing
+    coins.  Point masses on [m] are sigma-smooth because each integer cell
+    has width sigma = 1/m.  One rule drives one game; build a fresh one per
+    trial.
     """
 
     def __init__(self, cls: ThresholdUnionClass) -> None:
-        self.cls = cls
-        self.sigma = cls.sigma
-        self.m = cls.m
-        self.name = "mistake-tree"
         self.active = [cls.block_range(i) for i in range(cls.d)]
         self.cursor = 0
         self.shrink_counts = [0] * cls.d
 
-    def play(self, gen: np.random.Generator) -> tuple[int, int]:
+    def __call__(self, gen: np.random.Generator) -> tuple[int, int]:
         i = self.cursor
-        self.cursor = (self.cursor + 1) % self.cls.d
+        self.cursor = (i + 1) % len(self.active)
         lo, hi = self.active[i]
         mid = (lo + hi) // 2
         y = int(gen.integers(0, 2))
@@ -543,9 +541,11 @@ class MistakeTreeAdversary:
         return mid, y
 
 
-def mistake_tree_adversary(cls: ThresholdUnionClass) -> MistakeTreeAdversary:
+def mistake_tree_adversary(cls: ThresholdUnionClass) -> SmoothLabelAdversary:
     """Fresh single-game binary-search adversary."""
-    return MistakeTreeAdversary(cls)
+    return SmoothLabelAdversary(
+        sigma=cls.sigma, m=cls.m, rule=_MistakeTreeRule(cls), name="mistake-tree"
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -655,7 +655,7 @@ def _loss_steps(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def run_learning_game(
     learner: str,
-    adv,
+    adv: SmoothLabelAdversary,
     cover: CoverGrid,
     T: int,
     rng: RngStream,
@@ -667,7 +667,7 @@ def run_learning_game(
     rule in ``LEARNERS`` that picks the hypothesis each round:
     "hedge-on-cover" samples from the current Hedge weights, "ftl-on-cover"
     follows the fewest mistakes so far.  The adversary's ``play(gen)`` sees
-    nothing of the game; an adaptive adversary keeps its own state.
+    nothing of the game; an adaptive rule keeps its own state.
 
     A round's loss depends only on the threshold of the block x_t falls in,
     so the learner keeps one Hedge state per block, all with the eta of the
@@ -684,10 +684,8 @@ def run_learning_game(
     if T < 1:
         raise ValidationError(f"T must be >= 1, got {T}")
     cls = cover.cls
-    if getattr(adv, "m", cls.m) != cls.m:
-        raise ValidationError(
-            f"adversary domain {getattr(adv, 'm', None)} does not match class m={cls.m}"
-        )
+    if adv.m != cls.m:
+        raise ValidationError(f"adversary domain {adv.m} does not match class m={cls.m}")
     gen = rng.generator()
     N = cover.size
     eta = _default_eta(N, T)
@@ -700,10 +698,7 @@ def run_learning_game(
     xs = []
     ys = []
     predictions = []
-    losses = []
-    cum_losses = []
     bih_curve = []
-    cum = 0
 
     for _ in range(T):
         x, y = adv.play(gen)
@@ -718,20 +713,17 @@ def run_learning_game(
         n = len(grid)
         c = bisect_right(grid, x)
         j, states[block] = pick(states, block, steps[block][y][n - c : 2 * n - c], gen)
-        pred = int(j < c)
-        loss = int(pred != y)
-        cum += loss
         tracker.update(x, y)
         xs.append(x)
         ys.append(y)
-        predictions.append(pred)
-        losses.append(loss)
-        cum_losses.append(cum)
+        predictions.append(int(j < c))
         bih_curve.append(tracker.best())
 
-    xs, ys, predictions, losses, cum_losses, bih_curve = (
-        np.array(v, dtype=int) for v in (xs, ys, predictions, losses, cum_losses, bih_curve)
+    xs, ys, predictions, bih_curve = (
+        np.array(v, dtype=int) for v in (xs, ys, predictions, bih_curve)
     )
+    losses = (predictions != ys).astype(int)
+    cum_losses = losses.cumsum()
     best_h, best_loss = best_in_hindsight(cls, xs, ys)
     config = {
         "m": cls.m,
@@ -742,7 +734,7 @@ def run_learning_game(
         "eta": eta,
         "T": T,
         "learner": learner,
-        "adversary": getattr(adv, "name", "custom"),
+        "adversary": adv.name,
         "seed": rng.seed,
         "stream_id": rng.stream_id,
     }
@@ -756,6 +748,6 @@ def run_learning_game(
         regret_curve=cum_losses - bih_curve,
         best_hypothesis=best_h,
         best_loss=best_loss,
-        regret=cum - best_loss,
+        regret=int(cum_losses[-1]) - best_loss,
         config=config,
     )

@@ -28,12 +28,10 @@ from scipy import stats as sps
 import smoothlab.discrepancy as discrepancy
 from smoothlab.discrepancy import (
     COSH_ARG_LIMIT,
-    FAILURE,
     AdversaryViolationError,
     DiscrepancyTrace,
     PotentialConfig,
     PotentialOverflowError,
-    ProbePool,
     RandomSign,
     SelfBalancingConfig,
     VectorAdversary,
@@ -74,7 +72,7 @@ from smoothlab.stats import binomial_stderr
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
-def _empty_pool(n: int) -> "ProbePool":
+def _empty_pool(n: int) -> np.ndarray:
     return build_probe_pool(n, 0, RngStream(seed=0))
 
 
@@ -125,6 +123,7 @@ def test_potential_at_lambda_zero_is_one():
 
 def test_potential_basis_only_worked_example():
     pool = _empty_pool(2)
+    assert pool.shape == (0, 2)
     got = potential_value(np.array([1.0, 0.0]), 1.0, pool)
     assert got == pytest.approx((math.cosh(1.0) + 1.0) / 2.0, rel=1e-15)
     assert got == pytest.approx(1.2715403, abs=1e-7)
@@ -135,7 +134,7 @@ def test_potential_mixes_ball_and_basis_halves():
     d = np.array([1.0, 0.5])
     lam = 0.7
     basis = float(np.cosh(lam * d).mean())
-    ball = float(np.cosh(lam * (pool.ball @ d)).mean())
+    ball = float(np.cosh(lam * (pool @ d)).mean())
     assert potential_value(d, lam, pool) == pytest.approx(0.5 * basis + 0.5 * ball, rel=1e-15)
 
 
@@ -211,10 +210,10 @@ def test_selfbalancing_failure_cases():
     gen = RngStream(seed=310).generator()
     state = gen.bit_generator.state
     # Inner product beyond c: d = 1.75*ones(4), x = 0.5*ones(4).
-    assert choose_sign_selfbalancing(3.5, 1.75, cfg, gen) is FAILURE
-    assert choose_sign_selfbalancing(-3.5, 1.75, cfg, gen) is FAILURE
+    assert choose_sign_selfbalancing(3.5, 1.75, cfg, gen) == 0
+    assert choose_sign_selfbalancing(-3.5, 1.75, cfg, gen) == 0
     # Walk already escaped in infinity norm: d = (3, 0), x = (0, 1).
-    assert choose_sign_selfbalancing(0.0, 3.0, cfg, gen) is FAILURE
+    assert choose_sign_selfbalancing(0.0, 3.0, cfg, gen) == 0
     # A Failure draws nothing.
     assert gen.bit_generator.state == state
 
@@ -392,8 +391,8 @@ def test_d_final_is_the_left_to_right_signed_sum(rule, adversary):
 
 
 def test_run_discrepancy_greedy_choice_is_replayable():
-    # Rebuild the frozen probe pool from the recorded descriptor and verify
-    # every chosen sign beats the rejected one.
+    # Rebuild the frozen probe pool from the stream the header records and
+    # verify every chosen sign beats the rejected one.
     adv = uniform_ball_adversary(3)
     stream = RngStream(seed=314)
     rule = PotentialConfig.default(adv.n, 50, adv.sigma)
@@ -401,6 +400,7 @@ def test_run_discrepancy_greedy_choice_is_replayable():
     kind, seed, stream_id = tr.header["pool"]
     assert kind == "stream"
     pool = build_probe_pool(3, tr.header["M"], RngStream(seed=seed, stream_id=stream_id))
+    assert pool.tobytes() == build_probe_pool(3, rule.M, stream.substream(1)).tobytes()
     lam = tr.header["lam"]
     d = np.zeros(3)
     for t in range(tr.t_done):
@@ -433,7 +433,7 @@ def _reference_potential_run(rule: PotentialConfig, adv, T: int, rng: RngStream)
     ``_cosh_mixture`` calls per round on d +- x and the incremental bd +- ball @ x."""
     n = adv.n
     gen = rng.generator()
-    ball = build_probe_pool(n, rule.M, rng.substream(1)).ball
+    ball = build_probe_pool(n, rule.M, rng.substream(1))
     bd = np.zeros(rule.M)
     d = np.zeros(n)
     signs, phis, ips, inf_norms, two_norms, xs = [], [1.0], [], [], [], []
@@ -576,7 +576,7 @@ def test_run_discrepancy_blowup_is_flagged():
 
 
 # One ball probe w = (1/2, 1/2, 1/2, 1/2), so <w, v> is exact for the vectors below.
-_BOUNDARY_POOL = ProbePool(n=4, ball=np.full((1, 4), 0.5), descriptor=("stream", 0, 0))
+_BOUNDARY_POOL = np.full((1, 4), 0.5)
 _E1 = np.array([0.5, 0.0, 0.0, 0.0])
 _FLAT = np.full(4, 0.25)
 

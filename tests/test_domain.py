@@ -139,7 +139,7 @@ def test_decompose_rejects_unrepresentable_fractional_case():
         decompose_smooth(pmf)
 
 
-def test_decompose_rejects_non_smooth_input():
+def test_smooth_pmf_constructor_rejects_non_smooth_input():
     dom = FiniteDomain(4)
     pmf = SmoothPmf(dom, np.array([0.5, 0.5, 0.0, 0.0]), sigma=0.5)
     hacked = SmoothPmf(dom, np.array([0.25, 0.25, 0.25, 0.25]), sigma=1.0)

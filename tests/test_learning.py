@@ -31,7 +31,6 @@ from smoothlab.learning import (
     CoverGrid,
     HedgeState,
     Hypothesis,
-    MistakeTreeAdversary,
     RegretLedger,
     SmoothLabelAdversary,
     ThresholdUnionClass,
@@ -539,20 +538,22 @@ def test_run_learning_game_is_reproducible():
 def test_mistake_tree_descends_binary_search():
     cls = ThresholdUnionClass(m=64, d=2)
     adv = mistake_tree_adversary(cls)
-    assert isinstance(adv, MistakeTreeAdversary)
+    assert isinstance(adv, SmoothLabelAdversary)
+    assert (adv.name, adv.sigma, adv.m) == ("mistake-tree", cls.sigma, cls.m)
+    rule = adv.rule
     gen = RngStream(seed=417).generator()
     sizes = {0: [32], 1: [32]}
     for t in range(40):
         block = t % 2
-        lo, hi = adv.active[block]
+        lo, hi = rule.active[block]
         x, y = adv.play(gen)
         assert lo <= x <= hi
-        new_lo, new_hi = adv.active[block]
+        new_lo, new_hi = rule.active[block]
         assert (new_lo, new_hi) == ((lo, hi) if lo == hi else ((lo, x) if y == 1 else (x + 1, hi)))
         sizes[block].append(new_hi - new_lo + 1)
     for block in (0, 1):
-        assert adv.shrink_counts[block] == 5  # log2(32) halvings, then parked
-        assert adv.active[block][0] == adv.active[block][1]
+        assert rule.shrink_counts[block] == 5  # log2(32) halvings, then parked
+        assert rule.active[block][0] == rule.active[block][1]
         assert all(s2 <= s1 for s1, s2 in zip(sizes[block], sizes[block][1:]))
 
 
@@ -566,7 +567,7 @@ def test_mistake_tree_descent_labels_are_realizable():
     for _ in range(10):  # exactly the descent rounds: 5 per block
         x, y = adv.play(gen)
         transcript.append((x, y))
-    gamma = tuple(adv.active[i][0] for i in range(2))
+    gamma = tuple(adv.rule.active[i][0] for i in range(2))
     h = Hypothesis(cls, gamma)
     assert all(h.predict(x) == y for x, y in transcript)
 
@@ -585,6 +586,26 @@ def test_mistake_tree_generates_regret():
         for i in range(12)
     ]
     assert float(np.mean(regs)) >= 10.0
+
+
+def test_every_mistake_tree_round_goes_through_smooth_label_play(monkeypatch):
+    # One adversary type: the game reaches the mistake tree's rule only
+    # through SmoothLabelAdversary.play, once a round.
+    calls = []
+    play = SmoothLabelAdversary.play
+
+    def counted(self, gen):
+        calls.append(self.name)
+        return play(self, gen)
+
+    monkeypatch.setattr(SmoothLabelAdversary, "play", counted)
+    cls = ThresholdUnionClass(m=64, d=2)
+    cover = build_cover(cls, 0.1)
+    led = run_learning_game(
+        "ftl-on-cover", mistake_tree_adversary(cls), cover, 100, RngStream(seed=906)
+    )
+    assert led.config["adversary"] == "mistake-tree"
+    assert calls == ["mistake-tree"] * 100
 
 
 def test_ledger_csv_and_config():
