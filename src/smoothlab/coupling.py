@@ -487,19 +487,140 @@ def containment_flags(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return (Z == X[:, :, None]).any(axis=2).all(axis=1)
 
 
-# X and Z cells per parse chunk: 4 MiB of int64, 3,855 traces at T=8 and k=16.
-_PARSE_CHUNK_CELLS = 1 << 19
+# X and Z cells per parse chunk: 256 KiB of int64, 240 traces at T=8 and k=16.
+_PARSE_CHUNK_CELLS = 1 << 15
+
+_DIGITS = b"0123456789"
+
+
+def _json_trace(line: str, index: int, shape: tuple[int, int] | None):
+    """X, Z and the containment flag of trace ``index`` (1-based), read with
+    ``json.loads``.  ``shape`` is the first trace's (T, k), or None while
+    reading the first trace, which sets it."""
+    try:
+        obj = json.loads(line)
+        x, z = np.asarray(obj["X"]), np.asarray(obj["Z"])
+        flag = obj["contained"]
+        if shape is None:
+            shape = (x.shape[0], z.shape[1])
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        raise ValidationError(f"trace {index} is not a serialized trace: {exc}") from exc
+    if type(flag) is not bool:
+        raise ValidationError(f"trace {index}: containment flag {flag!r} is not a JSON bool")
+    T, k = shape
+    if (x.shape, z.shape, x.dtype.kind, z.dtype.kind) != ((T,), (T, k), "i", "i"):
+        raise ValidationError(
+            f"trace {index}: X {x.shape} and Z {z.shape} are not integer arrays "
+            f"of the first trace's shapes {(T,)} and {(T, k)}"
+        )
+    return x, z, flag
+
+
+def _json_chunk(chunk: list[str], n: int, shape: tuple[int, int], done: int):
+    """int64 X and Z of a chunk of lines, read line by line with ``json.loads``.
+
+    This reader takes any JSON spelling of a trace and is the one that raises
+    the parse errors; ``done`` counts the traces before the chunk.
+    """
+    X = np.empty((len(chunk), shape[0]), dtype=np.int64)
+    Z = np.empty((len(chunk), *shape), dtype=np.int64)
+    flags = np.empty(len(chunk), dtype=bool)
+    for i, line in enumerate(chunk):
+        X[i], Z[i], flags[i] = _json_trace(line, done + i + 1, shape)
+    bad = ((X < 1) | (X > n)).any(axis=1) | ((Z < 1) | (Z > n)).any(axis=(1, 2))
+    if bad.any():
+        raise ValidationError(f"trace {done + bad.argmax() + 1}: values outside 1..{n}")
+    bad = containment_flags(X, Z) != flags
+    if bad.any():
+        raise ValidationError(f"trace {done + bad.argmax() + 1}: containment flag mismatch")
+    return X, Z
+
+
+def _skeletons(T: int, k: int) -> list[bytes]:
+    """The line ``traces_to_jsonl`` writes for a (T, k) trace with its digits
+    removed: item 0 for a false containment flag, item 1 for a true one."""
+    X, Z = np.ones(T, dtype=np.int64), np.ones((T, k), dtype=np.int64)
+    lines = [traces_to_jsonl([CouplingTrace(1, X, Z, np.full(T, f))]) for f in (False, True)]
+    return [line.rstrip("\n").encode().translate(None, _DIGITS) for line in lines]
+
+
+def _canonical_chunk(chunk: list[str], n: int, shape: tuple[int, int]):
+    """int64 X and Z of a chunk whose lines are exactly what ``traces_to_jsonl``
+    writes for (T, k) traces with values in 1..n, read without JSON; None for
+    any other chunk.
+
+    Such a line is its skeleton (``_skeletons``) with one number in each value
+    slot, between "[" or " " and "," or "]".  So the chunk is taken when its
+    runs of digits fill the slots, one run each, every run starts with 1..9
+    and reads at most n, and the skeletons left when the digits go match the
+    containment flags the values give.  ``_json_chunk`` reads such a chunk to
+    the same arrays.
+    """
+    T, k = shape
+    digits = len(str(n))  # no value in 1..n has more; int64 holds any 18 digits
+    try:
+        text = "\n".join([line.rstrip("\n") for line in chunk])
+    except TypeError:  # bytes lines, which json.loads also reads
+        return None
+    if not text.isascii() or digits > 18:
+        return None
+    raw = text.encode()
+    b = np.frombuffer(raw, dtype=np.uint8)
+    d = b - ord("0")  # a digit's value, and 10 or more for any other byte
+    is_digit = d < 10
+    if is_digit[0] or is_digit[-1]:
+        return None
+    # The runs of digits: is_digit flips at each run's start and at its end.
+    bounds = np.flatnonzero(is_digit[1:] != is_digit[:-1]) + 1
+    starts, ends = bounds[0::2], bounds[1::2]
+    if starts.size != len(chunk) * T * (k + 1):
+        return None
+    lengths = ends - starts
+    before, first, after = b[starts - 1], d[starts], b[ends]
+    if not (
+        ((before == ord("[")) | (before == ord(" "))).all()
+        and ((after == ord(",")) | (after == ord("]"))).all()
+        and first.all()
+        and lengths.max() <= digits
+    ):
+        return None
+    values = first.astype(np.int64)
+    for j in range(1, digits):
+        values = np.where(lengths > j, values * 10 + d.take(starts + j, mode="clip"), values)
+    if values.max() > n:
+        return None
+    cells = values.reshape(len(chunk), T * (k + 1))
+    X, Z = cells[:, :T], cells[:, T:].reshape(len(chunk), T, k)
+    skeletons = _skeletons(T, k)
+    expected = b"\n".join([skeletons[f] for f in containment_flags(X, Z).tolist()])
+    if raw.translate(None, _DIGITS) != expected:
+        return None
+    return X, Z
+
+
+def _read_chunk(chunk: list[str], n: int, shape: tuple[int, int], done: int, dtype):
+    """X and Z of a chunk, narrowed to ``dtype``: without JSON when the chunk
+    is canonical, else line by line with ``json.loads``."""
+    parsed = _canonical_chunk(chunk, n, shape)
+    X, Z = parsed if parsed is not None else _json_chunk(chunk, n, shape, done)
+    return X.astype(dtype), Z.astype(dtype)
 
 
 def traces_from_jsonl(lines: Iterable[str], n: int) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of ``traces_to_jsonl``: X (N, T) and Z (N, T, k).
 
     ``lines`` is any iterable of lines, such as an open file or a text's
-    ``splitlines()``, and is read once, in order.  Both arrays
-    take the smallest signed integer dtype that holds n (int8 for n <= 127),
-    so a run's Z costs one byte a cell; lines are parsed into int64 chunk
-    buffers of about ``_PARSE_CHUNK_CELLS`` cells and narrowed chunk by
-    chunk, and the chunks are joined at the end.
+    ``splitlines()``, and is read once, in order.  Both arrays take the
+    smallest signed integer dtype that holds n (int8 for n <= 127), so a
+    run's Z costs one byte a cell.  The first trace is read with
+    ``json.loads`` for its T and k.  Then the non-blank lines are read in
+    chunks of about ``_PARSE_CHUNK_CELLS`` cells, each narrowed on its own,
+    and the chunks are joined at the end.  A chunk in exactly the bytes
+    ``traces_to_jsonl`` writes is read without JSON, in a few numpy passes
+    over its bytes.  Any other chunk, such as valid JSON spaced another way,
+    or a faulty one, is read line by line with ``json.loads``, which reads a
+    canonical chunk to the same arrays and is the one that raises the errors
+    below.
 
     The text is outside input.  ``ValidationError`` names the 1-based index of
     a trace (non-blank line) that is malformed, differs in shape from the
@@ -510,51 +631,22 @@ def traces_from_jsonl(lines: Iterable[str], n: int) -> tuple[np.ndarray, np.ndar
     X and Z contradict.
     """
     dtype = np.min_scalar_type(-n - 1)  # -(n + 1) fits a signed type exactly when n does
-    X_parts: list[np.ndarray] = []
-    Z_parts: list[np.ndarray] = []
-    done = 0  # traces in the chunks already narrowed
-
-    def narrow(X: np.ndarray, Z: np.ndarray, flags: np.ndarray) -> None:
-        bad = ((X < 1) | (X > n)).any(axis=1) | ((Z < 1) | (Z > n)).any(axis=(1, 2))
-        if bad.any():
-            raise ValidationError(f"trace {done + bad.argmax() + 1}: values outside 1..{n}")
-        bad = containment_flags(X, Z) != flags
-        if bad.any():
-            raise ValidationError(f"trace {done + bad.argmax() + 1}: containment flag mismatch")
-        X_parts.append(X.astype(dtype))
-        Z_parts.append(Z.astype(dtype))
-
-    i = 0  # the current trace's row in the chunk buffers
+    parts: list[tuple[np.ndarray, np.ndarray]] = []
+    done = 0  # traces in the chunks already read
+    chunk: list[str] = []
     for line in lines:
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-            x, z = np.asarray(obj["X"]), np.asarray(obj["Z"])
-            flag = obj["contained"]
-            if done == i == 0:
-                rows = max(1, _PARSE_CHUNK_CELLS // max(1, x.size + z.size))
-                X = np.empty((rows, x.shape[0]), dtype=np.int64)
-                Z = np.empty((rows, x.shape[0], z.shape[1]), dtype=np.int64)
-                flags = np.empty(rows, dtype=bool)
-        except (ValueError, KeyError, TypeError, IndexError) as exc:
-            raise ValidationError(f"trace {done + i + 1} is not a serialized trace: {exc}") from exc
-        if type(flag) is not bool:
-            raise ValidationError(
-                f"trace {done + i + 1}: containment flag {flag!r} is not a JSON bool"
-            )
-        if (x.shape, z.shape, x.dtype.kind, z.dtype.kind) != (X.shape[1:], Z.shape[1:], "i", "i"):
-            raise ValidationError(
-                f"trace {done + i + 1}: X {x.shape} and Z {z.shape} are not integer arrays "
-                f"of the first trace's shapes {X.shape[1:]} and {Z.shape[1:]}"
-            )
-        X[i], Z[i], flags[i] = x, z, flag
-        i += 1
-        if i == len(flags):
-            narrow(X, Z, flags)
-            done, i = done + i, 0
-    if not done and not i:
+        if not done and not chunk:
+            x, z, _ = _json_trace(line, 1, None)
+            shape = z.shape
+            rows = max(1, _PARSE_CHUNK_CELLS // (x.size + z.size))
+        chunk.append(line)
+        if len(chunk) == rows:
+            parts.append(_read_chunk(chunk, n, shape, done, dtype))
+            done, chunk = done + rows, []
+    if chunk:
+        parts.append(_read_chunk(chunk, n, shape, done, dtype))
+    if not parts:
         raise ValidationError("no serialized traces")
-    if i:
-        narrow(X[:i], Z[:i], flags[:i])
-    return np.concatenate(X_parts), np.concatenate(Z_parts)
+    return np.concatenate([X for X, _ in parts]), np.concatenate([Z for _, Z in parts])

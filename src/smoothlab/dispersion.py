@@ -98,31 +98,35 @@ class _DensestWindowRule:
     whose ``pts`` does not start with those bytes starts over from empty, so
     the answer is a function of ``pts`` alone even when one rule serves
     several sequences.  The test is bitwise: -0.0 differs from 0.0, and a NaN
-    matches only a NaN with the same bits.
+    matches only a NaN with the same bits.  It is one memcmp of ``seen``
+    against the contiguous points in place, and ``seen`` grows by the bytes
+    of the new points only.
     """
 
     def __init__(self, sigma: float) -> None:
         self.sigma = sigma
         self.n = 0
-        self.seen = b""
+        self.seen = bytearray()
         self.xs = np.empty(0)
         self.edges = np.empty(0)
         self.counts = np.empty(0, dtype=np.int64)
         self.views = ()
 
     def __call__(self, pts: np.ndarray, step: int, gen: np.random.Generator) -> tuple[float, float]:
-        pts = np.asarray(pts, dtype=float)
+        pts = np.ascontiguousarray(pts, dtype=float)
         if pts.size == 0:
             return 0.0, self.sigma
-        raw = pts.tobytes()
-        n = self.n if raw.startswith(self.seen) else 0
+        n = self.n
+        if pts.size < n or not self.seen.startswith(pts[:n]):
+            n = 0
+            self.seen.clear()
+        self.seen += memoryview(pts[n:])
         if pts.size > self.xs.size:
             self._reserve(max(pts.size, 2 * self.xs.size))
         for p in pts[n:].tolist():
             self._insert(p, n)
             n += 1
         self.n = n
-        self.seen = raw
         anchor = int(self.counts[:n].argmax())
         return min(max(float(self.xs[anchor]), 0.0), 1.0 - self.sigma), self.sigma
 

@@ -252,13 +252,14 @@ class HedgeState:
     A state never changes: building one makes its ``log_w`` and
     ``cum_losses`` read-only, and ``hedge_step`` returns a new state.  So
     ``probs()`` computes the distribution on its first call and returns the
-    same read-only array on every later one.
+    same read-only array on every later one, and so does ``cdf()``.
     """
 
     log_w: np.ndarray
     eta: float
     cum_losses: np.ndarray
     _probs = None  # not a field: probs() sets it on the instance
+    _cdf = None  # nor is this: cdf() sets it
 
     def __post_init__(self) -> None:
         self.log_w.setflags(write=False)
@@ -276,6 +277,17 @@ class HedgeState:
             probs.setflags(write=False)
             object.__setattr__(self, "_probs", probs)
         return probs
+
+    def cdf(self) -> np.ndarray:
+        """The cumulative sum of ``probs()`` divided by its last entry, so it
+        ends at exactly 1.0."""
+        cdf = self._cdf
+        if cdf is None:
+            cdf = self.probs().cumsum()
+            cdf /= cdf[-1]
+            cdf.setflags(write=False)
+            object.__setattr__(self, "_cdf", cdf)
+        return cdf
 
 
 def _default_eta(n_experts: int, T: int) -> float:
@@ -593,14 +605,12 @@ class RegretLedger:
 _BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
-def _inverse_cdf(probs: np.ndarray, u: float) -> tuple[int, float]:
-    """The cell of ``probs`` that the uniform ``u`` in [0, 1) falls in, and ``u``
-    rescaled to a uniform draw in [0, 1) within that cell.
+def _inverse_cdf(cdf: np.ndarray, u: float) -> tuple[int, float]:
+    """The cell of a ``HedgeState.cdf()`` that the uniform ``u`` in [0, 1) falls
+    in, and ``u`` rescaled to a uniform draw in [0, 1) within that cell.
 
     The cdf ends at exactly 1.0, so the cell is in range and has positive width.
     """
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
     i = int(cdf.searchsorted(u, side="right"))
     lo = float(cdf[i - 1]) if i else 0.0
     # A u one ulp below the cell's top can round to 1.0 here (u - lo and
@@ -613,15 +623,15 @@ def _hedge_pick(states: list[HedgeState], block: int, losses: np.ndarray, gen):
 
     The weights are the product of the per-block weights, so the one uniform
     draw that ``gen.choice(N, p=probs)`` would take is mapped through each
-    block's inverse CDF in turn, block 0 first, down to the current block.  An
-    earlier block's probabilities are its state's cached ``probs()``, which
-    that block's next ``hedge_step`` reads again without recomputing.
+    block's inverse CDF in turn, block 0 first, down to the current block.
+    Each CDF is its state's cached ``cdf()``: an earlier block's state stays
+    the same until that block's next step, so its CDF is computed once.
     """
-    probs, state = hedge_step(states[block], losses)
+    _, state = hedge_step(states[block], losses)
     u = gen.random()
     for earlier in states[:block]:
-        _, u = _inverse_cdf(earlier.probs(), u)
-    return _inverse_cdf(probs, u)[0], state
+        _, u = _inverse_cdf(earlier.cdf(), u)
+    return _inverse_cdf(states[block].cdf(), u)[0], state
 
 
 def _ftl_pick(states: list[HedgeState], block: int, losses: np.ndarray, gen):

@@ -17,6 +17,8 @@ import io
 import itertools
 import json
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -375,7 +377,8 @@ def test_trace_jsonl_round_trip():
         couple_adaptive(adv, cfg, RngStream(seed=214, stream_id=i).generator()) for i in range(5)
     ]
     text = traces_to_jsonl(traces)
-    for lines in (text.splitlines(), io.StringIO(text)):
+    # Bytes lines, which json.loads reads, take the line-by-line reader.
+    for lines in (text.splitlines(), io.StringIO(text), text.encode().splitlines()):
         X, Z = traces_from_jsonl(lines, n=4)
         assert X.dtype == Z.dtype == np.int8
         assert np.array_equal(X, np.stack([tr.X for tr in traces]))
@@ -401,7 +404,7 @@ def _random_traces(n, T, k, N, seed):
 
 
 def test_trace_jsonl_parses_across_chunks():
-    # T * (k + 1) = 1040 cells a trace, so a chunk holds 504 traces; parse 2.5 chunks.
+    # T * (k + 1) = 1040 cells a trace, so a chunk holds 31 traces; parse 2.5 chunks.
     n, T, k = 8, 16, 64
     rows = coupling._PARSE_CHUNK_CELLS // (T * (k + 1))
     X, Z, traces = _random_traces(n, T, k, 2 * rows + rows // 2, seed=231)
@@ -938,6 +941,123 @@ def test_trace_jsonl_skips_blank_lines_and_checks_the_first_trace():
         traces_from_jsonl(["\n"], n=4)
     with pytest.raises(ValidationError, match="trace 1 is not a serialized trace"):
         traces_from_jsonl([json.dumps({**_GOOD_TRACE, "Z": [1, 3]})], n=4)
+
+
+def _parsed_or_error(lines, n):
+    try:
+        return traces_from_jsonl(lines, n)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _parsed_by_json_alone(lines, n):
+    with mock.patch.object(coupling, "_canonical_chunk", lambda *args: None):
+        return _parsed_or_error(lines, n)
+
+
+def _assert_same_parse(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _perturbed(line, kind, n, at, place):
+    """``line`` with one change of the named kind; ``at`` picks the number it
+    touches and ``place`` where "digits moved" puts it."""
+    numbers = list(re.finditer(r"\d+", line))
+    m = numbers[at % len(numbers)]
+
+    def put(s):
+        return line[: m.start()] + s + line[m.end() :]
+
+    if kind == "key order":
+        obj = json.loads(line)
+        return json.dumps({"Z": obj["Z"], "contained": obj["contained"], "X": obj["X"]})
+    if kind == "flag":
+        return line.replace("true", "false") if "true" in line else line.replace("false", "true")
+    if kind == "digits moved":
+        # Out of their slot, which is left empty, to a place no number goes:
+        # the line's start or end, the "X" key, before a "[" or after a "]".
+        rest = put("")
+        place = [0, len(rest), 3, rest.index("["), rest.index("]") + 1][place]
+        return rest[:place] + m.group() + rest[place:]
+    return {
+        "none": line,
+        "extra space": put(" " + m.group()),
+        "crlf": line + "\r",
+        "leading zero": put("0" + m.group()),
+        "zero": put("0"),
+        "minus": put("-" + m.group()),
+        "1.5": put("1.5"),
+        "1e2": put("1e2"),
+        "20 digits": put("1" + "0" * 19),
+        "above n": put(str(n + 1)),
+        "non-ascii": put(m.group() + "\u00e9"),
+    }[kind]
+
+
+_PERTURBATIONS = [
+    "none", "extra space", "key order", "crlf", "leading zero", "zero", "minus", "1.5",
+    "1e2", "20 digits", "above n", "non-ascii", "flag", "digits moved",
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("kind", _PERTURBATIONS)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 6), st.integers(1, 6), st.booleans(), st.data())
+def test_canonical_decoder_matches_json_decoder(kind, n, T, k, keepends, data):
+    # Random traces as traces_to_jsonl writes them, one line changed.  The
+    # canonical decoder must take the unchanged text, refuse every change, and
+    # traces_from_jsonl must give what the json.loads decoder alone gives:
+    # the same arrays or the same ValidationError.
+    N = data.draw(st.integers(1, 4))
+    size = N * T * (k + 1)
+    cells = data.draw(st.lists(st.integers(1, n), min_size=size, max_size=size))
+    values = np.array(cells).reshape(N, T * (k + 1))
+    X, Z = values[:, :T], values[:, T:].reshape(N, T, k)
+    if data.draw(st.booleans()):
+        Z[:, :, 0] = X  # every trace contained
+    traces = [CouplingTrace(n, x, z, (z == x[:, None]).any(axis=1)) for x, z in zip(X, Z)]
+    lines = traces_to_jsonl(traces).splitlines(keepends=keepends)
+    i = data.draw(st.integers(0, N - 1))
+    at, place = data.draw(st.integers(0, 10_000)), data.draw(st.integers(0, 4))
+    lines[i] = _perturbed(lines[i].rstrip("\n"), kind, n, at, place)
+    lines[i] += "\n" if keepends else ""
+
+    accepted = coupling._canonical_chunk(lines, n, (T, k))
+    assert (accepted is not None) == (kind == "none")
+    want = _parsed_by_json_alone(lines, n)
+    _assert_same_parse(_parsed_or_error(lines, n), want)
+    if kind == "none":
+        assert np.array_equal(want[0], X) and np.array_equal(want[1], Z)
+        assert np.array_equal(accepted[0], X) and np.array_equal(accepted[1], Z)
+
+
+def test_harness_trace_file_needs_one_json_loads(tmp_path, monkeypatch):
+    # 1,200 traces of 136 cells: five chunks, all parsed without JSON after
+    # the first trace's shapes.
+    from smoothlab.harness import make_config, run_experiment
+
+    params = {"n": 16, "sigma": 0.25, "T": 8, "k": 16, "adversary": "last-value"}
+    run_experiment(make_config("coupling", params, 1200, 3), tmp_path, parallelism=1)
+    path = tmp_path / "traces.jsonl"
+    with path.open() as lines:
+        want = _parsed_by_json_alone(lines, 16)
+    loads, calls = json.loads, []
+
+    def counting_loads(s, *args, **kwargs):
+        calls.append(s)
+        return loads(s, *args, **kwargs)
+
+    monkeypatch.setattr(coupling.json, "loads", counting_loads)
+    with path.open() as lines:
+        got = traces_from_jsonl(lines, 16)
+    assert len(calls) <= 1
+    _assert_same_parse(got, want)
+    assert got[0].shape == (1200, 8)
 
 
 def test_member_set_is_cached_and_outside_equality():

@@ -180,6 +180,28 @@ def test_densest_window_rule_restarts_on_a_signed_zero():
     assert repr(rule(plus, 2, None)[0]) == "0.0"
 
 
+def test_densest_window_rule_reads_a_strided_history():
+    # pts is a view with a stride of two cells.  The rule answers as on a
+    # contiguous copy and keeps the bytes of exactly the points it was given;
+    # a NaN with other payload bits, like a changed point, is a new history.
+    sigma = 0.1
+    wide = RngStream(seed=521).generator().random((60, 2))
+    pts = wide[:, 0]
+    rule = densest_window_adversary(sigma).rule
+    reference = _densest_reference(sigma)
+    for step in range(pts.size + 1):
+        assert rule(pts[:step], step, None) == reference(pts[:step].copy(), step, None), step
+        assert bytes(rule.seen) == pts[:step].tobytes()
+    quiet, payload = np.float64(np.nan), np.uint64(0x7FF8_0000_0000_0001).view(np.float64)
+    for nan in (quiet, payload):
+        wide[30, 0] = nan
+        assert rule(pts, 60, None) == reference(pts.copy(), 60, None)
+        assert bytes(rule.seen) == pts.tobytes()
+    wide[30, 0] = 0.5
+    assert rule(pts, 60, None) == reference(pts.copy(), 60, None)
+    assert bytes(rule.seen) == pts.tobytes() and rule.n == 60
+
+
 def test_rule_that_writes_into_the_history_raises():
     def scribble(pts, step, gen):
         if step:

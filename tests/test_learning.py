@@ -200,6 +200,17 @@ def test_hedge_probs_are_computed_once_and_read_only():
         probs[0] = 1.0
 
 
+def test_hedge_cdf_is_computed_once_and_read_only():
+    gen = RngStream(seed=421).generator()
+    _, state = hedge_step(make_hedge(9, eta=0.7), gen.random(9))
+    cdf = state.cdf()
+    expected = state.probs().cumsum()
+    expected /= expected[-1]
+    assert cdf.tobytes() == expected.tobytes() and cdf[-1] == 1.0
+    assert not cdf.flags.writeable
+    assert state.cdf() is cdf
+
+
 def test_hedge_state_arrays_are_read_only():
     for state in (make_hedge(4, eta=0.5), hedge_step(make_hedge(4, eta=0.5), np.ones(4))[1]):
         with pytest.raises(ValueError):
@@ -776,7 +787,9 @@ def test_block_first_argmin_is_flat_first_argmin(data):
 )
 def test_inverse_cdf_lands_in_a_cell_of_positive_mass(probs, u):
     probs = np.array(probs)
-    i, rescaled = learning._inverse_cdf(probs, u)
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    i, rescaled = learning._inverse_cdf(cdf, u)
     assert 0 <= i < probs.size
     assert probs[i] > 0.0
     assert 0.0 <= rescaled < 1.0
@@ -788,7 +801,7 @@ def test_inverse_cdf_rescaled_draw_stays_below_one():
     lo = 0.125 + 3 * 2.0**-54
     u = math.nextafter(0.75, 0.0)
     assert (u - lo) / (0.75 - lo) == 1.0
-    i, rescaled = learning._inverse_cdf(np.array([lo, 0.75 - lo, 0.25]), u)
+    i, rescaled = learning._inverse_cdf(np.array([lo, 0.75, 1.0]), u)
     assert i == 1
     assert rescaled < 1.0
 
