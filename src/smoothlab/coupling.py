@@ -598,14 +598,6 @@ def _canonical_chunk(chunk: list[str], n: int, shape: tuple[int, int]):
     return X, Z
 
 
-def _read_chunk(chunk: list[str], n: int, shape: tuple[int, int], done: int, dtype):
-    """X and Z of a chunk, narrowed to ``dtype``: without JSON when the chunk
-    is canonical, else line by line with ``json.loads``."""
-    parsed = _canonical_chunk(chunk, n, shape)
-    X, Z = parsed if parsed is not None else _json_chunk(chunk, n, shape, done)
-    return X.astype(dtype), Z.astype(dtype)
-
-
 def traces_from_jsonl(lines: Iterable[str], n: int) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of ``traces_to_jsonl``: X (N, T) and Z (N, T, k).
 
@@ -631,22 +623,20 @@ def traces_from_jsonl(lines: Iterable[str], n: int) -> tuple[np.ndarray, np.ndar
     X and Z contradict.
     """
     dtype = np.min_scalar_type(-n - 1)  # -(n + 1) fits a signed type exactly when n does
-    parts: list[tuple[np.ndarray, np.ndarray]] = []
-    done = 0  # traces in the chunks already read
-    chunk: list[str] = []
-    for line in lines:
-        if not line.strip():
-            continue
-        if not done and not chunk:
-            x, z, _ = _json_trace(line, 1, None)
-            shape = z.shape
-            rows = max(1, _PARSE_CHUNK_CELLS // (x.size + z.size))
-        chunk.append(line)
-        if len(chunk) == rows:
-            parts.append(_read_chunk(chunk, n, shape, done, dtype))
-            done, chunk = done + rows, []
-    if chunk:
-        parts.append(_read_chunk(chunk, n, shape, done, dtype))
-    if not parts:
+    traces = (line for line in lines if line.strip())
+    first = next(traces, None)
+    if first is None:
         raise ValidationError("no serialized traces")
-    return np.concatenate([X for X, _ in parts]), np.concatenate([Z for _, Z in parts])
+    x, z, _ = _json_trace(first, 1, None)
+    shape = z.shape
+    rows = max(1, _PARSE_CHUNK_CELLS // (x.size + z.size))
+    traces = itertools.chain([first], traces)
+    X_parts: list[np.ndarray] = []
+    Z_parts: list[np.ndarray] = []
+    done = 0  # traces in the chunks already read
+    while chunk := list(itertools.islice(traces, rows)):
+        X, Z = _canonical_chunk(chunk, n, shape) or _json_chunk(chunk, n, shape, done)
+        X_parts.append(X.astype(dtype))
+        Z_parts.append(Z.astype(dtype))
+        done += len(chunk)
+    return np.concatenate(X_parts), np.concatenate(Z_parts)
