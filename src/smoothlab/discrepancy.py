@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from smoothlab.domain import RngStream, ValidationError, require_sigma, require_stream
-from smoothlab.stats import binomial_stderr
+from smoothlab.stats import BoundCheck, one_sided_bound_check
 
 __all__ = [
     "PotentialOverflowError",
@@ -74,7 +74,6 @@ __all__ = [
     "slab_volume_fraction",
     "IsotropyReport",
     "check_isotropy",
-    "TailReport",
     "tail_probability_check",
     "make_potential_tail_threshold",
     "trace_to_csv",
@@ -596,21 +595,13 @@ def run_discrepancy(
 
     phi_limit = float(T) ** 6
     d = np.zeros(n)
-    signs = np.empty(T, dtype=np.int8)
-    inf_norms = np.empty(T)
-    two_norms = np.empty(T)
-    ips = np.empty(T)
-    phis = np.empty(T + 1) if potential else None
-    if phis is not None:
-        phis[0] = 1.0
-    X = np.empty((T, n))
+    signs, inf_norms, two_norms, ips, X = [], [], [], [], []
+    phis = [1.0] if potential else None  # phis[0] = Phi(0)
 
-    failed = False
     failed_round = -1
     phi_cross_round = -1
     blown_up = False
-    t_done = 0
-    d_inf = 0.0  # ||d_{t-1}||_inf, as written to inf_norms
+    d_inf = 0.0  # ||d_{t-1}||_inf, as appended to inf_norms
     next_vector = adv.next_vector
 
     # cosh overflows to inf past about 710.4; _phi_pair checks the row sums
@@ -618,7 +609,7 @@ def run_discrepancy(
     with np.errstate(over="ignore"):
         for t in range(1, T + 1):
             x = _check_input_vector(next_vector(d, t, gen), n, t)
-            ip = ips[t - 1] = float(d @ x)
+            ip = float(d @ x)
 
             if potential:
                 Xp_basis[:] = x
@@ -629,7 +620,7 @@ def run_discrepancy(
                     blown_up = True
                     phi_cross_round = t if phi_cross_round == -1 else phi_cross_round
                     break
-                phis[t] = phi_t
+                phis.append(phi_t)
                 if phi_t > phi_limit and phi_cross_round == -1:
                     phi_cross_round = t
                 if sign > 0:
@@ -639,8 +630,8 @@ def run_discrepancy(
             elif selfbalancing:
                 sign = choose_sign_selfbalancing(ip, d_inf, rule, gen)
                 if not sign:
-                    failed = True
                     failed_round = t
+                    ips.append(ip)  # the failing round's <d, x> is kept
                     break
             else:
                 sign = +1 if gen.random() < 0.5 else -1
@@ -648,32 +639,32 @@ def run_discrepancy(
             # d stays a fresh array each round: the adversary may keep the d it saw.
             # The potential's S[:n] got the same add or subtract of x, so it stays d bit for bit.
             d = d + x if sign > 0 else d - x
-            signs[t - 1] = sign
+            signs.append(sign)
+            ips.append(ip)
             # Every x passed the norm check, so d is finite: the same bits as np.abs(d).max().
-            d_inf = inf_norms[t - 1] = max(map(abs, d.tolist()))
-            two_norms[t - 1] = _norm(d)
-            X[t - 1] = x
-            t_done = t
+            d_inf = max(map(abs, d.tolist()))
+            inf_norms.append(d_inf)
+            two_norms.append(_norm(d))
+            X.append(x.copy())  # the adversary may reuse the array it returned
 
-    if phis is not None:
-        header["mean_phi_increment"] = (
-            float(np.diff(phis[: t_done + 1]).mean()) if t_done else 0.0
-        )
+    if potential:
+        phis = np.array(phis)
+        header["mean_phi_increment"] = float(np.diff(phis).mean()) if signs else 0.0
 
     return DiscrepancyTrace(
         n=n,
         T=T,
-        signs=signs[:t_done].copy(),
+        signs=np.array(signs, dtype=np.int8),
         d_final=d,
-        inf_norms=inf_norms[:t_done].copy(),
-        two_norms=two_norms[:t_done].copy(),
-        ips=ips[:t_done].copy() if not failed else ips[:failed_round].copy(),
-        phis=phis[: t_done + 1].copy() if phis is not None else None,
-        failed=failed,
+        inf_norms=np.array(inf_norms),
+        two_norms=np.array(two_norms),
+        ips=np.array(ips),
+        phis=phis,
+        failed=failed_round != -1,
         failed_round=failed_round,
         phi_cross_round=phi_cross_round,
         blown_up=blown_up,
-        X=X[:t_done].copy(),
+        X=np.reshape(X, (len(signs), n)),
         header=header,
     )
 
@@ -716,32 +707,20 @@ def check_isotropy(
     return IsotropyReport(covariance=cov, c_hat=c_hat, deviation=dev, n_samples=n_samples)
 
 
-@dataclass(frozen=True)
-class TailReport:
-    """One-sided comparison of an exceedance rate against a bound (``tail_probability_check``)."""
-
-    n_events: int
-    n_rounds: int
-    rate: float
-    bound: float
-    stderr: float
-    passed: bool
-
-
 def tail_probability_check(
     traces: list[DiscrepancyTrace],
     threshold,
     bound: float,
     z: float = 3.0,
     min_runs: int = 1000,
-) -> TailReport:
+) -> BoundCheck:
     """Check how often |<d_{t-1}, x_t>| exceeded a threshold across runs: the
     empirical side of the potential rule's tail lemma.
 
     ``threshold`` is a constant or a callable (trace, t) -> value evaluated
     with 1-based t; the empirical exceedance frequency over all rounds of all
-    traces is compared one-sided against ``bound`` plus z binomial standard
-    errors.
+    traces goes to ``one_sided_bound_check`` against ``bound`` at z binomial
+    standard errors, which refuses traces that played no round.
     """
     if len(traces) < min_runs:
         raise ValidationError(f"need at least {min_runs} runs, got {len(traces)}")
@@ -752,16 +731,7 @@ def tail_probability_check(
             theta = threshold(tr, t) if callable(threshold) else float(threshold)
             events += int(abs(float(tr.ips[t - 1])) > theta)
             rounds += 1
-    rate = events / rounds if rounds else 0.0
-    se = binomial_stderr(bound, rounds) if rounds else 0.0
-    return TailReport(
-        n_events=events,
-        n_rounds=rounds,
-        rate=rate,
-        bound=bound,
-        stderr=se,
-        passed=rate <= bound + z * se,
-    )
+    return one_sided_bound_check(events, rounds, bound, z=z)
 
 
 def make_potential_tail_threshold(cfg: PotentialConfig, delta: float):

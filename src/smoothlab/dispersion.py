@@ -48,8 +48,10 @@ __all__ = [
 class IntervalAdversary:
     """Adaptive interval source: maps the points so far to the next interval.
 
-    ``rule(points_so_far, step, gen)`` returns (lo, width); the generator
-    checks width >= sigma and containment in [0, 1] before drawing.
+    ``rule(points_so_far, step, gen)`` returns (lo, width);
+    generate_discontinuities checks width against its own ``sigma`` argument,
+    and containment in [0, 1], before drawing.  ``sigma`` is the source's
+    declared smoothness; no game reads it.
     ``points_so_far`` is a read-only view of the generator's draw history, so
     a rule that writes into it raises instead of changing later draws; a rule
     that needs a scratch copy makes its own.

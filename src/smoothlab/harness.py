@@ -94,11 +94,11 @@ class KindSpec:
     every default filled in; unknown parameter names are rejected against
     ``params`` before it runs.  ``options`` maps each choice parameter to its
     table of accepted values.  ``game(params)`` builds every object a trial
-    plays from resolved parameters; make_config calls it once, so every check
-    those constructors make runs before any trial.  It returns ``play(rng)``,
-    which plays one trial on the RngStream ``rng`` and returns the trial's
-    metrics and the contents of ``raw_files`` in order, where NNNN in a name
-    stands for the trial index.
+    plays from resolved parameters; an ExperimentConfig calls it once when it
+    is built, so every check those constructors make runs before any trial.
+    It returns ``play(rng)``, which plays one trial on the RngStream ``rng``
+    and returns the trial's metrics and the contents of ``raw_files`` in
+    order, where NNNN in a name stands for the trial index.
     ``summary_hook(run_dir, config, completed_rows)`` returns extra summary
     blocks, and ``check(params, summary)`` the kind's ``--assert`` failures.
 
@@ -118,7 +118,13 @@ class KindSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A fully resolved experiment: kind, kind parameters, trials, seed."""
+    """A fully resolved experiment: kind, kind parameters, trials, seed.
+
+    Building one validates ``params`` and resolves every default (replica
+    counts, cover widths, window widths), so ``params`` and config.json hold
+    exactly what the trials will use.  It then builds the kind's game once,
+    so all validation of the underlying modules runs here, before any trial.
+    """
 
     kind: str
     params: dict
@@ -130,6 +136,13 @@ class ExperimentConfig:
             raise ValidationError(
                 f"unknown experiment kind {self.kind!r}; expected one of {EXPERIMENT_KINDS}"
             )
+        if not isinstance(self.params, dict):
+            raise ValidationError(f"params must be a dict, got {type(self.params).__name__}")
+        spec = KINDS[self.kind]
+        _check_keys(self.params, spec.params, self.kind)
+        resolved = spec.resolve(self.kind, self.params)
+        spec.game(resolved)
+        object.__setattr__(self, "params", resolved)  # the dataclass is frozen
         if not _is_int(self.trials) or self.trials < 1:
             raise ValidationError(f"trials must be a positive integer, got {self.trials!r}")
         if not _is_int(self.seed) or self.seed < 0 or self.seed >= 2**64:
@@ -146,15 +159,8 @@ class ExperimentConfig:
 
 
 def make_config(kind: str, params: dict, trials: int, seed: int) -> ExperimentConfig:
-    """Validate and resolve every default, then freeze the config.
-
-    Resolution fills in derived parameters (replica counts, cover widths,
-    window widths) so config.json records exactly what the trials will use.
-    It then builds the kind's game once, so all validation of the underlying
-    modules runs here, before any trial.
-    """
-    resolved = _resolve_params(kind, params)
-    return ExperimentConfig(kind=kind, params=resolved, trials=trials, seed=seed)
+    """``ExperimentConfig(kind, params, trials, seed)``: the resolved, checked config."""
+    return ExperimentConfig(kind=kind, params=params, trials=trials, seed=seed)
 
 
 def _is_int(value) -> bool:
@@ -228,18 +234,6 @@ def _applies(params: dict, out: dict, key: str, field: str, value: str) -> bool:
     if key in params:
         raise ValidationError(f"{key} only applies to the {value} {field}")
     return False
-
-
-def _resolve_params(kind: str, params: dict) -> dict:
-    if not isinstance(params, dict):
-        raise ValidationError(f"params must be a dict, got {type(params).__name__}")
-    spec = KINDS.get(kind)
-    if spec is None:
-        raise ValidationError(f"unknown experiment kind {kind!r}")
-    _check_keys(params, spec.params, kind)
-    resolved = spec.resolve(kind, params)
-    spec.game(resolved)
-    return resolved
 
 
 # adversary -> factory(params, domain)
@@ -690,20 +684,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, parallelism: int 
     per-trial file is written and closed at once.  An interrupted run leaves
     a partial metrics.jsonl and raw files, and no summary.json.  When
     ``out_dir`` is reused, the files an earlier run wrote there are removed
-    first; other files are kept.
+    first; other files are kept.  ``cfg`` is run as given: its params were
+    resolved and its game checked when it was built.
     """
     if parallelism < 1:
         raise ValidationError(f"parallelism must be >= 1, got {parallelism}")
-    resolved = ExperimentConfig(
-        cfg.kind, _resolve_params(cfg.kind, cfg.params), cfg.trials, cfg.seed
-    )
     run_dir = Path(out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     _clear_owned_files(run_dir)
-    (run_dir / "config.json").write_text(resolved.to_json())
+    (run_dir / "config.json").write_text(cfg.to_json())
 
     raw_files = KINDS[cfg.kind].raw_files
-    jobs = ((cfg.kind, resolved.params, cfg.seed, i) for i in range(cfg.trials))
+    jobs = ((cfg.kind, cfg.params, cfg.seed, i) for i in range(cfg.trials))
     with ExitStack() as stack:
         if parallelism == 1 or cfg.trials == 1:
             results = map(_run_single_trial, jobs)
@@ -730,7 +722,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path, parallelism: int 
 
     summary = summarize(run_dir)
     (run_dir / "summary.json").write_text(summary_to_json(summary))
-    return RunResult(config=resolved, run_dir=str(run_dir), summary=summary)
+    return RunResult(config=cfg, run_dir=str(run_dir), summary=summary)
 
 
 def summary_to_json(summary: dict) -> str:

@@ -475,7 +475,8 @@ class BlockMistakeTracker:
 class SmoothLabelAdversary:
     """Labeled-example source: ``rule(gen)`` draws the round's (x, y) and reads
     nothing from the game; an adaptive rule is an object that keeps its own
-    state (``_MistakeTreeRule``)."""
+    state (``_MistakeTreeRule``).  ``sigma`` is the source's declared
+    smoothness; no game reads it."""
 
     sigma: float
     m: int

@@ -119,6 +119,8 @@ class BoundCheck:
 
 def one_sided_bound_check(successes: int, trials: int, bound: float, z: float = 3.0) -> BoundCheck:
     """Check empirical rate <= bound + z * sqrt(bound(1-bound)/N), one-sided."""
+    if trials < 1:
+        raise ValidationError(f"trials must be at least 1, got {trials}")
     rate = successes / trials
     se = binomial_stderr(bound, trials)
     return BoundCheck(rate=rate, bound=bound, stderr=se, z=z, passed=rate <= bound + z * se)

@@ -66,7 +66,7 @@ from smoothlab.learning import (
     run_learning_game,
     stationary_smooth_adversary,
 )
-from smoothlab.stats import binomial_stderr
+from smoothlab.stats import binomial_stderr, one_sided_bound_check
 
 # cosh overflows to inf past about 710.4; no code path may let numpy warn about it.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -232,10 +232,13 @@ def test_run_discrepancy_records_the_emitted_vectors():
     ball = uniform_ball_adversary(3)
     for rule in _default_rules(ball, 40):
         emitted = []
+        buffer = np.empty(3)
 
+        # One array, rewritten every round: the trace keeps each round's vector.
         def record(d, t, gen):
             emitted.append(ball.next_vector(d, t, gen))
-            return emitted[-1]
+            buffer[:] = emitted[-1]
+            return buffer
 
         adv = VectorAdversary(n=3, sigma=1.0, next_fn=record, name="recording")
         tr = run_discrepancy(rule, adv, 40, RngStream(seed=339))
@@ -771,6 +774,14 @@ def test_isotropy_requires_enough_samples():
         check_isotropy(uniform_ball_adversary(2), 10, RngStream(seed=330).generator())
 
 
+def _recounted_check(traces, thresholds, bound):
+    """one_sided_bound_check on the exceedances recounted from each trace's ips,
+    where ``thresholds(trace)`` gives the threshold of every round at once."""
+    events = sum(int(np.count_nonzero(np.abs(tr.ips) > thresholds(tr))) for tr in traces)
+    rounds = sum(tr.ips.size for tr in traces)
+    return one_sided_bound_check(events, rounds, bound)
+
+
 def test_tail_check_infinite_threshold_never_fires():
     adv = uniform_ball_adversary(4)
     traces = [
@@ -778,7 +789,7 @@ def test_tail_check_infinite_threshold_never_fires():
         for i in range(1000)
     ]
     rep = tail_probability_check(traces, float("inf"), bound=0.0)
-    assert rep.n_events == 0
+    assert rep == _recounted_check(traces, lambda tr: math.inf, 0.0)
     assert rep.rate == 0.0
     assert rep.passed
 
@@ -799,6 +810,11 @@ def test_tail_check_potential_lemma_threshold():
     traces = [run_discrepancy(cfg, adv, T, RngStream(seed=333, stream_id=i)) for i in range(1000)]
     threshold = make_potential_tail_threshold(cfg, delta)
     rep = tail_probability_check(traces, threshold, bound=delta)
+
+    def per_round(tr):
+        return np.array([threshold(tr, t) for t in range(1, tr.ips.size + 1)])
+
+    assert rep == _recounted_check(traces, per_round, delta)
     assert rep.passed
 
 

@@ -187,6 +187,14 @@ def test_cases_cover_every_harness_option():
     assert set(_load_frozen()) == set(CASES)
 
 
+def test_constructor_resolves_like_make_config():
+    for kind, params, trials in CASES.values():
+        built = harness.ExperimentConfig(kind, params, trials, SEED)
+        assert built == make_config(kind, params, trials, SEED)
+        # Resolved params resolve to themselves.
+        assert harness.ExperimentConfig(kind, built.params, trials, SEED) == built
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digest(name, tmp_path):
     assert run_digests(name, tmp_path) == _load_frozen()[name]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import importlib
 import inspect
 import json
@@ -77,7 +78,8 @@ def test_make_config_fills_defaults():
 
 
 def test_make_config_rejects_bad_input():
-    with pytest.raises(ValidationError):
+    kinds = re.escape(f"expected one of {harness.EXPERIMENT_KINDS}")
+    with pytest.raises(ValidationError, match=kinds):
         make_config("bogus", {}, 1, 0)
     with pytest.raises(ValidationError):
         make_config("coupling", {"n": 8, "sigma": 0.25, "T": 4, "mystery": 1}, 1, 0)
@@ -136,10 +138,11 @@ def test_make_config_rejects_bad_input():
         params = {**OPTIONAL_NUMERIC[kind][0], **choices, key: json.loads(value)}
         with pytest.raises(ValidationError, match=re.escape(needle)):
             make_config(kind, params, 1, 0)
-    with pytest.raises(ValidationError):
-        ExperimentConfig("coupling", {}, trials=0, seed=0)
-    with pytest.raises(ValidationError):
-        ExperimentConfig("coupling", {}, trials=1, seed=-1)
+    coupling = {"n": 8, "sigma": 0.25, "T": 4}
+    with pytest.raises(ValidationError, match="trials must be"):
+        ExperimentConfig("coupling", coupling, trials=0, seed=0)
+    with pytest.raises(ValidationError, match="seed must be"):
+        ExperimentConfig("coupling", coupling, trials=1, seed=-1)
 
 
 def test_make_config_raises_what_a_trial_would():
@@ -329,6 +332,30 @@ def test_summary_recompute_matches_emitted(tmp_path):
     emitted = (tmp_path / "run" / "summary.json").read_text()
     assert summary_to_json(summarize(tmp_path / "run")) == emitted
     assert summary_to_json(result.summary) == emitted
+
+
+def test_run_experiment_runs_the_config_as_built(tmp_path, monkeypatch):
+    # The config resolved its params and built its game once; a run resolves
+    # nothing more and builds one game a trial.
+    cfg = make_config("coupling", {"n": 4, "sigma": 0.5, "T": 2}, trials=5, seed=0)
+    spec = harness.KINDS["coupling"]
+    calls = {"resolve": 0, "game": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    counting = dataclasses.replace(
+        spec, resolve=counted("resolve", spec.resolve), game=counted("game", spec.game)
+    )
+    monkeypatch.setitem(harness.KINDS, "coupling", counting)
+    result = run_experiment(cfg, tmp_path / "run", parallelism=1)
+    assert calls == {"resolve": 0, "game": cfg.trials}
+    assert result.config is cfg
+    assert result.summary["completed"] == cfg.trials
 
 
 def test_trial_error_is_recorded_and_run_continues(tmp_path, monkeypatch):

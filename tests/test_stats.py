@@ -236,6 +236,13 @@ def test_one_sided_bound_check():
     assert not one_sided_bound_check(1, 1000, bound=0.0, z=3.0).passed
 
 
+def test_one_sided_bound_check_needs_a_trial():
+    # Zero trials once divided by zero; a rate of nothing checked is refused.
+    for trials in (0, -2):
+        with pytest.raises(ValidationError, match="trials"):
+            one_sided_bound_check(0, trials, 0.5)
+
+
 def test_bootstrap_ratio_ci_identical_samples_covers_one():
     gen = RngStream(seed=109).generator()
     values = gen.normal(5.0, 1.0, size=150)
