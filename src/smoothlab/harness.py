@@ -99,8 +99,11 @@ class KindSpec:
     It returns ``play(rng)``, which plays one trial on the RngStream ``rng``
     and returns the trial's metrics and the contents of ``raw_files`` in
     order, where NNNN in a name stands for the trial index.
-    ``summary_hook(run_dir, config, completed_rows)`` returns extra summary
-    blocks, and ``check(params, summary)`` the kind's ``--assert`` failures.
+    ``summary_hook(run_dir, config, columns, completed)`` returns extra summary
+    blocks from the metric columns ``_read_metrics`` returns: one list per key,
+    one entry per completed row in trial order, ``_ABSENT`` where that row
+    lacks the key.  ``check(params, summary)`` returns the kind's ``--assert``
+    failures.
 
     Option factories and game builders look module names up when called,
     so rebinding a name on this module reaches every trial.
@@ -113,7 +116,22 @@ class KindSpec:
     game: Callable[[dict], Callable[[RngStream], tuple[dict, tuple[str, ...]]]]
     raw_files: tuple[str, ...]
     check: Callable[[dict, dict], list[str]]
-    summary_hook: Callable[[Path, dict, list[dict]], dict] | None = None
+    summary_hook: Callable[[Path, dict, dict[str, list], int], dict] | None = None
+
+
+class _ResolvedParams(dict):
+    """A config's resolved params: a dict that refuses every change, so the
+    params a config checked are the params its trials play."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("the params of a built ExperimentConfig are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        # The default reduction refills the dict through __setitem__.
+        return (type(self), (dict(self),))
 
 
 @dataclass(frozen=True)
@@ -124,6 +142,7 @@ class ExperimentConfig:
     counts, cover widths, window widths), so ``params`` and config.json hold
     exactly what the trials will use.  It then builds the kind's game once,
     so all validation of the underlying modules runs here, before any trial.
+    The resolved ``params`` are read-only.
     """
 
     kind: str
@@ -142,7 +161,7 @@ class ExperimentConfig:
         _check_keys(self.params, spec.params, self.kind)
         resolved = spec.resolve(self.kind, self.params)
         spec.game(resolved)
-        object.__setattr__(self, "params", resolved)  # the dataclass is frozen
+        object.__setattr__(self, "params", _ResolvedParams(resolved))  # the dataclass is frozen
         if not _is_int(self.trials) or self.trials < 1:
             raise ValidationError(f"trials must be a positive integer, got {self.trials!r}")
         if not _is_int(self.seed) or self.seed < 0 or self.seed >= 2**64:
@@ -284,26 +303,32 @@ def _coupling_game(params: dict):
     return play
 
 
-def _summarize_coupling(run_dir: Path, cfg: dict, good: list[dict]) -> dict:
+def _summarize_coupling(
+    run_dir: Path, cfg: dict, columns: dict[str, list], completed: int
+) -> dict:
     """The containment-failure rate, plus chi-square marginal diagnostics when at
-    least MARGINAL_MIN_TRACES traces were persisted.  traces.jsonl must exist
-    and hold one trace per completed trial whose containment agrees with the
-    trial's metrics row."""
-    failures = sum(0 if r["contained"] else 1 for r in good)
-    extra = {"containment_failure": _rate_block(failures, len(good))}
+    least MARGINAL_MIN_TRACES traces were persisted.  Every completed trial's
+    metrics row must hold its containment flag, and traces.jsonl must exist
+    and hold one trace per completed trial whose containment agrees with it."""
+    contained = columns.get("contained", [_ABSENT] * completed)
+    if _ABSENT in contained:
+        trial = columns["trial"][contained.index(_ABSENT)]
+        raise ValidationError(f"trial {trial} in metrics.jsonl has no 'contained' flag")
+    expected = np.fromiter(contained, dtype=bool, count=completed)
+    failures = completed - int(np.count_nonzero(expected))
+    extra = {"containment_failure": _rate_block(failures, completed)}
     n = cfg["params"]["n"]
     with _open_run_file(run_dir, "traces.jsonl") as lines:
         X, Z = traces_from_jsonl(lines, n)
-    if X.shape[0] != len(good):
+    if X.shape[0] != completed:
         raise ValidationError(
-            f"traces.jsonl holds {X.shape[0]} traces for {len(good)} completed trials"
+            f"traces.jsonl holds {X.shape[0]} traces for {completed} completed trials"
         )
-    expected = np.fromiter((r["contained"] for r in good), dtype=bool, count=len(good))
     bad = containment_flags(X, Z) != expected
     if bad.any():
         i = int(bad.argmax())
         raise ValidationError(
-            f"trace {i + 1} contradicts the containment flag of trial {good[i]['trial']} "
+            f"trace {i + 1} contradicts the containment flag of trial {columns['trial'][i]} "
             "in metrics.jsonl"
         )
     if X.shape[0] >= MARGINAL_MIN_TRACES:
@@ -738,9 +763,42 @@ def _open_run_file(run_dir: Path, name: str):
     return open(path)
 
 
-def _read_metrics(run_dir: Path) -> list[dict]:
+# A column's entry for a completed row that lacks the column's key.
+_ABSENT = object()
+
+
+def _read_metrics(run_dir: Path) -> tuple[dict[str, list], list, int]:
+    """metrics.jsonl in one streaming pass, as columns: each key's values over
+    the completed rows in trial order, with _ABSENT where a row lacks the key;
+    the trials of the error rows; and the number of completed rows.  No row
+    outlives the pass."""
+    columns: dict[str, list] = {}
+    error_trials = []
+    completed = 0
     with _open_run_file(run_dir, "metrics.jsonl") as lines:
-        return [json.loads(line) for line in lines if line.strip()]
+        for line in lines:
+            if not line.strip():
+                continue
+            row = json.loads(line)
+            if "error" in row:
+                error_trials.append(row["trial"])
+                continue
+            for key, value in row.items():
+                column = columns.get(key)
+                if column is None:
+                    column = columns[key] = [_ABSENT] * completed
+                column.append(value)
+            completed += 1
+            if len(row) < len(columns):
+                for column in columns.values():
+                    if len(column) < completed:
+                        column.append(_ABSENT)
+    return columns, error_trials, completed
+
+
+def _present(column: list) -> list:
+    """A column's values, without the _ABSENT entries of rows that lack its key."""
+    return [v for v in column if v is not _ABSENT]
 
 
 def _rate_block(count: int, n: int) -> dict:
@@ -760,14 +818,12 @@ def summarize(run_dir: str | Path) -> dict:
     run_dir = Path(run_dir)
     with _open_run_file(run_dir, "config.json") as config_file:
         cfg = json.load(config_file)
-    rows = _read_metrics(run_dir)
-    good = [r for r in rows if "error" not in r]
+    columns, error_trials, completed = _read_metrics(run_dir)
 
-    keys = sorted({k for r in good for k in r} - {"trial"})
     metrics: dict[str, dict] = {}
-    for key in keys:
-        values = [r[key] for r in good if key in r]
-        if values and all(isinstance(v, bool) for v in values):
+    for key in sorted(columns.keys() - {"trial"}):
+        values = _present(columns[key])
+        if all(isinstance(v, bool) for v in values):
             metrics[key] = _rate_block(sum(values), len(values))
         else:
             arr = np.asarray([float(v) for v in values])
@@ -784,14 +840,14 @@ def summarize(run_dir: str | Path) -> dict:
         "kind": cfg["kind"],
         "seed": cfg["seed"],
         "trials": cfg["trials"],
-        "completed": len(good),
-        "errors": len(rows) - len(good),
-        "error_trials": [r["trial"] for r in rows if "error" in r],
+        "completed": completed,
+        "errors": len(error_trials),
+        "error_trials": error_trials,
         "metrics": metrics,
     }
     spec = KINDS.get(cfg["kind"])
-    if good and spec is not None and spec.summary_hook is not None:
-        summary.update(spec.summary_hook(run_dir, cfg, good))
+    if completed and spec is not None and spec.summary_hook is not None:
+        summary.update(spec.summary_hook(run_dir, cfg, columns, completed))
     return summary
 
 
@@ -810,10 +866,10 @@ def compare_runs(
     """
     values = []
     for run_dir in (Path(run_a), Path(run_b)):
-        rows = [r for r in _read_metrics(run_dir) if "error" not in r]
-        available = sorted({k for r in rows for k in r} - {"trial"})
-        vals = [float(r[metric]) for r in rows if metric in r]
+        columns = _read_metrics(run_dir)[0]
+        vals = [float(v) for v in _present(columns.get(metric, []))]
         if not vals:
+            available = sorted(columns.keys() - {"trial"})
             raise ValidationError(
                 f"metric {metric!r} absent from {run_dir}; available: {available}"
             )

@@ -10,18 +10,24 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import copy
 import dataclasses
 import importlib
 import inspect
 import json
 import math
+import pickle
 import pkgutil
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smoothlab.cli import build_parser, main as cli_main
 from smoothlab.discrepancy import (
@@ -48,6 +54,7 @@ from smoothlab.harness import (
 )
 from smoothlab import harness, learning
 from smoothlab.learning import ThresholdUnionClass, stationary_smooth_adversary
+from smoothlab.stats import bootstrap_ratio_ci, median
 
 
 def _dir_bytes(path: Path) -> dict[str, bytes]:
@@ -186,6 +193,31 @@ def test_make_config_rejects_boolean_trials_and_seed():
     for trials, seed in ((True, 0), (1, False), (True, False)):
         with pytest.raises(ValidationError):
             make_config("coupling", params, trials, seed)
+
+
+def test_config_params_cannot_change_after_the_check():
+    cfg = make_config("coupling", {"n": 4, "sigma": 0.5, "T": 2}, trials=2, seed=0)
+    resolved = dict(cfg.params)
+    params = cfg.params
+    for change in (
+        lambda: params.__setitem__("k", 0),
+        lambda: params.__delitem__("k"),
+        lambda: params.pop("k"),
+        lambda: params.popitem(),
+        lambda: params.setdefault("set_size", 2),
+        lambda: params.update(k=0),
+        lambda: params.clear(),
+    ):
+        with pytest.raises(TypeError):
+            change()
+    with pytest.raises(TypeError):
+        params |= {"k": 0}
+    assert cfg.params == resolved
+    # The pool pickles the params into every job, read-only on the other side too.
+    for copied in (pickle.loads(pickle.dumps(cfg.params)), copy.deepcopy(cfg.params)):
+        assert copied == resolved and type(copied) is type(cfg.params)
+    payload = {"kind": "coupling", "params": resolved, "seed": 0, "trials": 2}
+    assert cfg.to_json() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def test_learning_rejects_conflicting_m_and_sigma():
@@ -487,6 +519,19 @@ def test_summarize_rejects_traces_that_contradict_the_metrics(tmp_path):
         summarize(run_dir)
 
 
+def test_summarize_names_the_trial_whose_row_lacks_its_containment_flag(tmp_path):
+    run_dir, rows, _ = _coupling_run_with_failures(tmp_path)
+    for lacking in ([7], range(len(rows))):
+        edited = [
+            {k: v for k, v in r.items() if k != "contained" or r["trial"] not in lacking}
+            for r in rows
+        ]
+        (run_dir / "metrics.jsonl").write_text("".join(json.dumps(r) + "\n" for r in edited))
+        match = f"trial {min(lacking)} in metrics.jsonl has no 'contained' flag"
+        with pytest.raises(ValidationError, match=match):
+            summarize(run_dir)
+
+
 def test_coupling_summary_marginals_block(tmp_path):
     cfg = make_config(
         "coupling", {"n": 4, "sigma": 0.5, "T": 2, "k": 4, "adversary": "last-value"},
@@ -648,11 +693,16 @@ from smoothlab import harness
 
 run_dir = Path(sys.argv[1])
 cfg = json.loads((run_dir / "config.json").read_text())
-good = harness._read_metrics(run_dir)
+if sys.argv[2] == "hook":
+    # The summary hook alone: the metric columns are read before the first sample.
+    columns, _, completed = harness._read_metrics(run_dir)
+    summarize = lambda: harness.KINDS["coupling"].summary_hook(run_dir, cfg, columns, completed)
+else:
+    summarize = lambda: harness.summarize(run_dir)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-summary = harness.KINDS["coupling"].summary_hook(run_dir, cfg, good)
+summary = summarize()
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-assert summary["marginals"]["n_traces"] == len(good)
+assert summary["marginals"]["n_traces"] == cfg["trials"]
 print((after - before) * (1 if sys.platform == "darwin" else 1024))
 """
 
@@ -676,26 +726,53 @@ def _synthesize_coupling_run(run_dir: Path, n: int, T: int, k: int, trials: int)
                 rows.write(json.dumps({"trial": start + i, "contained": c}) + "\n")
 
 
-def test_coupling_summary_memory_is_about_a_byte_per_cell(tmp_path):
+@pytest.fixture(scope="module")
+def coupling_runs_10k_and_40k(tmp_path_factory):
+    base = tmp_path_factory.mktemp("coupling-runs")
+    for trials in (10_000, 40_000):
+        _synthesize_coupling_run(base / str(trials), n=16, T=4, k=8, trials=trials)
+    return [base / "10000", base / "40000"]
+
+
+def _summary_growth(run_dirs, part: str, repeats: int = 1) -> list[int]:
+    """The peak growth, in bytes, across ``part`` of each run's summary: the least
+    of ``repeats`` fresh processes, since allocator noise only adds to a peak."""
+    return [
+        min(
+            int(
+                subprocess.run(
+                    [sys.executable, "-c", _GROWTH_ACROSS_COUPLING_SUMMARY, str(run_dir), part],
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                    timeout=120,
+                ).stdout
+            )
+            for _ in range(repeats)
+        )
+        for run_dir in run_dirs
+    ]
+
+
+def test_coupling_summary_memory_is_about_a_byte_per_cell(coupling_runs_10k_and_40k):
     # From 10,000 to 40,000 traces of T * k = 32 cells, the one-byte Z grows by
     # 0.9 MiB, and the peak, which also holds the chunks while they are joined,
     # grew by 2.6-3.9 MiB.  Reading the text whole into int64 arrays grew it by
-    # 19.3 MiB.  scipy.special is imported and the metrics rows are read before
-    # the first sample, so neither counts.
+    # 19.3 MiB.  scipy.special is imported and the metric columns are read
+    # before the first sample, so neither counts.
     pytest.importorskip("resource")
-    growth = []
-    for trials in (10_000, 40_000):
-        run_dir = tmp_path / str(trials)
-        _synthesize_coupling_run(run_dir, n=16, T=4, k=8, trials=trials)
-        out = subprocess.run(
-            [sys.executable, "-c", _GROWTH_ACROSS_COUPLING_SUMMARY, str(run_dir)],
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=120,
-        ).stdout
-        growth.append(int(out))
+    growth = _summary_growth(coupling_runs_10k_and_40k, "hook")
     assert growth[1] - growth[0] < 8 * 2**20, growth
+
+
+def test_summarize_memory_grows_by_columns_not_rows(coupling_runs_10k_and_40k):
+    # The whole summarize() call, metrics.jsonl included: from 10,000 to 40,000
+    # trials its peak grew by 2.5-3.9 MiB with metric columns, and by 11.5-14.2
+    # MiB when every metrics row was kept as a dict of its own.  One sample in
+    # twenty read 6.1 MiB, so each size takes the least of three.
+    pytest.importorskip("resource")
+    growth = _summary_growth(coupling_runs_10k_and_40k, "summarize", repeats=3)
+    assert growth[1] - growth[0] < 6 * 2**20, growth
 
 
 def test_compare_identical_runs_gives_ratio_exactly_one(tmp_path):
@@ -723,6 +800,136 @@ def test_compare_missing_metric_and_zero_median(tmp_path):
     # "failed" is False in every random-sign trial, so its median is zero.
     with pytest.raises(ValidationError, match="zero"):
         compare_runs(tmp_path / "a", tmp_path / "a", "failed")
+
+
+def _row_dicts(run_dir: Path) -> list[dict]:
+    with open(run_dir / "metrics.jsonl") as lines:
+        return [json.loads(line) for line in lines if line.strip()]
+
+
+def _summary_from_row_dicts(run_dir: Path) -> dict:
+    """summarize() as it was when every metrics row was kept as a dict: the
+    reference for the column reader, for a kind with no summary hook."""
+    cfg = json.loads((run_dir / "config.json").read_text())
+    rows = _row_dicts(run_dir)
+    good = [r for r in rows if "error" not in r]
+    keys = sorted({k for r in good for k in r} - {"trial"})
+    metrics = {}
+    for key in keys:
+        values = [r[key] for r in good if key in r]
+        if values and all(isinstance(v, bool) for v in values):
+            metrics[key] = harness._rate_block(sum(values), len(values))
+        else:
+            arr = np.asarray([float(v) for v in values])
+            metrics[key] = {
+                "mean": float(arr.mean()),
+                "std": float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
+                "median": median(arr),
+                "min": float(arr.min()),
+                "max": float(arr.max()),
+                "n": int(arr.size),
+            }
+    return {
+        "kind": cfg["kind"],
+        "seed": cfg["seed"],
+        "trials": cfg["trials"],
+        "completed": len(good),
+        "errors": len(rows) - len(good),
+        "error_trials": [r["trial"] for r in rows if "error" in r],
+        "metrics": metrics,
+    }
+
+
+def _compare_from_row_dicts(run_a: Path, run_b: Path, metric: str, n_resamples: int) -> dict:
+    """compare_runs() as it was when every metrics row was kept as a dict."""
+    values = []
+    for run_dir in (run_a, run_b):
+        rows = [r for r in _row_dicts(run_dir) if "error" not in r]
+        available = sorted({k for r in rows for k in r} - {"trial"})
+        vals = [float(r[metric]) for r in rows if metric in r]
+        if not vals:
+            raise ValidationError(
+                f"metric {metric!r} absent from {run_dir}; available: {available}"
+            )
+        values.append(np.asarray(vals))
+    a, b = values
+    median_a, median_b = median(a), median(b)
+    if median_b == 0.0:
+        raise ValidationError(f"median of {metric!r} in run B is zero; ratio undefined")
+    ci_low, ci_high = bootstrap_ratio_ci(
+        a, b, RngStream(seed=0, stream_id=0).generator(), n_resamples=n_resamples
+    )
+    return {
+        "metric": metric,
+        "n_a": int(a.size),
+        "n_b": int(b.size),
+        "median_a": median_a,
+        "median_b": median_b,
+        "ratio": median_a / median_b,
+        "ci_low": ci_low,
+        "ci_high": ci_high,
+        "n_resamples": n_resamples,
+        "seed": 0,
+    }
+
+
+_METRIC_VALUE = st.one_of(
+    st.booleans(),
+    st.integers(-(10**6), 10**6),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+_METRIC_ROW = st.dictionaries(st.sampled_from(("a", "b", "c", "ok")), _METRIC_VALUE, max_size=4)
+# Each line: a completed row, an error row (which may carry other keys too),
+# or a blank line.
+_METRICS_LINE = st.one_of(
+    _METRIC_ROW.map(lambda row: ("row", row)),
+    _METRIC_ROW.map(lambda row: ("error", row)),
+    st.sampled_from(("\n", "  \n", "\t\n")).map(lambda blank: ("blank", blank)),
+)
+
+
+def _write_metrics(run_dir: Path, lines: list) -> None:
+    run_dir.mkdir()
+    config = {"kind": "dispersion", "params": {}, "seed": 3, "trials": len(lines)}
+    (run_dir / "config.json").write_text(json.dumps(config))
+    text = []
+    for trial, (what, value) in enumerate(lines):
+        if what == "blank":
+            text.append(value)
+        else:
+            row = {"trial": trial, **value}
+            if what == "error":
+                row["error"] = "RuntimeError: injected"
+            text.append(json.dumps(row) + "\n")
+    (run_dir / "metrics.jsonl").write_text("".join(text))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (ValidationError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lines_a=st.lists(_METRICS_LINE, max_size=12),
+    lines_b=st.lists(_METRICS_LINE, max_size=12),
+    metric=st.sampled_from(("a", "b", "c", "ok", "trial", "absent")),
+)
+def test_metric_columns_summarize_and_compare_as_row_dicts(lines_a, lines_b, metric):
+    assert harness.KINDS["dispersion"].summary_hook is None
+    with tempfile.TemporaryDirectory() as tmp:
+        run_a, run_b = Path(tmp) / "a", Path(tmp) / "b"
+        _write_metrics(run_a, lines_a)
+        _write_metrics(run_b, lines_b)
+        for run_dir in (run_a, run_b):
+            assert summary_to_json(summarize(run_dir)) == summary_to_json(
+                _summary_from_row_dicts(run_dir)
+            )
+        assert _outcome(lambda: compare_runs(run_a, run_b, metric, n_resamples=16)) == _outcome(
+            lambda: _compare_from_row_dicts(run_a, run_b, metric, 16)
+        )
 
 
 def test_assert_report_checks_by_kind():
