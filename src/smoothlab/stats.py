@@ -35,6 +35,9 @@ _SUM_RTOL = math.sqrt(np.finfo(float).eps)
 # Coverage of every bootstrap interval.
 _BOOTSTRAP_LEVEL = 0.95
 
+# Index cells drawn per block of bootstrap resamples.
+_BOOTSTRAP_BLOCK = 2**18
+
 
 def _chi_square(observed: np.ndarray, expected: np.ndarray, dof: int) -> tuple[float, float]:
     """Pearson's statistic sum((o - e)^2 / e) and its upper chi-square tail at dof."""
@@ -151,6 +154,15 @@ def _quantile(values: np.ndarray, q: float) -> float:
     return float(part[-1] if np.isnan(part[-1]) else mixed)
 
 
+def _resample_medians(x: np.ndarray, gen: np.random.Generator, n_resamples: int) -> np.ndarray:
+    """``median(x[gen.integers(x.size, size=(n_resamples, x.size))])`` drawn in row
+    blocks of about _BOOTSTRAP_BLOCK cells: the same values and end state of ``gen``,
+    in bounded memory."""
+    rows = max(1, _BOOTSTRAP_BLOCK // x.size)
+    blocks = (min(rows, n_resamples - start) for start in range(0, n_resamples, rows))
+    return np.concatenate([median(x[gen.integers(x.size, size=(r, x.size))]) for r in blocks])
+
+
 def bootstrap_ratio_ci(
     a: np.ndarray,
     b: np.ndarray,
@@ -168,8 +180,8 @@ def bootstrap_ratio_ci(
         raise ValueError("cannot bootstrap an empty sample")
     if n_resamples < 1:
         raise ValidationError(f"n_resamples must be at least 1, got {n_resamples}")
-    num = median(a[gen.integers(a.size, size=(n_resamples, a.size))])
-    den = median(b[gen.integers(b.size, size=(n_resamples, b.size))])
+    num = _resample_medians(a, gen, n_resamples)
+    den = _resample_medians(b, gen, n_resamples)
     keep = den != 0
     if not np.any(keep):
         raise ValueError("all bootstrap denominators are zero")

@@ -11,11 +11,24 @@ recorded inline next to each assertion.
 Criteria 1 and 2 share one batch of 50,000 coupled traces at
 (n, sigma, T, k) = (16, 0.25, 8, 16); generation time is attributed to
 criterion 1 and criterion 2 adds only its own checks.
+
+Criteria 4-8 and 10 are harness runs: each builds its configs with
+``make_config``, runs them with ``run_experiment`` at parallelism 2, requires
+``assert_report`` to pass, and reads its values from the runs' summaries.
+Their lines end with the kind, seed and trials, so the command line
+reproduces any of them, e.g. acceptance 8:
+
+    smoothlab learning --param m=64 --param d=2 --param T=4096 \\
+        --param adversary=mistake-tree --trials 50 --seed 1008 --assert
+
+Criteria 1-3 and 9 call library functions directly, and 11 byte-compares
+run directories.
 """
 
 from __future__ import annotations
 
 import math
+import shutil
 import time
 
 import numpy as np
@@ -29,24 +42,8 @@ from smoothlab.coupling import (
     last_value_adversary,
     verify_marginals,
 )
-from smoothlab.discrepancy import (
-    PotentialConfig,
-    RandomSign,
-    SelfBalancingConfig,
-    adaptive_shell_adversary,
-    run_discrepancy,
-    slab_lowerbound_adversary,
-    uniform_ball_adversary,
-)
-from smoothlab.dispersion import (
-    check_dispersed,
-    densest_window_adversary,
-    fixed_interval_adversary,
-    generate_discontinuities,
-    iid_uniform_adversary,
-    max_interval_count,
-    max_interval_count_brute,
-)
+from smoothlab.discrepancy import SelfBalancingConfig
+from smoothlab.dispersion import max_interval_count, max_interval_count_brute
 from smoothlab.domain import (
     FiniteDomain,
     RngStream,
@@ -54,17 +51,14 @@ from smoothlab.domain import (
     min_support_size,
     random_smooth_pmf,
 )
-from smoothlab.harness import make_config, run_experiment
+from smoothlab.harness import assert_report, make_config, run_experiment
 from smoothlab.learning import (
     ThresholdUnionClass,
     best_in_hindsight,
     best_in_hindsight_brute,
     build_cover,
-    mistake_tree_adversary,
     net_error,
     net_error_brute,
-    run_learning_game,
-    stationary_smooth_adversary,
 )
 from smoothlab.stats import one_sided_bound_check
 
@@ -180,22 +174,33 @@ def test_acceptance_3_decomposition(acceptance_report):
     assert ok, line
 
 
-def test_acceptance_4_discrepancy_upper_bound(acceptance_report):
+def _harness_runs(tmp_path, kind: str, runs: dict, trials: int, seed: int):
+    """Each named params dict run as make_config(kind, params, trials, seed) at
+    parallelism 2, with assert_report's checks required to pass; returns the
+    summaries by name.  The run directories are deleted: acceptance 4's alone
+    hold about 140 MB of traces."""
+    summaries = {}
+    for name, params in runs.items():
+        cfg = make_config(kind, params, trials, seed)
+        run = run_experiment(cfg, tmp_path / f"{kind}-{seed}-{name}", parallelism=2)
+        shutil.rmtree(run.run_dir)
+        failures = assert_report(kind, cfg.params, run.summary)
+        assert not failures, f"{kind} {name} at seed {seed}: {failures}"
+        summaries[name] = run.summary
+    return summaries
+
+
+def test_acceptance_4_discrepancy_upper_bound(tmp_path, acceptance_report):
     start = time.time()
-    n, sigma, trials = 8, 0.25, 50
-    medians: dict[tuple[str, int], float] = {}
-    for make_rule, seed, horizons in (
-        (lambda adv, T: PotentialConfig.default(adv.n, T, adv.sigma), 1004, (1024, 4096, 16384)),
-        (lambda adv, T: RandomSign(), 1005, (1024, 16384)),
+    game = {"n": 8, "adversary": "adaptive-shell", "sigma": 0.25}
+    medians = {}
+    for algorithm, seed, horizons in (
+        ("potential", 1004, (1024, 4096, 16384)),
+        ("random-sign", 1005, (1024, 16384)),
     ):
-        for T in horizons:
-            finals = []
-            for i in range(trials):
-                adv = adaptive_shell_adversary(n, sigma)
-                rule = make_rule(adv, T)
-                trace = run_discrepancy(rule, adv, T, RngStream(seed=seed, stream_id=i))
-                finals.append(trace.max_inf)
-            medians[(rule.name, T)] = float(np.median(finals))
+        runs = {T: {**game, "algorithm": algorithm, "T": T} for T in horizons}
+        for T, summary in _harness_runs(tmp_path, "discrepancy", runs, 50, seed).items():
+            medians[(algorithm, T)] = summary["metrics"]["max_inf"]["median"]
     elapsed = time.time() - start
 
     growth = medians[("potential", 16384)] / medians[("potential", 1024)]
@@ -210,28 +215,20 @@ def test_acceptance_4_discrepancy_upper_bound(acceptance_report):
         f"@4096={medians[('potential', 4096)]:.3f} "
         f"@16384={medians[('potential', 16384)]:.3f} growth={growth:.3f}(<=2) "
         f"vs_random={vs_random:.3f}(<=0.2) random_ratio={random_ratio:.3f}(>=3) "
-        f"elapsed={elapsed:.0f}s budget=600s",
+        f"elapsed={elapsed:.0f}s budget=600s kind=discrepancy seed=1004/1005 trials=50",
     )
     assert ok, line
 
 
-def test_acceptance_5_discrepancy_lower_bound(acceptance_report):
+def test_acceptance_5_discrepancy_lower_bound(tmp_path, acceptance_report):
     start = time.time()
-    n, T, trials = 4, 500, 200
-    rates = {}
-    for make_rule in (
-        lambda adv: PotentialConfig.default(adv.n, T, adv.sigma),
-        lambda adv: SelfBalancingConfig.default(adv.n, T, adv.sigma),
-        lambda adv: RandomSign(),
-    ):
-        hits = 0
-        for i in range(trials):
-            adv = slab_lowerbound_adversary(n, T)
-            rule = make_rule(adv)
-            trace = run_discrepancy(rule, adv, T, RngStream(seed=1009, stream_id=i))
-            if trace.final_two_norm_sq >= T / 20.0:
-                hits += 1
-        rates[rule.name] = hits / trials
+    runs = {
+        algorithm: {"algorithm": algorithm, "n": 4, "T": 500}
+        for algorithm in ("potential", "selfbalancing", "random-sign")
+    }
+    summaries = _harness_runs(tmp_path, "discrepancy-lowerbound", runs, 200, 1009)
+    # ok: final squared length at least T/20.
+    rates = {algo: summary["metrics"]["ok"]["rate"] for algo, summary in summaries.items()}
     elapsed = time.time() - start
 
     # Calibrated at seed 1009: 200/200 for all three algorithms.
@@ -240,28 +237,20 @@ def test_acceptance_5_discrepancy_lower_bound(acceptance_report):
         5,
         ok,
         " ".join(f"{algo}={rate:.3f}" for algo, rate in rates.items())
-        + f" floor=0.99 elapsed={elapsed:.0f}s budget=120s",
+        + f" floor=0.99 elapsed={elapsed:.0f}s budget=120s"
+        " kind=discrepancy-lowerbound seed=1009 trials=200",
     )
     assert ok, line
 
 
-def test_acceptance_6_selfbalancing_walk(acceptance_report):
+def test_acceptance_6_selfbalancing_walk(tmp_path, acceptance_report):
     start = time.time()
     n, T = 8, 1000
     cfg = SelfBalancingConfig.default(n, T, 1.0, delta=0.1)
-    failures = 0
-    worst = 0.0
-    for i in range(100):
-        adv = uniform_ball_adversary(n)
-        trace = run_discrepancy(
-            SelfBalancingConfig.default(adv.n, T, adv.sigma),
-            adv,
-            T,
-            RngStream(seed=1006, stream_id=i),
-        )
-        failures += int(trace.failed)
-        if not trace.failed:
-            worst = max(worst, trace.max_inf)
+    runs = {"walk": {"algorithm": "selfbalancing", "n": n, "T": T, "adversary": "uniform-ball"}}
+    metrics = _harness_runs(tmp_path, "discrepancy", runs, 100, 1006)["walk"]["metrics"]
+    failures = metrics["failed"]["count"]
+    worst = metrics["max_inf"]["max"]
     elapsed = time.time() - start
 
     # Calibrated at seed 1006: zero failures, worst running norm 29.4 vs c = 529.6.
@@ -270,30 +259,20 @@ def test_acceptance_6_selfbalancing_walk(acceptance_report):
         6,
         ok,
         f"failures={failures} worst_inf={worst:.2f} c={cfg.c:.2f} ceiling={cfg.c + 1.0:.2f} "
-        f"elapsed={elapsed:.0f}s budget=60s",
+        f"elapsed={elapsed:.0f}s budget=60s kind=discrepancy seed=1006 trials=100",
     )
     assert ok, line
 
 
-def test_acceptance_7_learning_upper_bound(acceptance_report):
+def test_acceptance_7_learning_upper_bound(tmp_path, acceptance_report):
     start = time.time()
-    cls = ThresholdUnionClass(64, 2)
-    trials = 50
-    means = {}
-    for T in (1024, 2048, 4096):
-        beta = cls.sigma * math.sqrt(cls.d) / math.sqrt(T)
-        cover = build_cover(cls, beta)
-        regrets = []
-        for i in range(trials):
-            adv = stationary_smooth_adversary(cls)
-            ledger = run_learning_game(
-                "hedge-on-cover", adv, cover, T, RngStream(seed=1007, stream_id=i)
-            )
-            regrets.append(ledger.regret)
-        means[T] = float(np.mean(regrets))
+    m, d, sigma = 64, 2, 1.0 / 64
+    runs = {T: {"m": m, "d": d, "T": T} for T in (1024, 2048, 4096)}
+    summaries = _harness_runs(tmp_path, "learning", runs, 50, 1007)
+    means = {T: summary["metrics"]["regret"]["mean"] for T, summary in summaries.items()}
     elapsed = time.time() - start
 
-    ceiling = 5.0 * math.sqrt(4096 * cls.d * math.log(4096 / (cls.d * cls.sigma)))
+    ceiling = 5.0 * math.sqrt(4096 * d * math.log(4096 / (d * sigma)))
     per_round = [means[T] / T for T in (1024, 2048, 4096)]
     decreasing = per_round[0] > per_round[1] > per_round[2]
     # Calibrated at seed 1007: means 32.9 / 48.1 / 66.2 against ceiling 1553.5.
@@ -303,35 +282,27 @@ def test_acceptance_7_learning_upper_bound(acceptance_report):
         ok,
         f"mean@1024={means[1024]:.2f} @2048={means[2048]:.2f} @4096={means[4096]:.2f} "
         f"ceiling={ceiling:.1f} per_round_decreasing={decreasing} "
-        f"elapsed={elapsed:.0f}s budget=300s",
+        f"elapsed={elapsed:.0f}s budget=300s kind=learning seed=1007 trials=50",
     )
     assert ok, line
 
 
-def test_acceptance_8_learning_lower_bound(acceptance_report):
+def test_acceptance_8_learning_lower_bound(tmp_path, acceptance_report):
     start = time.time()
-    cls = ThresholdUnionClass(64, 2)
-    T = 4096
-    beta = cls.sigma * math.sqrt(cls.d) / math.sqrt(T)
-    cover = build_cover(cls, beta)
-    regrets = []
-    for i in range(50):
-        adv = mistake_tree_adversary(cls)
-        ledger = run_learning_game(
-            "hedge-on-cover", adv, cover, T, RngStream(seed=1008, stream_id=i)
-        )
-        regrets.append(ledger.regret)
+    m, d, sigma, T = 64, 2, 1.0 / 64, 4096
+    runs = {"tree": {"m": m, "d": d, "T": T, "adversary": "mistake-tree"}}
+    summary = _harness_runs(tmp_path, "learning", runs, 50, 1008)["tree"]
+    mean_regret = summary["metrics"]["regret"]["mean"]
     elapsed = time.time() - start
 
-    mean_regret = float(np.mean(regrets))
-    floor = 0.1 * math.sqrt(cls.d * T * math.log2(1.0 / (cls.sigma * cls.d)))
+    floor = 0.1 * math.sqrt(d * T * math.log2(1.0 / (sigma * d)))
     # Calibrated at seed 1008: mean 38.8 against floor 20.24.
     ok = mean_regret >= floor and elapsed < 300.0
     line = acceptance_report(
         8,
         ok,
         f"mean_regret={mean_regret:.2f} floor={floor:.2f} trials=50 "
-        f"elapsed={elapsed:.0f}s budget=300s",
+        f"elapsed={elapsed:.0f}s budget=300s kind=learning seed=1008",
     )
     assert ok, line
 
@@ -367,24 +338,17 @@ def test_acceptance_9_exact_diagnostics(acceptance_report):
     assert ok, line
 
 
-def test_acceptance_10_dispersion(acceptance_report):
+def test_acceptance_10_dispersion(tmp_path, acceptance_report):
     start = time.time()
-    T, ell, sigma = 100, 5, 0.1
-    adversaries = {
-        "iid": iid_uniform_adversary(),
-        "fixed": fixed_interval_adversary(sigma, lo=0.3),
-        "adaptive": densest_window_adversary(sigma),
+    game = {"T": 100, "ell": 5, "sigma": 0.1}
+    runs = {
+        "iid": {**game, "adversary": "iid-uniform"},
+        "fixed": {**game, "adversary": "fixed-interval", "lo": 0.3},
+        "adaptive": {**game, "adversary": "densest-window"},
     }
-    rates = {}
-    for name, adv in adversaries.items():
-        within = 0
-        for i in range(200):
-            sample = generate_discontinuities(
-                adv, T, ell, sigma, RngStream(seed=1010, stream_id=i).generator()
-            )
-            _, report = check_dispersed(sample, alpha=0.5, delta=0.05)
-            within += int(report.total <= report.bound)
-        rates[name] = within / 200
+    summaries = _harness_runs(tmp_path, "dispersion", runs, 200, 1010)
+    # within_bound: the total window count at most the dispersion bound.
+    rates = {name: summ["metrics"]["within_bound"]["rate"] for name, summ in summaries.items()}
 
     gen = RngStream(seed=1012, stream_id=0).generator()
     sweep_mismatches = 0
@@ -407,7 +371,7 @@ def test_acceptance_10_dispersion(acceptance_report):
         ok,
         " ".join(f"{name}={rate:.3f}" for name, rate in rates.items())
         + f" floor=0.95 sweep_mismatches={sweep_mismatches} "
-        f"elapsed={elapsed:.0f}s budget=120s",
+        f"elapsed={elapsed:.0f}s budget=120s kind=dispersion seed=1010 trials=200",
     )
     assert ok, line
 

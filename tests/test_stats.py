@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from smoothlab import stats
 from smoothlab.domain import RngStream, ValidationError
 from smoothlab.stats import (
     _quantile,
@@ -306,3 +308,56 @@ def test_bootstrap_ratio_ci_needs_a_resample():
     for n_resamples in (0, -3):
         with pytest.raises(ValidationError, match="n_resamples"):
             bootstrap_ratio_ci(a, a, RngStream(seed=1).generator(), n_resamples=n_resamples)
+
+
+def _one_shot_ratio_ci(a, b, gen, n_resamples):
+    """bootstrap_ratio_ci as one (n_resamples, n) index draw per sample: the reference
+    for the blocked draw."""
+    num = median(a[gen.integers(a.size, size=(n_resamples, a.size))])
+    den = median(b[gen.integers(b.size, size=(n_resamples, b.size))])
+    ratios = num[den != 0] / den[den != 0]
+    lo = (1.0 - 0.95) / 2.0
+    return (num, den), (_quantile(ratios, lo), _quantile(ratios, 1.0 - lo))
+
+
+@pytest.mark.parametrize(
+    "n_a, n_b, n_resamples, block",
+    [
+        (7, 5, 1001, 64 * 7),  # 1001 = 15 blocks of 64 rows of a, and 13 more
+        (1000, 999, 3001, 17 * 1000),
+        (3, 3, 10, 1),  # one row a block: the block is smaller than a row
+        (10_000, 10_000, 300, stats._BOOTSTRAP_BLOCK),  # 26 rows a block
+    ],
+)
+def test_bootstrap_ratio_ci_blocks_draw_what_one_draw_does(
+    monkeypatch, n_a, n_b, n_resamples, block
+):
+    values = RngStream(seed=111).generator()
+    a = values.integers(0, 20, size=n_a).astype(float)  # ties, as metric columns have
+    b = values.integers(1, 20, size=n_b).astype(float)
+    monkeypatch.setattr(stats, "_BOOTSTRAP_BLOCK", block)
+    blocked, reference = RngStream(seed=8).generator(), RngStream(seed=8).generator()
+    medians, interval = _one_shot_ratio_ci(a, b, reference, n_resamples)
+    got = (
+        stats._resample_medians(a, blocked, n_resamples),
+        stats._resample_medians(b, blocked, n_resamples),
+    )
+    for got_medians, want in zip(got, medians):
+        assert got_medians.tobytes() == want.tobytes()
+    assert blocked.bit_generator.state == reference.bit_generator.state
+    blocked = RngStream(seed=8).generator()
+    assert bootstrap_ratio_ci(a, b, blocked, n_resamples=n_resamples) == interval
+    assert blocked.bit_generator.state == reference.bit_generator.state
+
+
+def test_bootstrap_ratio_ci_memory_is_bounded():
+    # One (n_resamples, n) index draw per sample peaks at about 61 MiB at this size.
+    values = RngStream(seed=112).generator()
+    a, b = values.normal(5.0, 1.0, size=2000), values.normal(4.0, 1.0, size=2000)
+    tracemalloc.start()
+    try:
+        bootstrap_ratio_ci(a, b, RngStream(seed=9).generator(), n_resamples=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
