@@ -22,7 +22,8 @@ below any polynomial.
 ``verify_marginals`` checks on the (X, Z) arrays of a batch of traces that
 every Z cell is uniform, that cells are pairwise independent (also across
 rounds), and that later-round Z's do not depend on earlier realized X's.
-``--assert`` checks the summary's ``containment_failure`` rate against the bound.
+``--assert`` checks the summary's ``containment_failure`` rate against the bound,
+and on both sides against the exact rate of the harness's set adversaries.
 """
 
 from __future__ import annotations

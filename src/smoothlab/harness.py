@@ -81,7 +81,13 @@ from .learning import (
     run_learning_game,
     stationary_smooth_adversary,
 )
-from .stats import bootstrap_ratio_ci, median, one_sided_bound_check, wilson_interval
+from .stats import (
+    binomial_stderr,
+    bootstrap_ratio_ci,
+    median,
+    one_sided_bound_check,
+    wilson_interval,
+)
 
 ENV_OUT_DIR = "SMOOTHLAB_OUT_DIR"
 
@@ -346,16 +352,35 @@ def _summarize_coupling(
 
 
 def _check_coupling(params: dict, summary: dict) -> list[str]:
-    """Containment-failure rate at most T(1-sigma)^k plus three binomial stderrs."""
+    """Containment-failure rate at most T(1-sigma)^k plus three binomial stderrs,
+    and within three binomial stderrs of the exact rate q = 1 - (1 - p)^T, on
+    both sides.
+
+    Every adversary in the table plays sets of one size s, its first set's.  A
+    round fails exactly when none of its k replicas hits its set, which has
+    probability p = (1 - s/n)^k in every round whatever the set, so q is exact;
+    at s = n it is 0, and any failure fails.
+    """
     fail = summary["containment_failure"]
-    bound = containment_bound(params["T"], params["sigma"], params["k"])
+    T, n = params["T"], params["n"]
+    bound = containment_bound(T, params["sigma"], params["k"])
     check = one_sided_bound_check(fail["count"], fail["n"], min(bound, 1.0), z=3.0)
-    if check.passed:
-        return []
-    return [
-        f"containment failure rate {check.rate:.6g} exceeds "
-        f"{check.bound:.6g} + 3 stderr ({check.threshold:.6g})"
-    ]
+    failures = []
+    if not check.passed:
+        failures.append(
+            f"containment failure rate {check.rate:.6g} exceeds "
+            f"{check.bound:.6g} + 3 stderr ({check.threshold:.6g})"
+        )
+    adv = _COUPLING_ADVERSARIES[params["adversary"]](params, FiniteDomain(n))
+    s = adv.rule(np.empty(0, dtype=np.int64)).size
+    q = -math.expm1(T * math.log1p(-((1.0 - s / n) ** params["k"])))
+    band = 3.0 * binomial_stderr(q, fail["n"])
+    if abs(check.rate - q) > band:
+        failures.append(
+            f"containment failure rate {check.rate:.6g} lies more than 3 stderr "
+            f"({band:.6g}) from the exact {q:.6g}"
+        )
+    return failures
 
 
 # algorithm -> factory(params, adversary sigma) of the sign rule run_discrepancy plays
@@ -771,15 +796,20 @@ def _read_metrics(run_dir: Path) -> tuple[dict[str, list], list, int]:
     """metrics.jsonl in one streaming pass, as columns: each key's values over
     the completed rows in trial order, with _ABSENT where a row lacks the key;
     the trials of the error rows; and the number of completed rows.  No row
-    outlives the pass."""
+    outlives the pass.  A non-blank line that is not a JSON object with an
+    integer "trial" raises ValidationError naming its line number."""
     columns: dict[str, list] = {}
     error_trials = []
     completed = 0
     with _open_run_file(run_dir, "metrics.jsonl") as lines:
-        for line in lines:
+        for number, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             row = json.loads(line)
+            if not isinstance(row, dict) or not _is_int(row.get("trial")):
+                raise ValidationError(
+                    f"metrics.jsonl line {number} is not a JSON object with an integer 'trial'"
+                )
             if "error" in row:
                 error_trials.append(row["trial"])
                 continue

@@ -566,8 +566,9 @@ class RegretLedger:
     """Complete game record with the exact regret identity.
 
     regret equals cum_losses[-1] - best_loss by construction, with best_loss
-    the exact class optimum on the realized transcript; regret_curve holds the
-    same identity per prefix.
+    = bih_curve[-1] the exact class optimum on the realized transcript, which
+    ``BlockMistakeTracker`` keeps round by round; regret_curve holds the same
+    identity per prefix.
     """
 
     xs: np.ndarray
@@ -577,7 +578,6 @@ class RegretLedger:
     cum_losses: np.ndarray
     bih_curve: np.ndarray
     regret_curve: np.ndarray
-    best_hypothesis: Hypothesis
     best_loss: int
     regret: int
     config: dict
@@ -735,7 +735,7 @@ def run_learning_game(
     )
     losses = (predictions != ys).astype(int)
     cum_losses = losses.cumsum()
-    best_h, best_loss = best_in_hindsight(cls, xs, ys)
+    best_loss = int(bih_curve[-1])
     config = {
         "m": cls.m,
         "d": cls.d,
@@ -757,7 +757,6 @@ def run_learning_game(
         cum_losses=cum_losses,
         bih_curve=bih_curve,
         regret_curve=cum_losses - bih_curve,
-        best_hypothesis=best_h,
         best_loss=best_loss,
         regret=int(cum_losses[-1]) - best_loss,
         config=config,

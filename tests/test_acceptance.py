@@ -8,21 +8,22 @@ seed could produce a false rejection; pinning the seed makes every criterion
 a deterministic regression check.  Calibrated margins at these seeds are
 recorded inline next to each assertion.
 
-Criteria 1 and 2 share one batch of 50,000 coupled traces at
-(n, sigma, T, k) = (16, 0.25, 8, 16); generation time is attributed to
-criterion 1 and criterion 2 adds only its own checks.
+Criteria 1 and 2 share one coupling run of 50,000 traces at
+(n, sigma, T, k) = (16, 0.25, 8, 16) against the last-value adversary; its
+wall time, summary included, is attributed to criterion 1, and criterion 2
+adds only its own checks and its two micro runs.
 
-Criteria 4-8 and 10 are harness runs: each builds its configs with
+Criteria 1, 2, 4-8 and 10 are harness runs: each builds its configs with
 ``make_config``, runs them with ``run_experiment`` at parallelism 2, requires
 ``assert_report`` to pass, and reads its values from the runs' summaries.
 Their lines end with the kind, seed and trials, so the command line
-reproduces any of them, e.g. acceptance 8:
+reproduces any of them, e.g. acceptance 1:
 
-    smoothlab learning --param m=64 --param d=2 --param T=4096 \\
-        --param adversary=mistake-tree --trials 50 --seed 1008 --assert
+    smoothlab coupling --param n=16 --param sigma=0.25 --param T=8 --param k=16 \\
+        --param adversary=last-value --trials 50000 --seed 1001 --assert
 
-Criteria 1-3 and 9 call library functions directly, and 11 byte-compares
-run directories.
+Criteria 3 and 9 call library functions directly, and 11 byte-compares run
+directories.
 """
 
 from __future__ import annotations
@@ -36,11 +37,10 @@ import pytest
 
 from smoothlab.coupling import (
     CouplingConfig,
+    _sample_pairs,
     containment_bound,
-    couple_adaptive,
     enumerate_containment_probability,
     last_value_adversary,
-    verify_marginals,
 )
 from smoothlab.discrepancy import SelfBalancingConfig
 from smoothlab.dispersion import max_interval_count, max_interval_count_brute
@@ -63,32 +63,41 @@ from smoothlab.learning import (
 from smoothlab.stats import one_sided_bound_check
 
 
+def _harness_runs(tmp_path, kind: str, runs: dict, trials: int, seed: int):
+    """Each named params dict run as make_config(kind, params, trials, seed) at
+    parallelism 2, with assert_report's checks required to pass; returns the
+    summaries by name.  The run directories are deleted: acceptance 4's alone
+    hold about 140 MB of traces, and acceptance 1's traces.jsonl about 26 MB."""
+    summaries = {}
+    for name, params in runs.items():
+        cfg = make_config(kind, params, trials, seed)
+        run = run_experiment(cfg, tmp_path / f"{kind}-{seed}-{name}", parallelism=2)
+        shutil.rmtree(run.run_dir)
+        failures = assert_report(kind, cfg.params, run.summary)
+        assert not failures, f"{kind} {name} at seed {seed}: {failures}"
+        summaries[name] = run.summary
+    return summaries
+
+
 @pytest.fixture(scope="module")
-def coupling_batch():
-    """50,000 coupled traces at (16, 0.25, 8, 16) against the adaptive chaser."""
-    n, sigma, T, k = 16, 0.25, 8, 16
-    domain = FiniteDomain(n)
-    cfg = CouplingConfig(T=T, k=k)
+def coupling_run(tmp_path_factory):
+    """The summary of 50,000 coupled traces at (16, 0.25, 8, 16) against the
+    adaptive chaser, and the run's wall time."""
     start = time.time()
-    traces = []
-    for i in range(50_000):
-        adv = last_value_adversary(domain, sigma)
-        traces.append(couple_adaptive(adv, cfg, RngStream(seed=1001, stream_id=i).generator()))
-    return traces, time.time() - start
+    runs = {"chaser": {"n": 16, "sigma": 0.25, "T": 8, "k": 16, "adversary": "last-value"}}
+    out = tmp_path_factory.mktemp("acceptance")
+    summary = _harness_runs(out, "coupling", runs, 50_000, 1001)["chaser"]
+    return summary, time.time() - start
 
 
-def test_acceptance_1_coupling_marginals(coupling_batch, acceptance_report):
-    traces, gen_elapsed = coupling_batch
-    start = time.time()
-    X = np.stack([tr.X for tr in traces])
-    Z = np.stack([tr.Z for tr in traces])
-    report = verify_marginals(X, Z, 16, n_pairs=20, pair_seed=0)
-    elapsed = gen_elapsed + (time.time() - start)
-
-    min_cell = float(report.cell_pvalues.min())
-    min_pair = min(report.pair_pvalues)
-    min_homog = min(report.homogeneity_pvalues)
-    n_cross = sum(1 for (a, b) in report.pairs if a[0] != b[0])
+def test_acceptance_1_coupling_marginals(coupling_run, acceptance_report):
+    summary, elapsed = coupling_run
+    # The cell pairs the summary's marginals test (n_pairs=20, pair_seed=0).
+    n_cross = sum(1 for (a, b) in _sample_pairs(8, 16, 20, 0) if a[0] != b[0])
+    marginals = summary["marginals"]
+    min_cell = marginals["min_cell_pvalue"]
+    min_pair = marginals["min_pair_pvalue"]
+    min_homog = marginals["min_homogeneity_pvalue"]
     # Calibrated at seed 1001: min cell p = 0.00144, min pair p = 0.0174.
     ok = min_cell > 0.001 and min_pair > 0.001 and n_cross >= 1 and elapsed < 60.0
     line = acceptance_report(
@@ -96,34 +105,28 @@ def test_acceptance_1_coupling_marginals(coupling_batch, acceptance_report):
         ok,
         f"min_cell_p={min_cell:.5f} min_pair_p={min_pair:.5f} "
         f"min_homog_p={min_homog:.5f} cross_round_pairs={n_cross} "
-        f"n_traces={report.n_traces} elapsed={elapsed:.1f}s budget=60s",
+        f"n_traces={marginals['n_traces']} elapsed={elapsed:.1f}s budget=60s "
+        "kind=coupling seed=1001 trials=50000",
     )
     assert ok, line
 
 
-def test_acceptance_2_coupling_containment(coupling_batch, acceptance_report):
-    traces, _ = coupling_batch
+def test_acceptance_2_coupling_containment(tmp_path, coupling_run, acceptance_report):
+    summary, _ = coupling_run
     start = time.time()
     T, sigma, k = 8, 0.25, 16
-    failures = sum(0 if tr.contained else 1 for tr in traces)
+    fail = summary["containment_failure"]
     bound = containment_bound(T, sigma, k)
-    check = one_sided_bound_check(failures, len(traces), bound, z=3.0)
+    check = one_sided_bound_check(fail["count"], fail["n"], bound, z=3.0)
 
     micro_ok = True
     micro_bits = []
-    domain2 = FiniteDomain(2)
-    for mT, mk in ((2, 2), (3, 3)):
-        mcfg = CouplingConfig(T=mT, k=mk)
-        exact = enumerate_containment_probability(last_value_adversary(domain2, 0.5), mcfg)
-        hits = sum(
-            couple_adaptive(
-                last_value_adversary(domain2, 0.5),
-                mcfg,
-                RngStream(seed=1002, stream_id=i).generator(),
-            ).contained
-            for i in range(20_000)
-        )
-        estimate = hits / 20_000
+    game = {"n": 2, "sigma": 0.5, "adversary": "last-value"}
+    runs = {mT: {**game, "T": mT, "k": mT} for mT in (2, 3)}
+    for mT, micro in _harness_runs(tmp_path, "coupling", runs, 20_000, 1002).items():
+        mcfg = CouplingConfig(T=mT, k=mT)
+        exact = enumerate_containment_probability(last_value_adversary(FiniteDomain(2), 0.5), mcfg)
+        estimate = 1.0 - micro["containment_failure"]["rate"]
         stderr = math.sqrt(exact * (1.0 - exact) / 20_000)
         micro_ok = micro_ok and abs(estimate - exact) <= 3.0 * stderr
         micro_bits.append(f"T={mT}:|{estimate:.4f}-{exact:.4f}|<={3 * stderr:.4f}")
@@ -135,7 +138,8 @@ def test_acceptance_2_coupling_containment(coupling_batch, acceptance_report):
         2,
         ok,
         f"failure_rate={check.rate:.5f} bound={bound:.5f} threshold={check.threshold:.5f} "
-        f"micro[{' '.join(micro_bits)}] elapsed={elapsed:.1f}s budget=60s",
+        f"micro[{' '.join(micro_bits)}] elapsed={elapsed:.1f}s budget=60s "
+        "kind=coupling seed=1001/1002 trials=50000/20000",
     )
     assert ok, line
 
@@ -172,22 +176,6 @@ def test_acceptance_3_decomposition(acceptance_report):
         f"elapsed={elapsed:.1f}s budget=10s",
     )
     assert ok, line
-
-
-def _harness_runs(tmp_path, kind: str, runs: dict, trials: int, seed: int):
-    """Each named params dict run as make_config(kind, params, trials, seed) at
-    parallelism 2, with assert_report's checks required to pass; returns the
-    summaries by name.  The run directories are deleted: acceptance 4's alone
-    hold about 140 MB of traces."""
-    summaries = {}
-    for name, params in runs.items():
-        cfg = make_config(kind, params, trials, seed)
-        run = run_experiment(cfg, tmp_path / f"{kind}-{seed}-{name}", parallelism=2)
-        shutil.rmtree(run.run_dir)
-        failures = assert_report(kind, cfg.params, run.summary)
-        assert not failures, f"{kind} {name} at seed {seed}: {failures}"
-        summaries[name] = run.summary
-    return summaries
 
 
 def test_acceptance_4_discrepancy_upper_bound(tmp_path, acceptance_report):

@@ -52,7 +52,7 @@ from smoothlab.harness import (
     summarize,
     summary_to_json,
 )
-from smoothlab import harness, learning
+from smoothlab import coupling, harness, learning
 from smoothlab.learning import ThresholdUnionClass, stationary_smooth_adversary
 from smoothlab.stats import bootstrap_ratio_ci, median
 
@@ -932,6 +932,26 @@ def test_metric_columns_summarize_and_compare_as_row_dicts(lines_a, lines_b, met
         )
 
 
+@pytest.mark.parametrize(
+    "bad",
+    ["[1]", '{"error": "x"}', '{"total": 3}', '{"trial": true}'],
+    ids=["list", "error-row-without-trial", "row-without-trial", "boolean-trial"],
+)
+def test_metrics_line_without_an_integer_trial_is_refused(tmp_path, bad):
+    run_dir = tmp_path / "run"
+    run_experiment(make_config("dispersion", {"T": 10, "ell": 2, "sigma": 0.2}, 3, 0), run_dir)
+    with open(run_dir / "metrics.jsonl", "a") as f:
+        f.write(bad + "\n")
+    message = "metrics.jsonl line 4 is not a JSON object with an integer 'trial'"
+    with pytest.raises(ValidationError, match=message):
+        summarize(run_dir)
+    with pytest.raises(ValidationError, match=message):
+        compare_runs(run_dir, run_dir, "total", n_resamples=4)
+
+
+_COUPLING_10K = {"n": 16, "sigma": 0.25, "T": 8, "k": 16, "adversary": "last-value"}
+
+
 def test_assert_report_checks_by_kind():
     dispersion_summary = {
         "errors": 0,
@@ -963,6 +983,53 @@ def test_assert_report_checks_by_kind():
     assert len(failures) == 1 and "below floor" in failures[0]
     learning_summary["metrics"]["regret"]["mean"] = floor * 2
     assert assert_report("learning", learning_params, learning_summary) == []
+
+    def coupling_summary(count: int, n: int) -> dict:
+        failure = {"count": count, "n": n}
+        return {"errors": 0, "error_trials": [], "completed": n, "containment_failure": failure}
+
+    # Sets of s = 4 of n = 16 points: exact rate q = 1 - (1 - (3/4)^16)^8 = 0.0774238,
+    # three stderrs at N = 10,000 are 0.0080, and the union bound's threshold is 0.0883.
+    params = make_config("coupling", _COUPLING_10K, 1, 0).params
+    assert assert_report("coupling", params, coupling_summary(774, 10_000)) == []
+    assert assert_report("coupling", params, coupling_summary(0, 10_000)) == [
+        "containment failure rate 0 lies more than 3 stderr (0.00801788) from the exact 0.0774238"
+    ]
+    # Too many failures, though under the union bound's threshold.
+    assert assert_report("coupling", params, coupling_summary(860, 10_000)) == [
+        "containment failure rate 0.086 lies more than 3 stderr (0.00801788) "
+        "from the exact 0.0774238"
+    ]
+    # A stationary set of 4 of 8 points, k = 2, T = 1: q = (1/2)^2 = 0.25 exactly.
+    stationary = {"n": 8, "sigma": 0.25, "T": 1, "k": 2, "adversary": "stationary"}
+    params = make_config("coupling", {**stationary, "set_size": 4}, 1, 0).params
+    assert assert_report("coupling", params, coupling_summary(2500, 10_000)) == []
+    assert len(assert_report("coupling", params, coupling_summary(2200, 10_000))) == 1
+    # The whole domain never fails: q = 0, so one failure fails.
+    full = {"n": 8, "sigma": 0.25, "T": 4, "k": 2, "adversary": "full-domain"}
+    params = make_config("coupling", full, 1, 0).params
+    assert assert_report("coupling", params, coupling_summary(0, 20)) == []
+    assert assert_report("coupling", params, coupling_summary(1, 20)) == [
+        "containment failure rate 0.05 lies more than 3 stderr (0) from the exact 0"
+    ]
+
+
+def test_assert_fails_a_coupling_whose_x_is_always_a_replica(tmp_path, monkeypatch):
+    # X := Z_1 in every round: Z keeps its law, so the marginals pass, and no
+    # trace ever fails, against an exact failure rate of 0.0774.
+    real = coupling.couple_single_round
+
+    def x_is_the_first_replica(S, k, draws):
+        _, z = real(S, k, draws)
+        return z[0], z
+
+    monkeypatch.setattr(coupling, "couple_single_round", x_is_the_first_replica)
+    cfg = make_config("coupling", _COUPLING_10K, 10_000, 2102)
+    summary = run_experiment(cfg, tmp_path / "run", parallelism=1).summary
+    assert summary["containment_failure"]["count"] == 0
+    assert summary["marginals"]["passed"] is True
+    failures = assert_report(cfg.kind, cfg.params, summary)
+    assert len(failures) == 1 and "from the exact 0.0774238" in failures[0]
 
 
 def test_cli_run_assert_and_exit_codes(tmp_path, capsys):
